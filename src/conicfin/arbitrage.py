@@ -22,22 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .market import (
-    MarketModel,
-    TradingStrategy,
-    complete_bank_leg,
-    liquidation_value,
-    validate_self_financing,
-)
-from .search import (
-    LegLayout,
-    SearchConfig,
-    SearchOutcome,
-    auto_bound,
-    exhaustive_grid,
-    leg_layout,
-    maximize,
-)
+from .market import MarketModel, TradingStrategy, liquidation_value, validate_self_financing
+from .search import SearchConfig, exhaustive_grid, leg_layout, maximize
 
 FLOAT_GAIN_TOL = 1e-7
 FLOAT_LOSS_TOL = 1e-10
@@ -71,30 +57,16 @@ def _score(v_terminal: np.ndarray, tol: float) -> np.ndarray:
     return np.where(worst < -tol, worst, 1.0 + mean)
 
 
-def _evaluator(market: MarketModel, layout: LegLayout, entry: int, tol: float):
-    T = market.tree.horizon
-
-    def evaluate(params: np.ndarray) -> np.ndarray:
-        long, short = layout.to_legs(params)
-        strat = complete_bank_leg(long, short, market, entry)
-        return _score(liquidation_value(strat, market, T), tol)
-
-    return evaluate
-
-
 def find_arbitrage(
     market: MarketModel, entry: int = 0, cfg: SearchConfig = SearchConfig()
 ) -> ArbitrageSearchResult:
     """Search for an arbitrage entered at `entry`; certificates are re-validated."""
     layout = leg_layout(market, entry)
-    bound = cfg.bound if cfg.bound is not None else auto_bound(market, entry)
-    evaluate = _evaluator(market, layout, entry, cfg.tol)
-    if cfg.exhaustive:
-        outcome = exhaustive_grid(evaluate, layout.dims, cfg, bound)
-    else:
-        outcome = maximize(evaluate, layout.dims, cfg, bound)
-    long, short = layout.to_legs(outcome.params)
-    strat = complete_bank_leg(long, short, market, entry)
+    T = market.tree.horizon
+    evaluate = lambda P: _score(liquidation_value(layout.strategy(P), market, T), cfg.tol)
+    search = exhaustive_grid if cfg.exhaustive else maximize
+    outcome = search(evaluate, layout.dims, cfg, layout.bound(cfg))
+    strat = layout.strategy(outcome.params)
     report = validate_certificate(strat, market, entry)
     if report.valid:
         return ArbitrageSearchResult(

@@ -122,12 +122,6 @@ def g_expectation(g: Driver, x, s: int, t: int, walk: MartingaleSpec) -> np.ndar
     return solve_bsde(g, terminal, walk).Y[t]
 
 
-def g_expectation_solution(g: Driver, x, s: int, walk: MartingaleSpec) -> BsdeSolution:
-    tr = walk.tree
-    x = tr.check_level_array(np.asarray(x, dtype=float), s)
-    return solve_bsde(g, tr.broadcast(x, s, tr.horizon), walk)
-
-
 # ---- comparison -------------------------------------------------------------
 
 

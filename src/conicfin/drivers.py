@@ -16,8 +16,8 @@ the comparison_certified flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -272,13 +272,7 @@ class RiskInducedDriver(Driver):
 
     def lipschitz(self, t):
         if self._lip is None:
-            grid = np.linspace(-8.0, 8.0, 65)
-            worst = 0.0
-            for u in range(1, self.tree.horizon + 1):
-                vals = np.stack([self.eval(u, np.full(self._slots(u), g)) for g in grid])
-                diffs = np.abs(np.diff(vals, axis=0)) / np.diff(grid)[:, None]
-                worst = max(worst, float(diffs.max()))
-            self._lip = worst
+            self._lip = _max_divided_difference(self, np.linspace(-8.0, 8.0, 65))
         return np.full(self._slots(t), self._lip)
 
 
@@ -437,6 +431,22 @@ def driver_from_risk_measure(rho, walk, convex: bool = True) -> RiskInducedDrive
 DEFAULT_Z_GRID = np.linspace(-10.0, 10.0, 161)
 
 
+def _divided_differences(g: Driver, t: int, grid: np.ndarray) -> np.ndarray:
+    """|g(t, z_{k+1}) - g(t, z_k)| / (z_{k+1} - z_k) between neighboring grid
+    points, per level t-1 slot: shape (len(grid) - 1, slots)."""
+    slots = g.tree.n_nodes(t - 1)
+    vals = np.stack([g.eval(t, np.full(slots, z)) for z in grid])
+    return np.abs(np.diff(vals, axis=0)) / np.diff(grid)[:, None]
+
+
+def _max_divided_difference(g: Driver, grid: np.ndarray) -> float:
+    """Lipschitz estimate: the largest divided difference over all levels and slots."""
+    worst = 0.0
+    for t in range(1, g.tree.horizon + 1):
+        worst = max(worst, float(_divided_differences(g, t, grid).max()))
+    return worst
+
+
 @dataclass(frozen=True)
 class AssumptionAReport:
     zero_at_zero: float
@@ -466,8 +476,7 @@ def validate_assumption_A(g: Driver, z_grid=None) -> AssumptionAReport:
         worst_zero = max(worst_zero, float(zero.max()))
         c_t = np.max(g.lipschitz(t))
         declared = max(declared, float(c_t))
-        vals = np.stack([g.eval(t, np.full(slots, z)) for z in grid])
-        diffs = np.abs(np.diff(vals, axis=0)) / np.diff(grid)[:, None]
+        diffs = _divided_differences(g, t, grid)
         est = float(diffs.max())
         worst_est = max(worst_est, est)
         if est > np.min(g.lipschitz(t)) + LIPSCHITZ_TOL:
@@ -527,17 +536,7 @@ def lipschitz_dominance_check(g1: Driver, g2: Driver, z_grid=None, tol: float = 
     differences and reports (ok, c1_estimate, c2_estimate).
     """
     grid = DEFAULT_Z_GRID if z_grid is None else np.asarray(z_grid, dtype=float)
-
-    def estimate(g):
-        worst = 0.0
-        for t in range(1, g.tree.horizon + 1):
-            slots = g.tree.n_nodes(t - 1)
-            vals = np.stack([g.eval(t, np.full(slots, z)) for z in grid])
-            diffs = np.abs(np.diff(vals, axis=0)) / np.diff(grid)[:, None]
-            worst = max(worst, float(diffs.max()))
-        return worst
-
-    c1, c2 = estimate(g1), estimate(g2)
+    c1, c2 = _max_divided_difference(g1, grid), _max_divided_difference(g2, grid)
     return c1 <= c2 + tol, c1, c2
 
 

@@ -4,14 +4,16 @@ The hedged ask at time t lowers the plain conic ask by the best terminal
 wealth a zero-cost strategy entered at t can deliver against the payoff;
 the hedged bid mirrors it. Free consumption only ever raises the risk of a
 hedge, so the searches keep consumption at zero and sweep risky legs alone
-(the bank leg is reconstructed).
+(the bank leg is reconstructed). Every objective is built by _node_values:
+legs -> self-financing strategy -> time-t value of the payoff net of the
+strategy's terminal wealth.
 
 Because every leg dimension sits inside the subtree of exactly one level-t
-node, the per-node objective values decompose: coordinate ascent from the
-zero strategy improves nodes one at a time, and winners from different
-starts merge into a single strategy node by node. The zero start makes the
-hedged ask never exceed the plain ask (and the hedged bid never fall below
-the plain bid) by construction.
+node, the per-node objective values decompose: the shared coordinate
+ascent (search.ascend) from the zero strategy improves nodes one at a
+time, and winners from different starts merge into a single strategy node
+by node. The zero start makes the hedged ask never exceed the plain ask
+(and the hedged bid never fall below the plain bid) by construction.
 
 A no-good-deal verdict is heuristic: it reports that no visited strategy
 produced strictly negative risk at any node.
@@ -19,18 +21,18 @@ produced strictly negative risk at any node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .arbitrage import ArbitrageSearchResult, find_arbitrage
 from .bsde import solve_bsde
-from .drivers import DriverFamily
-from .market import MarketModel, TradingStrategy, complete_bank_leg, liquidation_value
+from .drivers import Driver, DriverFamily
+from .market import MarketModel, TradingStrategy, liquidation_value
 from .pricing import ask as plain_ask
 from .pricing import bid as plain_bid
-from .search import LegLayout, SearchConfig, auto_bound, leg_layout
+from .search import LegLayout, SearchConfig, ascend, leg_layout
 from .tree import AdaptedProcess
 
 GOOD_DEAL_TOL = 1e-9
@@ -56,75 +58,35 @@ def _per_node_search(
 ):
     """Minimize a per-node objective over legs; merge per-node winners.
 
-    evaluate_values maps (B, dims) to (B, n_t) node values. Each dimension
-    belongs to one level-t subtree, so accepted coordinate moves improve
-    exactly their own node and final strategies from different starts can
-    be recombined node by node into a single parameter vector.
+    evaluate_values maps (B, dims) to (B, n_t) node values; the ascent
+    maximizes minus their sum. Each dimension belongs to one level-t
+    subtree, so accepted coordinate moves improve exactly their own node
+    and final strategies from different starts can be recombined node by
+    node into a single parameter vector.
     """
     dims = layout.dims
-    rng = np.random.default_rng(cfg.seed)
-    grid = np.linspace(0.0, bound, cfg.grid_points)
-    starts = [np.zeros(dims)]
-    for _ in range(max(cfg.multi_starts - 1, 0)):
-        raw = rng.choice(grid, size=dims)
-        mask = rng.random(dims) < 0.35
-        starts.append(raw * mask)
-    finals = []
-    evals = 0
-    for p0 in starts:
-        p = p0.copy()
-        vals = evaluate_values(p[None, :])[0]
-        evals += 1
-        score = -float(np.sum(vals))
-        span = bound
-        for _ in range(cfg.refine_rounds):
-            for _ in range(cfg.sweeps):
-                improved = False
-                for d in range(dims):
-                    cand = np.clip(
-                        np.linspace(p[d] - span, p[d] + span, cfg.grid_points), 0.0, bound
-                    )
-                    cand = np.unique(np.concatenate([cand, [0.0, p[d]]]))
-                    batch = np.repeat(p[None, :], cand.size, axis=0)
-                    batch[:, d] = cand
-                    v = evaluate_values(batch)
-                    evals += cand.size
-                    scores = -np.sum(v, axis=-1)
-                    k = int(np.argmax(scores))
-                    if scores[k] > score + 1e-13:
-                        p, score = batch[k].copy(), float(scores[k])
-                        improved = True
-                if not improved:
-                    break
-            span *= 0.5
-        finals.append((p, evaluate_values(p[None, :])[0]))
-        evals += 1
+    finals, evals = ascend(lambda P: -np.sum(evaluate_values(P), axis=-1), dims, cfg, bound)
+    params = [p for p, _ in finals]
+    stacked = np.stack([evaluate_values(p[None, :])[0] for p in params])
+    evals += len(params)
     node_dim = layout.dim_subtree_map(t) if dims else np.zeros(0, dtype=np.int64)
-    stacked = np.stack([v for _, v in finals])
     winner = np.argmin(stacked, axis=0)
     merged = np.zeros(dims)
     for d in range(dims):
-        merged[d] = finals[int(winner[node_dim[d]])][0][d]
+        merged[d] = params[int(winner[node_dim[d]])][d]
     merged_vals = evaluate_values(merged[None, :])[0]
     evals += 1
     return merged, merged_vals, evals
 
 
-def _terminal_factory(
-    market: MarketModel,
-    layout: LegLayout,
-    t: int,
-    payoff_leaf: np.ndarray,
-):
-    """(B, dims) -> terminal arrays payoff - V_T(strategy) of shape (B, leaves)."""
+def _node_values(g: Driver, layout: LegLayout, payoff: np.ndarray):
+    """(B, dims) legs -> (B, n_t) time-t values, under g, of the leaf payoff
+    minus the terminal wealth of the strategy entered at layout.entry."""
+    market, t = layout.market, layout.entry
     T = market.tree.horizon
-
-    def terminals(params: np.ndarray) -> np.ndarray:
-        long, short = layout.to_legs(params)
-        strat = complete_bank_leg(long, short, market, t)
-        return payoff_leaf - liquidation_value(strat, market, T)
-
-    return terminals
+    return lambda P: solve_bsde(
+        g, payoff - liquidation_value(layout.strategy(P), market, T), market.walk
+    ).Y[t]
 
 
 def hedged_price(
@@ -146,15 +108,9 @@ def hedged_price(
     sign = 1.0 if side == "ask" else -1.0
     payoff = sign * tr.broadcast(quote.phi, t, tr.horizon) * stream.future_sum(t + 1)
     layout = leg_layout(market, t)
-    bound = cfg.bound if cfg.bound is not None else auto_bound(market, t)
-    terminals = _terminal_factory(market, layout, t, payoff)
-
-    def values(params: np.ndarray) -> np.ndarray:
-        return solve_bsde(g, terminals(params), market.walk).Y[t]
-
-    merged, merged_vals, evals = _per_node_search(values, layout, t, cfg, bound)
-    long, short = layout.to_legs(merged)
-    strat = complete_bank_leg(long, short, market, t)
+    values = _node_values(g, layout, payoff)
+    merged, merged_vals, evals = _per_node_search(values, layout, t, cfg, layout.bound(cfg))
+    strat = layout.strategy(merged)
     value = merged_vals if side == "ask" else -merged_vals
     return HedgedQuote(
         side=side,
@@ -192,19 +148,11 @@ def check_ngd(
     tr = market.tree
     g = family.make(gamma)
     layout = leg_layout(market, t)
-    bound = cfg.bound if cfg.bound is not None else auto_bound(market, t)
-    terminals = _terminal_factory(market, layout, t, np.zeros(tr.n_leaves))
-
-    def risk_values(params: np.ndarray) -> np.ndarray:
-        return solve_bsde(g, terminals(params), market.walk).Y[t]
-
-    merged, merged_vals, evals = _per_node_search(risk_values, layout, t, cfg, bound)
+    risk_values = _node_values(g, layout, np.zeros(tr.n_leaves))
+    merged, merged_vals, evals = _per_node_search(risk_values, layout, t, cfg, layout.bound(cfg))
     worst = float(np.min(merged_vals))
     found = worst < -GOOD_DEAL_TOL
-    strategy = None
-    if found:
-        long, short = layout.to_legs(merged)
-        strategy = complete_bank_leg(long, short, market, t)
+    strategy = layout.strategy(merged) if found else None
     arb = find_arbitrage(market, t, cfg) if cross_check_arbitrage else None
     consistent = True
     note = f"searched {evals} leg evaluations"
@@ -288,31 +236,18 @@ def hedged_level_monotonicity(
     tr = market.tree
     gs = sorted(float(x) for x in gammas)
     layout = leg_layout(market, t)
-    bound = cfg.bound if cfg.bound is not None else auto_bound(market, t)
-    quotes = {g: plain_ask(family, g, phi, stream, t) for g in gs}
-    phi_arr = quotes[gs[0]].phi
+    bound = layout.bound(cfg)
+    phi_arr = plain_ask(family, gs[0], phi, stream, t).phi
     payoff = tr.broadcast(phi_arr, t, tr.horizon) * stream.future_sum(t + 1)
-    terminals = _terminal_factory(market, layout, t, payoff)
+    drivers = [family.make(gamma) for gamma in gs]
     pool = [np.zeros(layout.dims)]
-    for gamma in gs:
-        g = family.make(gamma)
-        vals = lambda P: solve_bsde(g, terminals(P), market.walk).Y[t]
-        merged, _, _ = _per_node_search(vals, layout, t, cfg, bound)
-        pool.append(merged)
-    neg_terminals = _terminal_factory(market, layout, t, -payoff)
-    for gamma in gs:
-        g = family.make(gamma)
-        vals = lambda P: solve_bsde(g, neg_terminals(P), market.walk).Y[t]
-        merged, _, _ = _per_node_search(vals, layout, t, cfg, bound)
-        pool.append(merged)
+    for sign in (1.0, -1.0):
+        for g in drivers:
+            values = _node_values(g, layout, sign * payoff)
+            pool.append(_per_node_search(values, layout, t, cfg, bound)[0])
     stack = np.stack(pool)
-    ask_vals, bid_vals = [], []
-    for gamma in gs:
-        g = family.make(gamma)
-        a = solve_bsde(g, terminals(stack), market.walk).Y[t].min(axis=0)
-        b = -solve_bsde(g, neg_terminals(stack), market.walk).Y[t].min(axis=0)
-        ask_vals.append(a)
-        bid_vals.append(b)
+    ask_vals = [_node_values(g, layout, payoff)(stack).min(axis=0) for g in drivers]
+    bid_vals = [-_node_values(g, layout, -payoff)(stack).min(axis=0) for g in drivers]
     worst = 0.0
     ask_ok = bid_ok = True
     for lo, hi in zip(range(len(gs) - 1), range(1, len(gs))):
@@ -368,7 +303,6 @@ def hedged_convexity_check(
     g = family.make(gamma)
     phi_arr = np.broadcast_to(np.asarray(phi, dtype=float), (tr.n_nodes(t),))
     payoff = tr.broadcast(phi_arr, t, tr.horizon) * mixed.future_sum(t + 1)
-    terminals = _terminal_factory(market, layout, t, payoff)
 
     def legs_to_params(strategy: TradingStrategy) -> np.ndarray:
         out = np.zeros(layout.dims)
@@ -378,7 +312,7 @@ def hedged_convexity_check(
         return out
 
     witness_params = lam * legs_to_params(q1.strategy) + (1.0 - lam) * legs_to_params(q2.strategy)
-    witness_vals = solve_bsde(g, terminals(witness_params[None, :]), market.walk).Y[t][0]
+    witness_vals = _node_values(g, layout, payoff)(witness_params[None, :])[0]
     mixed_value = np.minimum(q3.value, witness_vals)
     split_value = lam * q1.value + (1.0 - lam) * q2.value
     worst = float(np.max(mixed_value - split_value))

@@ -15,7 +15,7 @@ arithmetic is batched: legs may carry leading batch axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -51,7 +51,6 @@ class PricingOperator:
     """Maps (t, phi) to a time-t price array; phi is level-t measurable, >= 0."""
 
     supports_exact = False
-    homogeneous = False
 
     def price(self, t: int, phi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -71,8 +70,8 @@ class ConicOperator(PricingOperator):
     def __init__(self, side: str, family: DriverFamily, gamma: float, stream: AdaptedProcess):
         if side not in ("ask", "bid"):
             raise MarketError(f"side must be ask or bid, got {side!r}")
-        if not gamma > 0.0:
-            raise MarketError(f"acceptability level must be positive, got {gamma}")
+        if not (gamma > 0.0 and np.isfinite(gamma)):
+            raise MarketError(f"acceptability level must be positive and finite, got {gamma}")
         self.side = side
         self.family = family
         self.gamma = float(gamma)
@@ -93,7 +92,6 @@ class DirectOperator(PricingOperator):
     """Per-share price tables: price(t, phi) = phi * table_t, node by node."""
 
     supports_exact = True
-    homogeneous = True
 
     def __init__(self, tree: FiltrationTree, tables: Sequence):
         if len(tables) != tree.horizon + 1:
@@ -176,10 +174,6 @@ class OrderBookOperator(PricingOperator):
         if remaining > 0:
             raise DepthExceeded(f"order for {float(phi)} exceeds posted depth {self.depth}")
         return cost / self.tick_scale
-
-
-def order_book_operator(side: str, ladder: Sequence, tick_scale: int = 100) -> OrderBookOperator:
-    return OrderBookOperator(side, ladder, tick_scale=tick_scale)
 
 
 # ---- securities and markets -------------------------------------------------

@@ -19,17 +19,17 @@ import numpy as np
 from .bsde import solve_bsde
 from .drivers import DriverFamily, LinearDriver
 from .risk import random_streams
-from .tree import AdaptedProcess, MartingaleSpec, single_payment
+from .tree import AdaptedProcess, single_payment
 
 PRICE_TOL = 1e-10
 
 
 class LevelNonpositive(ValueError):
-    """Acceptability levels must be strictly positive."""
+    """Acceptability levels must be strictly positive and finite."""
 
 
 class NegativeQuantity(ValueError):
-    """Share counts phi must be nonnegative."""
+    """Share counts phi must be nonnegative and finite."""
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,14 @@ class PriceQuote:
 
 
 def _check_inputs(family: DriverFamily, gamma: float, phi, t: int):
-    if not gamma > 0.0:
-        raise LevelNonpositive(f"acceptability level must be positive, got {gamma}")
+    if not (gamma > 0.0 and np.isfinite(gamma)):
+        raise LevelNonpositive(f"acceptability level must be positive and finite, got {gamma}")
     tr = family.tree
     phi = np.broadcast_to(np.asarray(phi, dtype=float), (tr.n_nodes(t),)).copy() \
         if np.asarray(phi).ndim <= 1 else np.asarray(phi, dtype=float)
     phi = tr.check_level_array(phi, t)
+    if not np.all(np.isfinite(phi)):
+        raise NegativeQuantity("phi must be finite")
     if np.min(phi) < 0.0:
         raise NegativeQuantity(f"phi must be nonnegative, min is {np.min(phi)}")
     return phi

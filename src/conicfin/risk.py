@@ -15,16 +15,14 @@ driver whose family level varies with the level-t ancestor of each slot
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bsde import solve_bsde
 from .drivers import Driver, DriverFamily
-from .tree import AdaptedProcess, FiltrationTree, MartingaleSpec, single_payment
-
-DividendStream = AdaptedProcess
+from .tree import AdaptedProcess, FiltrationTree, single_payment
 
 AXIOM_TOL = 1e-10
 INDEX_TOL = 1e-8
@@ -50,26 +48,6 @@ def risk(driver: Driver, stream: AdaptedProcess, t: int) -> np.ndarray:
     """Time-t risk of the stream: nonlinear expectation of minus its tail sum."""
     terminal = -stream.future_sum(t)
     return solve_bsde(driver, terminal, driver.walk).Y[t]
-
-
-@dataclass(frozen=True)
-class AcceptabilityIndex:
-    """Largest family level at which the stream's tail risk is nonpositive.
-
-    Bisection on [x_min, x_max] with absolute tolerance x_tol; the bracket
-    ends act as sentinels: 0 when even x_min is not acceptable, +inf when
-    x_max still is.
-    """
-
-    family: DriverFamily
-    x_min: float = X_MIN
-    x_max: float = X_MAX
-    x_tol: float = INDEX_TOL
-
-    def __call__(self, stream: AdaptedProcess, t: int) -> np.ndarray:
-        return acceptability_index(
-            self.family, stream, t, x_min=self.x_min, x_max=self.x_max, x_tol=self.x_tol
-        )
 
 
 def _risk_at_levels(family: DriverFamily, terminal: np.ndarray, t: int, x_nodes: np.ndarray):

@@ -18,12 +18,12 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .arbitrage import find_arbitrage, validate_certificate
+from .arbitrage import find_arbitrage
 from .bsde import diagnose_solution, solve_bsde
 from .drivers import DriverError, builtin_driver, builtin_family, is_regular, validate_family
 from .hedging import check_ngd, hedged_sandwich
@@ -251,6 +251,14 @@ def _search_config(job: dict, seed: int) -> SearchConfig:
     )
 
 
+def _level(key: str, value, last: int) -> int:
+    """A job's time index, which must lie in 0..last."""
+    t = int(value)
+    if not 0 <= t <= last:
+        raise ScenarioError(f"{key} must lie in 0..{last}, got {t}")
+    return t
+
+
 def _resolve_driver(scn: Scenario, spec):
     """Driver reference: a name declared in the scenario, a builtin kind
     name, or an inline {"kind": ..., <params>} object."""
@@ -321,7 +329,7 @@ def _job_price_table(scn: Scenario, job: dict, out_dir: str, idx: int):
     tr = scn.walk.tree
     gammas = [float(g) for g in job.get("gammas", [1.0])]
     phi = float(job.get("phi", 1.0))
-    times = [int(t) for t in job.get("times", range(tr.horizon + 1))]
+    times = [_level("times", t, tr.horizon) for t in job.get("times", range(tr.horizon + 1))]
     sides = job.get("sides", ["ask", "bid"])
     rows = []
     worst_cross = 0.0
@@ -396,7 +404,7 @@ def _job_axioms(scn: Scenario, job: dict, out_dir: str, idx: int):
 def _job_index(scn: Scenario, job: dict, out_dir: str, idx: int):
     fam = _resolve_family(scn, job["family"])
     stream = _resolve_stream(scn, job["stream"])
-    t = int(job.get("time", 0))
+    t = _level("time", job.get("time", 0), scn.walk.tree.horizon)
     alpha = acceptability_index(fam, stream, t)
     out = job.get("out", f"job{idx}_index.json")
     write_json(os.path.join(out_dir, out), {"time": t, "alpha": alpha})
@@ -416,7 +424,7 @@ def _job_arbitrage(scn: Scenario, job: dict, out_dir: str, idx: int):
     if scn.market is None:
         raise ScenarioError("arbitrage job needs securities")
     cfg = _search_config(job, scn.seed)
-    entry = int(job.get("entry", 0))
+    entry = _level("entry", job.get("entry", 0), scn.walk.tree.horizon - 1)
     res = find_arbitrage(scn.market, entry, cfg)
     payload = {
         "found": res.found,
@@ -451,7 +459,8 @@ def _job_ngd(scn: Scenario, job: dict, out_dir: str, idx: int):
         raise ScenarioError("ngd job needs securities")
     fam = _resolve_family(scn, job["family"])
     cfg = _search_config(job, scn.seed)
-    rep = check_ngd(fam, float(job["gamma"]), scn.market, int(job.get("entry", 0)), cfg)
+    entry = _level("entry", job.get("entry", 0), scn.walk.tree.horizon - 1)
+    rep = check_ngd(fam, float(job["gamma"]), scn.market, entry, cfg)
     out = job.get("out", f"job{idx}_ngd.json")
     write_json(
         os.path.join(out_dir, out),
@@ -478,14 +487,9 @@ def _job_hedged(scn: Scenario, job: dict, out_dir: str, idx: int):
     fam = _resolve_family(scn, job["family"])
     stream = _resolve_stream(scn, job["stream"])
     cfg = _search_config(job, scn.seed)
+    entry = _level("entry", job.get("entry", 0), scn.walk.tree.horizon - 1)
     rep = hedged_sandwich(
-        fam,
-        float(job["gamma"]),
-        float(job.get("phi", 1.0)),
-        stream,
-        scn.market,
-        int(job.get("entry", 0)),
-        cfg,
+        fam, float(job["gamma"]), float(job.get("phi", 1.0)), stream, scn.market, entry, cfg
     )
     out = job.get("out", f"job{idx}_hedged.json")
     write_json(
@@ -506,7 +510,7 @@ def _job_book_quotes(scn: Scenario, job: dict, out_dir: str, idx: int):
     sec = scn.market.security(job["security"])
     side = job.get("side", "ask")
     op = sec.op_ask if side == "ask" else sec.op_bid
-    t = int(job.get("time", 0))
+    t = _level("time", job.get("time", 0), scn.walk.tree.horizon)
     n = scn.walk.tree.n_nodes(t)
     rows = []
     values = []

@@ -1,11 +1,16 @@
 """Deterministic derivative-free search over trading-strategy legs.
 
 Strategy search spaces are flattened to nonnegative parameter vectors: one
-dimension per (security, long/short, rebalance date, slot). The optimizer
-is a seeded multi-start coordinate ascent over shrinking grids; batched
-objectives evaluate whole candidate sets at once. An exhaustive product
-grid is available for small instances where a sweep of the entire space is
-wanted.
+dimension per (security, long/short, rebalance date, slot). LegLayout maps
+a batch of parameter vectors to self-financing strategies, filling in the
+bank leg, so every objective is built as legs -> strategy -> value.
+
+ascend is the one seeded multi-start coordinate ascent over shrinking
+grids that arbitrage and hedging share; batched objectives score whole
+candidate sets at once. maximize keeps the best start's final point;
+hedging merges the starts' finals node by node instead. An exhaustive
+product grid is available for small instances where a sweep of the entire
+space is wanted.
 
 Every dimension touches exactly one subtree of the evaluation root, so
 objectives that decompose across level-t nodes can merge per-node winners
@@ -15,12 +20,12 @@ dimension-to-node assignment for that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .market import MarketModel
+from .market import MarketModel, TradingStrategy, complete_bank_leg
 
 
 class InstanceTooLarge(ValueError):
@@ -72,6 +77,15 @@ class LegLayout:
             target = long if b.kind == "long" else short
             target[b.security][b.time] = params[..., b.col_start : b.col_start + b.n_slots]
         return long, short
+
+    def strategy(self, params: np.ndarray) -> TradingStrategy:
+        """Self-financing strategy entered at the layout's entry with these risky legs."""
+        long, short = self.to_legs(params)
+        return complete_bank_leg(long, short, self.market, self.entry)
+
+    def bound(self, cfg: SearchConfig) -> float:
+        """The configured position cap, or auto_bound when none is set."""
+        return auto_bound(self.market, self.entry) if cfg.bound is None else cfg.bound
 
     def dim_subtree_map(self, t: int) -> np.ndarray:
         """Level-t ancestor node of each dimension's slot."""
@@ -130,20 +144,21 @@ class SearchOutcome:
     exhaustive_total: int = 0
 
 
-def maximize(
-    evaluate: Callable[[np.ndarray], np.ndarray],
+def ascend(
+    score: Callable[[np.ndarray], np.ndarray],
     dims: int,
     cfg: SearchConfig,
     bound: float,
-) -> SearchOutcome:
+):
     """Seeded multi-start coordinate ascent on [0, bound]^dims.
 
-    evaluate maps a (B, dims) batch to (B,) scores; ties resolve to the
-    earlier candidate so reruns with one seed are bit-identical. The zero
-    vector is always the first start.
+    score maps a (B, dims) batch to (B,) scores. Each start sweeps the
+    coordinates over a grid around the current point, keeping a move only
+    when it beats the current score by more than 1e-13, and halves the grid
+    span every refinement round. The zero vector is always the first start.
+    Returns each start's final (params, score), in start order, and the
+    number of rows scored.
     """
-    if dims == 0:
-        return SearchOutcome(np.zeros(0), float(evaluate(np.zeros((1, 0)))[0]), 1)
     rng = np.random.default_rng(cfg.seed)
     base_grid = np.linspace(0.0, bound, cfg.grid_points)
     starts = [np.zeros(dims)]
@@ -151,11 +166,11 @@ def maximize(
         raw = rng.choice(base_grid, size=dims)
         mask = rng.random(dims) < 0.35
         starts.append(raw * mask)
-    best_p, best_s = None, -np.inf
+    finals = []
     evals = 0
     for p0 in starts:
         p = p0.copy()
-        s = float(evaluate(p[None, :])[0])
+        s = float(score(p[None, :])[0])
         evals += 1
         span = bound
         for _ in range(cfg.refine_rounds):
@@ -168,7 +183,7 @@ def maximize(
                     cand = np.unique(np.concatenate([cand, [0.0, p[d]]]))
                     batch = np.repeat(p[None, :], cand.size, axis=0)
                     batch[:, d] = cand
-                    scores = np.asarray(evaluate(batch), dtype=float)
+                    scores = np.asarray(score(batch), dtype=float)
                     evals += cand.size
                     k = int(np.argmax(scores))
                     if scores[k] > s + 1e-13:
@@ -177,8 +192,25 @@ def maximize(
                 if not improved:
                     break
             span *= 0.5
+        finals.append((p, s))
+    return finals, evals
+
+
+def maximize(
+    evaluate: Callable[[np.ndarray], np.ndarray],
+    dims: int,
+    cfg: SearchConfig,
+    bound: float,
+) -> SearchOutcome:
+    """Best final point of ascend; ties resolve to the earlier start so
+    reruns with one seed are bit-identical."""
+    if dims == 0:
+        return SearchOutcome(np.zeros(0), float(evaluate(np.zeros((1, 0)))[0]), 1)
+    finals, evals = ascend(evaluate, dims, cfg, bound)
+    best_p, best_s = None, -np.inf
+    for p, s in finals:
         if s > best_s:
-            best_p, best_s = p.copy(), s
+            best_p, best_s = p, s
     return SearchOutcome(params=best_p, score=best_s, evaluations=evals)
 
 

@@ -13,7 +13,7 @@ t-1) are stored on the level t-1 slots, shape (..., n_{t-1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -422,36 +422,3 @@ def single_payment(tree: FiltrationTree, t: int, x) -> AdaptedProcess:
     vals = [np.zeros(tree.n_nodes(s)) for s in range(tree.horizon + 1)]
     vals[t] = tree.check_level_array(np.broadcast_to(np.asarray(x, float), (tree.n_nodes(t),)), t)
     return AdaptedProcess(tree, tuple(vals))
-
-
-def tail_of(tree: FiltrationTree, x: AdaptedProcess, t: int) -> AdaptedProcess:
-    """The stream (0, ..., 0, X_{t+1}, ..., X_T)."""
-    vals = [np.zeros(tree.n_nodes(s)) for s in range(t + 1)]
-    vals.extend(x.values[t + 1 :])
-    return AdaptedProcess(tree, tuple(vals))
-
-
-@dataclass(frozen=True)
-class PredictableProcess:
-    """Values phi_1..phi_T with phi_t known at t-1 (stored on level t-1 slots)."""
-
-    tree: FiltrationTree
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) != self.tree.horizon + 1:
-            raise LevelMismatch(
-                f"predictable process needs {self.tree.horizon + 1} entries (index 0 unused)"
-            )
-        vals = [None]
-        for t in range(1, self.tree.horizon + 1):
-            vals.append(_readonly(self.tree.check_level_array(self.values[t], t - 1)))
-        object.__setattr__(self, "values", tuple(vals))
-
-    def at(self, t: int) -> np.ndarray:
-        """phi_t on the level t-1 slots."""
-        return self.values[t]
-
-    def at_children(self, t: int) -> np.ndarray:
-        """phi_t spread onto level-t nodes."""
-        return self.values[t][self.tree.parent[t]]

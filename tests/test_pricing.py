@@ -87,6 +87,12 @@ def test_price_rejects_bad_inputs():
         ask(fam, 0.0, 1.0, D, 0)
     with pytest.raises(NegativeQuantity):
         ask(fam, 1.0, -2.0, D, 0)
+    with pytest.raises(NegativeQuantity):
+        ask(fam, 2.0, np.nan, D, 0)
+    with pytest.raises(LevelNonpositive):
+        ask(fam, np.inf, 1.0, D, 0)
+    with pytest.raises(LevelNonpositive):
+        bid(fam, np.nan, 1.0, D, 0)
     with pytest.raises(ValueError):
         price("mid", fam, 1.0, 1.0, D, 0)
 

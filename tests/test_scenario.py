@@ -224,6 +224,20 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
     cfg["jobs"] = [{"type": "price_table", "family": "ent", "stream": "missing"}]
     with pytest.raises(ScenarioError):
         run_scenario(cfg, str(tmp_path / "out3"))
+    cfg = conic_cfg()
+    horizon = cfg["tree"]["horizon"]
+    for job in (
+        {"type": "index", "family": "ent", "stream": "payout", "time": 99},
+        {"type": "index", "family": "ent", "stream": "payout", "time": -1},
+        {"type": "price_table", "family": "ent", "stream": "payout", "times": [0, horizon + 1]},
+        {"type": "book_quotes", "security": "note", "phis": [1.0], "time": horizon + 1},
+        {"type": "arbitrage", "entry": horizon, "search": LIGHT_SEARCH},
+        {"type": "ngd", "family": "ent", "gamma": 2.0, "entry": -1, "search": LIGHT_SEARCH},
+        {"type": "hedged", "family": "ent", "gamma": 2.0, "stream": "payout", "entry": horizon},
+    ):
+        cfg["jobs"] = [job]
+        with pytest.raises(ScenarioError, match="must lie in"):
+            run_scenario(cfg, str(tmp_path / "out4"))
 
 
 def test_render_summary_lists_one_line_per_job(tmp_path):

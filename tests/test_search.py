@@ -1,5 +1,7 @@
 """Leg layouts and the derivative-free strategy search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from conicfin import (
     leg_layout,
     maximize,
 )
+from conicfin.search import ascend
 
 from test_market import conic_market, direct_two_period_market
 
@@ -94,6 +97,31 @@ def test_maximize_always_tries_the_zero_strategy():
     out = maximize(evaluate, dims=4, cfg=SearchConfig(multi_starts=2, seed=0), bound=1.0)
     assert out.score == 1.0
     assert np.array_equal(out.params, np.zeros(4))
+
+
+def test_ascend_returns_one_final_per_start_and_counts_scored_rows():
+    target = np.array([0.7, 0.1])
+    seen = []
+
+    def score(params):
+        seen.append(params.copy())
+        return -np.sum(np.abs(params - target), axis=-1)
+
+    cfg = SearchConfig(grid_points=11, multi_starts=5, sweeps=2, refine_rounds=2, seed=4)
+    finals, evals = ascend(score, dims=2, cfg=cfg, bound=1.0)
+    assert len(finals) == cfg.multi_starts
+    assert evals == sum(rows.shape[0] for rows in seen)
+    assert np.array_equal(seen[0], np.zeros((1, 2)))
+    zero_start = maximize(score, dims=2, cfg=replace(cfg, multi_starts=1), bound=1.0)
+    assert np.array_equal(finals[0][0], zero_start.params)
+    for p, s in finals:
+        assert p.shape == (2,) and np.all((p >= 0.0) & (p <= 1.0))
+        assert s == score(p[None, :])[0]
+    best = maximize(score, dims=2, cfg=cfg, bound=1.0)
+    k = int(np.argmax([s for _, s in finals]))
+    assert best.score == max(s for _, s in finals)
+    assert np.array_equal(best.params, finals[k][0])
+    assert best.evaluations == evals
 
 
 def test_exhaustive_grid_visits_the_whole_product_grid():
