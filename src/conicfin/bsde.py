@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import Driver, DriverError
+from .drivers import Driver, DriverError, _on_grid
 from .tree import MartingaleSpec
 
 EQ_TOL = 1e-10
@@ -137,10 +137,7 @@ class ComparisonReport:
 def _driver_dominates(g1: Driver, g2: Driver, z_grid, tol: float) -> float:
     worst = 0.0
     for t in range(1, g1.tree.horizon + 1):
-        slots = g1.tree.n_nodes(t - 1)
-        for z in z_grid:
-            zz = np.full(slots, float(z))
-            worst = max(worst, float(np.max(g2.eval(t, zz) - g1.eval(t, zz))))
+        worst = max(worst, float(np.max(_on_grid(g2, t, z_grid) - _on_grid(g1, t, z_grid))))
     return worst
 
 
@@ -267,14 +264,12 @@ def detect_linear_driver(
     expectation. Returns [None, x_1, ..., x_T] on success.
     """
     tr = walk.tree
+    z = np.asarray(z_probes, dtype=float)[:, None]
     slopes = [None]
     for t in range(1, tr.horizon + 1):
-        slots = tr.n_nodes(t - 1)
-        x_t = g.eval(t, np.ones(slots))
-        for z in z_probes:
-            lhs = g.eval(t, np.full(slots, float(z)))
-            if np.max(np.abs(lhs - x_t * z)) > tol * max(1.0, abs(z)):
-                return None
+        x_t = g.eval(t, np.ones(tr.n_nodes(t - 1)))
+        if np.any(np.abs(_on_grid(g, t, z_probes) - x_t * z) > tol * np.maximum(1.0, np.abs(z))):
+            return None
         slopes.append(np.asarray(x_t, dtype=float))
     rng = np.random.default_rng(0)
     x1 = rng.normal(size=tr.n_leaves)

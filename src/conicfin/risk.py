@@ -8,9 +8,10 @@ homogeneous drivers make it coherent.
 
 An acceptability index is built from an increasing family of drivers: the
 index is the largest family level at which the risk of the stream stays
-nonpositive. Values are found by per-node bisection, vectorized through a
-driver whose family level varies with the level-t ancestor of each slot
-(locality makes the per-node values equal their scalar-level counterparts).
+nonpositive. Values are found by per-node bisection, vectorized through the
+family's own make(x) with per-slot levels: each slot takes the level of its
+level-t ancestor, and locality makes the per-node values equal their
+scalar-level counterparts.
 """
 
 from __future__ import annotations
@@ -53,14 +54,11 @@ def risk(driver: Driver, stream: AdaptedProcess, t: int) -> np.ndarray:
 def _risk_at_levels(family: DriverFamily, terminal: np.ndarray, t: int, x_nodes: np.ndarray):
     """Risk per level-t node when node v uses family level x_nodes[v]."""
     tr = family.tree
-    x_levels = [None] * (tr.horizon + 1)
-    for u in range(1, tr.horizon + 1):
-        if u - 1 >= t:
-            x_levels[u] = np.take(x_nodes, tr.ancestor_map(u - 1, t), axis=-1)
-        else:
-            x_levels[u] = np.ones(tr.n_nodes(u - 1))
-    drv = family.slotwise(x_levels)
-    return solve_bsde(drv, terminal, family.walk).Y[t]
+    x_levels = [
+        np.take(x_nodes, tr.ancestor_map(u - 1, t), axis=-1) if u > t else 1.0
+        for u in range(1, tr.horizon + 1)
+    ]
+    return solve_bsde(family.make(x_levels), terminal, family.walk).Y[t]
 
 
 def acceptability_index(

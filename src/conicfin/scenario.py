@@ -143,17 +143,19 @@ def _build_walk(cfg: dict):
     raise ScenarioError("martingale must be 'symmetric_walk' or {'increments': [...]}")
 
 
+def _level_values(tree, values) -> list:
+    """One array per level; a scalar entry fills its level."""
+    return [
+        np.full(tree.n_nodes(t), float(v)) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+        for t, v in enumerate(values)
+    ]
+
+
 def _build_stream(tree, spec) -> AdaptedProcess:
     if spec == "zero":
         return AdaptedProcess(tree, tuple(np.zeros(tree.n_nodes(t)) for t in range(tree.horizon + 1)))
     if "values" in spec:
-        vals = []
-        for t, v in enumerate(spec["values"]):
-            arr = np.asarray(v, dtype=float)
-            if arr.ndim == 0:
-                arr = np.full(tree.n_nodes(t), float(arr))
-            vals.append(arr)
-        return AdaptedProcess(tree, tuple(vals))
+        return AdaptedProcess(tree, tuple(_level_values(tree, spec["values"])))
     if "cds" in spec:
         c = spec["cds"]
         side = c.get("side", "ask")
@@ -161,12 +163,7 @@ def _build_stream(tree, spec) -> AdaptedProcess:
         return a if side == "ask" else b
     if "stock" in spec:
         s = spec["stock"]
-        divs = []
-        for t, v in enumerate(s["dividends"]):
-            arr = np.asarray(v, dtype=float)
-            if arr.ndim == 0:
-                arr = np.full(tree.n_nodes(t), float(arr))
-            divs.append(arr)
+        divs = _level_values(tree, s["dividends"])
         return stock_stream(tree, divs, np.asarray(s["terminal"], dtype=float))
     raise ScenarioError(f"cannot build stream from {spec!r}")
 
@@ -252,11 +249,12 @@ def _search_config(job: dict, seed: int) -> SearchConfig:
 
 
 def _level(key: str, value, last: int) -> int:
-    """A job's time index, which must lie in 0..last."""
-    t = int(value)
-    if not 0 <= t <= last:
-        raise ScenarioError(f"{key} must lie in 0..{last}, got {t}")
-    return t
+    """A job's time index, which must be an integer in 0..last."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ScenarioError(f"{key} must be an integer, got {value!r}")
+    if not 0 <= value <= last:
+        raise ScenarioError(f"{key} must lie in 0..{last}, got {value}")
+    return int(value)
 
 
 def _resolve_driver(scn: Scenario, spec):
@@ -300,11 +298,15 @@ def _job_solve(scn: Scenario, job: dict, out_dir: str, idx: int):
     g = _resolve_driver(scn, job["driver"])
     tr = scn.walk.tree
     term = job["terminal"]
-    terminal = (
-        _resolve_stream(scn, term["stream"]).future_sum(0)
-        if isinstance(term, dict)
-        else np.asarray(term, dtype=float)
-    )
+    if isinstance(term, dict):
+        terminal = _resolve_stream(scn, term["stream"]).future_sum(0)
+    else:
+        try:
+            terminal = np.asarray(term, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"terminal must be a list of numbers: {exc}") from exc
+        if terminal.shape != (tr.n_leaves,) or not np.all(np.isfinite(terminal)):
+            raise ScenarioError(f"terminal must hold {tr.n_leaves} finite numbers, one per leaf")
     sol = solve_bsde(g, terminal, scn.walk)
     diag = diagnose_solution(sol, g, scn.walk)
     rows = []
@@ -330,6 +332,8 @@ def _job_price_table(scn: Scenario, job: dict, out_dir: str, idx: int):
     gammas = [float(g) for g in job.get("gammas", [1.0])]
     phi = float(job.get("phi", 1.0))
     times = [_level("times", t, tr.horizon) for t in job.get("times", range(tr.horizon + 1))]
+    if not times:
+        raise ScenarioError("times must list at least one time")
     sides = job.get("sides", ["ask", "bid"])
     rows = []
     worst_cross = 0.0

@@ -21,6 +21,7 @@ import numpy as np
 PROB_TOL = 1e-12
 MEAN_TOL = 1e-12
 QV_FLOOR = 1e-14
+MAX_NODES = 2**22
 
 
 class TreeError(ValueError):
@@ -197,10 +198,19 @@ def build_tree(branching: Sequence) -> FiltrationTree:
     branching[t-1] describes level t (t = 1..horizon) and is either a single
     probability vector applied to every level t-1 node, or a list with one
     probability vector per parent. Probabilities must be strictly positive
-    and sum to 1 per parent (tolerance 1e-12).
+    and sum to 1 per parent (tolerance 1e-12). A tree may hold at most
+    MAX_NODES nodes over all levels; a larger one is refused before any
+    level is built.
     """
     if len(branching) == 0:
         raise EmptyLevel("a tree needs at least one level beyond the root")
+    total = n = 1
+    for t, spec in enumerate(branching, start=1):
+        uniform = len(spec) > 0 and np.isscalar(spec[0])
+        n = n * len(spec) if uniform else sum(np.size(p) for p in spec)
+        total += n
+        if total > MAX_NODES:
+            raise TreeError(f"level {t} takes the tree past {MAX_NODES} nodes")
     parent = [None]
     offsets = [None]
     branch_prob = [None]
@@ -368,6 +378,9 @@ class AdaptedProcess:
         vals = tuple(
             _readonly(self.tree.check_level_array(v, t)) for t, v in enumerate(self.values)
         )
+        for t, v in enumerate(vals):
+            if not np.all(np.isfinite(v)):
+                raise TreeError(f"adapted process holds non-finite values at level {t}")
         object.__setattr__(self, "values", vals)
 
     def at(self, t: int) -> np.ndarray:

@@ -67,6 +67,10 @@ def test_param_range_errors():
         builtin_driver("entropic", walk, gamma=0.0)
     with pytest.raises(ParamOutOfRange):
         builtin_driver("logsumexp", walk, K=-1.0)
+    with pytest.raises(ParamOutOfRange, match="takes no parameter"):
+        builtin_driver("linear", walk, slop=0.3)
+    with pytest.raises(ParamOutOfRange, match="takes no parameter"):
+        builtin_driver("zero", walk, c=0.3)
 
 
 def test_assumption_A_accepts_builtins_and_rejects_non_lipschitz():
@@ -124,16 +128,23 @@ def test_lipschitz_dominance_orders_estimated_constants():
     assert not ok_rev
 
 
-def test_slotwise_family_matches_scalar_levels():
-    walk = make_walk(2)
-    fam = builtin_family("coherent", walk)
+def test_per_slot_levels_match_scalar_levels_exactly():
+    walk = make_walk(3)
     tree = walk.tree
-    x_levels = [None] + [np.full(tree.n_nodes(t - 1), 2.0) for t in range(1, 3)]
-    g_slot = fam.slotwise(x_levels)
-    g_flat = fam.make(2.0)
-    for t in (1, 2):
-        z = np.linspace(-3, 3, tree.n_nodes(t - 1))
-        assert np.allclose(g_slot.eval(t, z), g_flat.eval(t, z), atol=ZERO_ATOL)
+    rng = np.random.default_rng(11)
+    levels = (0.05, 0.5, 1.0, 3.0, 40.0)
+    x_levels = [None] + [rng.choice(levels, size=tree.n_nodes(t - 1)) for t in range(1, 4)]
+    for kind in ("coherent", "quasiconcave_lse", "entropic"):
+        fam = builtin_family(kind, walk)
+        g_slot = fam.make(x_levels)
+        flat = {x: fam.make(float(x)) for x in levels}
+        for t in range(1, 4):
+            z = rng.normal(scale=3.0, size=(7, tree.n_nodes(t - 1)))
+            got = g_slot.eval(t, z)
+            for v, x in enumerate(x_levels[t]):
+                want = flat[x].eval(t, z)[:, v]
+                assert np.array_equal(got[:, v], want), (kind, t, v)
+                assert g_slot.lipschitz(t)[v] == flat[x].lipschitz(t)[v], (kind, t, v)
 
 
 def test_family_batteries_pass_for_builtins():

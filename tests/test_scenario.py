@@ -238,6 +238,17 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
         cfg["jobs"] = [job]
         with pytest.raises(ScenarioError, match="must lie in"):
             run_scenario(cfg, str(tmp_path / "out4"))
+    for job in (
+        {"type": "index", "family": "ent", "stream": "payout", "time": "one"},
+        {"type": "index", "family": "ent", "stream": "payout", "time": 1.5},
+        {"type": "index", "family": "ent", "stream": "payout", "time": True},
+        {"type": "price_table", "family": "ent", "stream": "payout", "times": []},
+        {"type": "solve", "driver": "zero", "terminal": [1.0, 2.0]},
+        {"type": "solve", "driver": "zero", "terminal": [1.0, 2.0, float("nan"), 0.0]},
+    ):
+        cfg["jobs"] = [job]
+        with pytest.raises(ScenarioError):
+            run_scenario(cfg, str(tmp_path / "out5"))
 
 
 def test_render_summary_lists_one_line_per_job(tmp_path):
@@ -278,6 +289,14 @@ def test_cli_exit_code_two_for_unusable_input(tmp_path, capsys):
     no_tree = tmp_path / "no_tree.json"
     no_tree.write_text(json.dumps({"seed": 1}))
     assert main(["run", str(no_tree), "--out", str(tmp_path / "out")]) == 2
+    nan_stream = conic_cfg()
+    nan_stream["streams"]["payout"]["values"][1] = [float("nan"), -0.1]
+    typo = conic_cfg()
+    typo["drivers"] = {"lin": {"kind": "linear", "slop": 0.3}}
+    for k, cfg in enumerate((nan_stream, typo)):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert main(["render", str(tmp_path / "missing_summary.json")]) == 2
     capsys.readouterr()
 

@@ -13,6 +13,7 @@ from conicfin import (
     NonstochasticProbabilities,
     NotBinaryTree,
     NotSymmetric,
+    TreeError,
     build_tree,
     martingale_from_increments,
     single_payment,
@@ -161,6 +162,22 @@ def test_adapted_process_future_sum_and_cumulative():
     assert np.allclose(tail, [6.0, 7.0, 9.0, 10.0])
     cum = D.cumulative_through(1)
     assert np.allclose(cum, [3.0, 4.0])
+
+
+def test_adapted_process_rejects_non_finite_values():
+    tree = uniform_binary_tree(2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(TreeError, match="non-finite"):
+            AdaptedProcess(tree, (np.array([0.0]), np.array([bad, 1.0]), np.zeros(4)))
+
+
+def test_build_tree_refuses_trees_past_the_node_budget():
+    with pytest.raises(TreeError, match="past"):
+        uniform_binary_tree(40)
+    with pytest.raises(TreeError, match="level 22"):
+        uniform_binary_tree(22)
+    with pytest.raises(TreeError, match="level 1 "):
+        build_tree([np.full(2**22, 2.0**-22)])
 
 
 def test_truncating_scale_action():
