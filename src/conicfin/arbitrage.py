@@ -8,25 +8,38 @@ with zero entry cost is unique, so it is reconstructed rather than
 searched. Candidates are ranked by worst leaf first and mean leaf second,
 because certificates may legitimately sit at a worst leaf of exactly zero.
 
-A found candidate is only reported after re-validation: exact rational
-arithmetic when every operator supports it (price tables, order books),
-tight float margins otherwise. A NONE_FOUND answer is a statement about
-the strategies visited, not a proof.
+A found candidate is only reported after re-validation. When every
+operator supports exact arithmetic (price tables, order books), the market
+ledger reruns over the exact rationals of the legs, dividends and quotes
+and decides loss and gain with no tolerance; otherwise the float ledger is
+checked within tight margins. A NONE_FOUND answer is a statement about the
+strategies visited, not a proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .market import MarketModel, TradingStrategy, liquidation_value, validate_self_financing
+from .market import (
+    MarketModel,
+    Security,
+    TradingStrategy,
+    complete_bank_leg,
+    liquidation_value,
+    validate_self_financing,
+)
 from .search import SearchConfig, exhaustive_grid, leg_layout, maximize
 
 FLOAT_GAIN_TOL = 1e-7
 FLOAT_LOSS_TOL = 1e-10
+
+# The exact rationals of a float array's entries, as an object array.
+_fractions = np.vectorize(Fraction, otypes=[object])
 
 
 @dataclass(frozen=True)
@@ -94,93 +107,48 @@ def validate_certificate(
     strategy: TradingStrategy, market: MarketModel, entry: int = 0
 ) -> CertificateReport:
     """Re-validate a candidate: self-financing from entry, no leaf loses,
-    some leaf gains. Exact rational arithmetic when the operators allow."""
+    some leaf gains.
+
+    When every operator quotes exactly, the market ledger runs again over
+    the exact rationals of the risky legs' floats, with dividends and
+    quotes in rationals too: it rebuilds the bank leg and the terminal
+    wealth, and the verdict takes no tolerance. Otherwise the strategy's
+    own bank is valued in floats within FLOAT_LOSS_TOL/FLOAT_GAIN_TOL.
+    """
     tr = market.tree
     fin = validate_self_financing(strategy, market, entry)
-    if market.supports_exact:
-        lo, hi, prob_pos = _exact_terminal_range(strategy, market, entry)
-        valid = fin.passed and lo >= 0 and hi > 0
-        return CertificateReport(
-            valid=valid,
-            min_terminal=float(lo),
-            max_terminal=float(hi),
-            prob_positive=prob_pos,
-            self_financing_residual=fin.max_residual,
-            exact=True,
+    exact = market.supports_exact
+    if exact:
+        market = _exact_view(market)
+        exact_legs = lambda legs: [[None] + [_fractions(x) for x in leg[1:]] for leg in legs]
+        strategy = complete_bank_leg(
+            exact_legs(strategy.long), exact_legs(strategy.short), market, entry
         )
+    gain_tol, loss_tol = (0, 0) if exact else (FLOAT_GAIN_TOL, FLOAT_LOSS_TOL)
     v = liquidation_value(strategy, market, tr.horizon)
-    lo, hi = float(np.min(v)), float(np.max(v))
-    prob_pos = float(np.sum(tr.leaf_prob[v > FLOAT_GAIN_TOL]))
-    valid = fin.passed and lo >= -FLOAT_LOSS_TOL and hi > FLOAT_GAIN_TOL
+    lo, hi = np.min(v), np.max(v)
+    prob_pos = 0.0  # leaf by leaf, not numpy's pairwise grouping of a sum
+    for p in tr.leaf_prob[v > gain_tol].tolist():
+        prob_pos += p
     return CertificateReport(
-        valid=valid,
-        min_terminal=lo,
-        max_terminal=hi,
+        valid=bool(fin.passed and lo >= -loss_tol and hi > gain_tol),
+        min_terminal=float(lo),
+        max_terminal=float(hi),
         prob_positive=prob_pos,
         self_financing_residual=fin.max_residual,
-        exact=False,
+        exact=exact,
     )
 
 
-def _exact_terminal_range(strategy: TradingStrategy, market: MarketModel, entry: int):
-    """Rebuild the bank leg and terminal wealth in exact rationals.
-
-    Leg values, dividends, and table prices enter as the exact rationals of
-    their float representations, so the walk is free of rounding; the
-    reported range decides nonnegativity and strict gain exactly.
-    """
-    tr = market.tree
-    T = tr.horizon
-    K = len(market.securities)
-    F = lambda a: [Fraction(float(x)) for x in np.asarray(a, dtype=float).ravel()]
-
-    def leg(legs, t):
-        if t < 1 or t > T:
-            return [Fraction(0)] * tr.n_nodes(max(t - 1, 0))
-        return F(legs[t])
-
-    bank_prev = [Fraction(0)]
-    for t in range(0, T):
-        n_t = tr.n_nodes(t)
-        bank_next = [Fraction(0)] * n_t
-        for v in range(n_t):
-            par = int(tr.parent[t][v]) if t >= 1 else 0
-            held_bank = bank_prev[par] if t >= 1 else Fraction(0)
-            if t < entry:
-                bank_next[v] = Fraction(0)
-                continue
-            div = Fraction(0)
-            rebal = Fraction(0)
-            for i, sec in enumerate(market.securities):
-                lng_in = leg(strategy.long[i], t)[par] if t >= 1 else Fraction(0)
-                sht_in = leg(strategy.short[i], t)[par] if t >= 1 else Fraction(0)
-                if t >= 1:
-                    div += lng_in * Fraction(float(sec.stream_ask.at(t)[v]))
-                    div -= sht_in * Fraction(float(sec.stream_bid.at(t)[v]))
-                lng_out = leg(strategy.long[i], t + 1)[v]
-                sht_out = leg(strategy.short[i], t + 1)[v]
-                d_l = lng_out - lng_in
-                d_s = sht_out - sht_in
-                rebal += sec.op_ask.exact_price(t, v, max(d_l, Fraction(0)))
-                rebal -= sec.op_bid.exact_price(t, v, max(-d_l, Fraction(0)))
-                rebal -= sec.op_bid.exact_price(t, v, max(d_s, Fraction(0)))
-                rebal += sec.op_ask.exact_price(t, v, max(-d_s, Fraction(0)))
-            bank_next[v] = held_bank + div - rebal
-        bank_prev = bank_next
-    lo, hi = None, None
-    prob_pos = 0.0
-    for leaf in range(tr.n_leaves):
-        par = int(tr.parent[T][leaf])
-        value = bank_prev[par]
-        for i, sec in enumerate(market.securities):
-            lng = leg(strategy.long[i], T)[par]
-            sht = leg(strategy.short[i], T)[par]
-            value += sec.op_bid.exact_price(T, leaf, lng)
-            value -= sec.op_ask.exact_price(T, leaf, sht)
-            value += lng * Fraction(float(sec.stream_ask.at(T)[leaf]))
-            value -= sht * Fraction(float(sec.stream_bid.at(T)[leaf]))
-        lo = value if lo is None or value < lo else lo
-        hi = value if hi is None or value > hi else hi
-        if value > 0:
-            prob_pos += float(tr.leaf_prob[leaf])
-    return lo, hi, prob_pos
+def _exact_view(market: MarketModel) -> MarketModel:
+    """The market with every stream paying the exact rationals of its floats
+    and every operator quoting node by node through exact_price."""
+    pays = lambda stream: SimpleNamespace(at=lambda t: _fractions(stream.at(t)))
+    quotes = lambda op: SimpleNamespace(
+        price=lambda t, phi: np.array([op.exact_price(t, v, x) for v, x in enumerate(phi)], object)
+    )
+    secs = tuple(
+        Security(s.sid, pays(s.stream_ask), pays(s.stream_bid), quotes(s.op_ask), quotes(s.op_bid))
+        for s in market.securities
+    )
+    return MarketModel(market.walk, secs, market.name)

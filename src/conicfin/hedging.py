@@ -33,7 +33,7 @@ from .market import MarketModel, TradingStrategy, liquidation_value
 from .pricing import ask as plain_ask
 from .pricing import bid as plain_bid
 from .search import LegLayout, SearchConfig, ascend, leg_layout
-from .tree import AdaptedProcess
+from .tree import AdaptedProcess, tail_payoff
 
 GOOD_DEAL_TOL = 1e-9
 
@@ -102,11 +102,10 @@ def hedged_price(
     """Hedged ask/bid of phi shares of the stream, entered at time t."""
     if side not in ("ask", "bid"):
         raise ValueError(f"side must be 'ask' or 'bid', got {side!r}")
-    tr = market.tree
     g = family.make(gamma)
     quote = (plain_ask if side == "ask" else plain_bid)(family, gamma, phi, stream, t)
     sign = 1.0 if side == "ask" else -1.0
-    payoff = sign * tr.broadcast(quote.phi, t, tr.horizon) * stream.future_sum(t + 1)
+    payoff = sign * tail_payoff(stream, quote.phi, t)
     layout = leg_layout(market, t)
     values = _node_values(g, layout, payoff)
     merged, merged_vals, evals = _per_node_search(values, layout, t, cfg, layout.bound(cfg))
@@ -233,12 +232,11 @@ def hedged_level_monotonicity(
     inherit the driver family's monotonicity exactly instead of comparing
     two independently noisy searches.
     """
-    tr = market.tree
     gs = sorted(float(x) for x in gammas)
     layout = leg_layout(market, t)
     bound = layout.bound(cfg)
     phi_arr = plain_ask(family, gs[0], phi, stream, t).phi
-    payoff = tr.broadcast(phi_arr, t, tr.horizon) * stream.future_sum(t + 1)
+    payoff = tail_payoff(stream, phi_arr, t)
     drivers = [family.make(gamma) for gamma in gs]
     pool = [np.zeros(layout.dims)]
     for sign in (1.0, -1.0):
@@ -302,7 +300,7 @@ def hedged_convexity_check(
     layout = leg_layout(market, t)
     g = family.make(gamma)
     phi_arr = np.broadcast_to(np.asarray(phi, dtype=float), (tr.n_nodes(t),))
-    payoff = tr.broadcast(phi_arr, t, tr.horizon) * mixed.future_sum(t + 1)
+    payoff = tail_payoff(mixed, phi_arr, t)
 
     def legs_to_params(strategy: TradingStrategy) -> np.ndarray:
         out = np.zeros(layout.dims)

@@ -11,6 +11,9 @@ Strategies hold predictable bank/long/short legs; long and short positions
 are carried gross, never netted. Rebalancing costs split by the sign of
 each leg change: increases trade at ask, decreases at bid. All strategy
 arithmetic is batched: legs may carry leading batch axes.
+
+The ledger keeps the legs' number type: object arrays of Fractions stay
+exact when the operators and streams also quote and pay in Fractions.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .bsde import solve_bsde
 from .drivers import DriverFamily
-from .tree import AdaptedProcess, FiltrationTree, MartingaleSpec
+from .tree import AdaptedProcess, FiltrationTree, MartingaleSpec, tail_payoff
 
 SELF_FIN_TOL = 1e-9
 
@@ -79,10 +82,7 @@ class ConicOperator(PricingOperator):
         self._g = family.make(gamma)
 
     def price(self, t: int, phi: np.ndarray) -> np.ndarray:
-        tr = self.family.tree
-        phi = np.asarray(phi, dtype=float)
-        tail = self.stream.future_sum(t + 1)
-        payoff = np.take(phi, tr.ancestor_map(tr.horizon, t), axis=-1) * tail
+        payoff = tail_payoff(self.stream, np.asarray(phi, dtype=float), t)
         if self.side == "ask":
             return solve_bsde(self._g, payoff, self.family.walk).Y[t]
         return -solve_bsde(self._g, -payoff, self.family.walk).Y[t]
@@ -264,12 +264,23 @@ class TradingStrategy:
             return self.bank[t]
         return (self.long if kind == "long" else self.short)[i][t]
 
-    def batch_shape(self) -> tuple:
+    def _first_leg(self) -> np.ndarray:
         for legs in [self.bank] + list(self.long) + list(self.short):
             for t in range(1, len(legs)):
                 if legs[t] is not None:
-                    return np.asarray(legs[t]).shape[:-1]
-        return ()
+                    return np.asarray(legs[t])
+        return np.zeros(0)
+
+    def batch_shape(self) -> tuple:
+        return self._first_leg().shape[:-1]
+
+    def zeros(self, n: int) -> np.ndarray:
+        """Zeros on n nodes in the legs' batch shape; Fraction zeros when the
+        legs are object arrays of Fractions."""
+        leg = self._first_leg()
+        if leg.dtype == object:
+            return np.full(leg.shape[:-1] + (n,), Fraction(0), dtype=object)
+        return np.zeros(leg.shape[:-1] + (n,))
 
 
 def zero_strategy(market: MarketModel, batch: tuple = ()) -> TradingStrategy:
@@ -284,20 +295,27 @@ def zero_strategy(market: MarketModel, batch: tuple = ()) -> TradingStrategy:
     )
 
 
-def _leg_at(leg_list, t: int, tr: FiltrationTree, batch: tuple) -> np.ndarray:
+def _num(leg) -> np.ndarray:
+    """A leg as a float array, or as it is when it holds objects (Fractions)."""
+    leg = np.asarray(leg)
+    return leg if leg.dtype == object else np.asarray(leg, dtype=float)
+
+
+def _leg_at(strategy: TradingStrategy, leg_list, t: int) -> np.ndarray:
     """Position held over (t, t+1], i.e. phi_{t+1}, as a level-t array; zero
     for t >= T (everything is liquidated at the horizon)."""
+    tr = strategy.tree
     if t + 1 <= tr.horizon:
-        return np.asarray(leg_list[t + 1], dtype=float)
-    return np.zeros(batch + (tr.n_nodes(t),))
+        return _num(leg_list[t + 1])
+    return strategy.zeros(tr.n_nodes(t))
 
 
-def _held_into(leg_list, t: int, tr: FiltrationTree, batch: tuple) -> np.ndarray:
+def _held_into(strategy: TradingStrategy, leg_list, t: int) -> np.ndarray:
     """Position phi_t carried into time t, spread onto level-t nodes; zero
     when t = 0 (the phi_0 = 0 convention)."""
     if t == 0:
-        return np.zeros(batch + (1,))
-    return np.take(np.asarray(leg_list[t], dtype=float), tr.parent[t], axis=-1)
+        return strategy.zeros(1)
+    return np.take(_num(leg_list[t]), strategy.tree.parent[t], axis=-1)
 
 
 def setup_cost(strategy: TradingStrategy, market: MarketModel, t: int) -> np.ndarray:
@@ -305,11 +323,10 @@ def setup_cost(strategy: TradingStrategy, market: MarketModel, t: int) -> np.nda
     tr = market.tree
     if not 0 <= t < tr.horizon:
         raise MarketError(f"setup cost is defined for t = 0..{tr.horizon - 1}")
-    batch = strategy.batch_shape()
-    total = _leg_at(strategy.bank, t, tr, batch).copy()
+    total = _leg_at(strategy, strategy.bank, t).copy()
     for i, sec in enumerate(market.securities):
-        total = total + sec.op_ask.price(t, _leg_at(strategy.long[i], t, tr, batch))
-        total = total - sec.op_bid.price(t, _leg_at(strategy.short[i], t, tr, batch))
+        total = total + sec.op_ask.price(t, _leg_at(strategy, strategy.long[i], t))
+        total = total - sec.op_bid.price(t, _leg_at(strategy, strategy.short[i], t))
     return total
 
 
@@ -319,12 +336,10 @@ def liquidation_value(strategy: TradingStrategy, market: MarketModel, t: int) ->
     tr = market.tree
     if not 1 <= t <= tr.horizon:
         raise MarketError(f"liquidation value is defined for t = 1..{tr.horizon}")
-    batch = strategy.batch_shape()
-    bank = np.take(np.asarray(strategy.bank[t], dtype=float), tr.parent[t], axis=-1)
-    total = bank
+    total = _held_into(strategy, strategy.bank, t)
     for i, sec in enumerate(market.securities):
-        lng = _held_into(strategy.long[i], t, tr, batch)
-        sht = _held_into(strategy.short[i], t, tr, batch)
+        lng = _held_into(strategy, strategy.long[i], t)
+        sht = _held_into(strategy, strategy.short[i], t)
         total = total + sec.op_bid.price(t, lng) - sec.op_ask.price(t, sht)
         total = total + lng * sec.stream_ask.at(t) - sht * sec.stream_bid.at(t)
     return total
@@ -333,29 +348,25 @@ def liquidation_value(strategy: TradingStrategy, market: MarketModel, t: int) ->
 def rebalancing_cost(strategy: TradingStrategy, market: MarketModel, t: int) -> np.ndarray:
     """Cash absorbed by the risky-leg changes decided at time t: increases
     trade at ask, decreases at bid, long and short legs separately."""
-    tr = market.tree
-    batch = strategy.batch_shape()
-    total = np.zeros(batch + (tr.n_nodes(t),))
+    total = strategy.zeros(market.tree.n_nodes(t))
     for i, sec in enumerate(market.securities):
-        d_l = _leg_at(strategy.long[i], t, tr, batch) - _held_into(strategy.long[i], t, tr, batch)
-        d_s = _leg_at(strategy.short[i], t, tr, batch) - _held_into(strategy.short[i], t, tr, batch)
-        total = total + sec.op_ask.price(t, np.maximum(d_l, 0.0))
-        total = total - sec.op_bid.price(t, np.maximum(-d_l, 0.0))
-        total = total - sec.op_bid.price(t, np.maximum(d_s, 0.0))
-        total = total + sec.op_ask.price(t, np.maximum(-d_s, 0.0))
+        d_l = _leg_at(strategy, strategy.long[i], t) - _held_into(strategy, strategy.long[i], t)
+        d_s = _leg_at(strategy, strategy.short[i], t) - _held_into(strategy, strategy.short[i], t)
+        total = total + sec.op_ask.price(t, np.maximum(d_l, 0))
+        total = total - sec.op_bid.price(t, np.maximum(-d_l, 0))
+        total = total - sec.op_bid.price(t, np.maximum(d_s, 0))
+        total = total + sec.op_ask.price(t, np.maximum(-d_s, 0))
     return total
 
 
 def dividends_collected(strategy: TradingStrategy, market: MarketModel, t: int) -> np.ndarray:
     """Net dividend cash at time t from positions held into t."""
-    tr = market.tree
-    batch = strategy.batch_shape()
-    total = np.zeros(batch + (tr.n_nodes(t),))
+    total = strategy.zeros(market.tree.n_nodes(t))
     if t == 0:
         return total
     for i, sec in enumerate(market.securities):
-        lng = _held_into(strategy.long[i], t, tr, batch)
-        sht = _held_into(strategy.short[i], t, tr, batch)
+        lng = _held_into(strategy, strategy.long[i], t)
+        sht = _held_into(strategy, strategy.short[i], t)
         total = total + lng * sec.stream_ask.at(t) - sht * sec.stream_bid.at(t)
     return total
 
@@ -381,10 +392,9 @@ def validate_self_financing(
     financed (zero initial cost).
     """
     tr = market.tree
-    batch = strategy.batch_shape()
     worst = 0.0
     for t in range(tr.horizon):
-        d_bank = _leg_at(strategy.bank, t, tr, batch) - _held_into(strategy.bank, t, tr, batch)
+        d_bank = _leg_at(strategy, strategy.bank, t) - _held_into(strategy, strategy.bank, t)
         resid = d_bank + rebalancing_cost(strategy, market, t) - dividends_collected(
             strategy, market, t
         )
@@ -417,17 +427,11 @@ def complete_bank_leg(
     if not 0 <= entry < tr.horizon:
         raise MarketError(f"entry time must lie in 0..{tr.horizon - 1}")
     strat = TradingStrategy(tree=tr, bank=[None] * (tr.horizon + 1), long=long, short=short)
-    batch = strat.batch_shape()
     for u in range(1, entry + 1):
-        strat.bank[u] = np.zeros(batch + (tr.n_nodes(u - 1),))
+        strat.bank[u] = strat.zeros(tr.n_nodes(u - 1))
     for t in range(entry, tr.horizon):
         d_bank = dividends_collected(strat, market, t) - rebalancing_cost(strat, market, t)
-        held = (
-            np.zeros(batch + (1,))
-            if t == entry
-            else np.take(np.asarray(strat.bank[t], dtype=float), tr.parent[t], axis=-1)
-        )
-        strat.bank[t + 1] = held + d_bank
+        strat.bank[t + 1] = _held_into(strat, strat.bank, t) + d_bank
     return strat
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .bsde import solve_bsde
 from .drivers import DriverFamily, LinearDriver
 from .risk import random_streams
-from .tree import AdaptedProcess, single_payment
+from .tree import AdaptedProcess, single_payment, tail_payoff
 
 PRICE_TOL = 1e-10
 
@@ -56,18 +56,13 @@ def _check_inputs(family: DriverFamily, gamma: float, phi, t: int):
     return phi
 
 
-def _tail_payoff(stream: AdaptedProcess, phi: np.ndarray, t: int) -> np.ndarray:
-    tr = stream.tree
-    return tr.broadcast(phi, t, tr.horizon) * stream.future_sum(t + 1)
-
-
 def ask(
     family: DriverFamily, gamma: float, phi, stream: AdaptedProcess, t: int
 ) -> PriceQuote:
     """Time-t ask price of phi shares of the stream's strictly future payments."""
     phi = _check_inputs(family, gamma, phi, t)
     g = family.make(gamma)
-    value = solve_bsde(g, _tail_payoff(stream, phi, t), family.walk).Y[t]
+    value = solve_bsde(g, tail_payoff(stream, phi, t), family.walk).Y[t]
     return PriceQuote("ask", family.kind, float(gamma), t, phi, value)
 
 
@@ -77,7 +72,7 @@ def bid(
     """Time-t bid price; minus the nonlinear expectation of the negated payoff."""
     phi = _check_inputs(family, gamma, phi, t)
     g = family.make(gamma)
-    value = -solve_bsde(g, -_tail_payoff(stream, phi, t), family.walk).Y[t]
+    value = -solve_bsde(g, -tail_payoff(stream, phi, t), family.walk).Y[t]
     return PriceQuote("bid", family.kind, float(gamma), t, phi, value)
 
 
@@ -266,8 +261,7 @@ def agreement_diagnostic(
     phi = _check_inputs(family1, gamma1, phi, t)
     ind = np.ones(tr.n_nodes(t)) if indicator is None else tr.check_level_array(indicator, t)
     g1 = family1.make(gamma1)
-    localized = tr.broadcast(ind * phi, t, tr.horizon) * stream.future_sum(t + 1)
-    sol = solve_bsde(g1, localized, walk)
+    sol = solve_bsde(g1, tail_payoff(stream, ind * phi, t), walk)
     slopes = [None]
     sup_slope = 0.0
     admissible = True
@@ -281,15 +275,12 @@ def agreement_diagnostic(
         if np.any(np.abs(x) > g1.lipschitz(s) + 1e-9):
             admissible = False
     linear = LinearDriver(walk, slopes)
-    ind_leaf = tr.broadcast(ind, t, tr.horizon)
     worst = 0.0
     for frac in fractions:
         lam = frac * phi
         a_val = ask(family1, gamma1, lam, stream, t).value
         b_val = bid(family2, gamma2, lam, stream, t).value
-        lin_val = solve_bsde(
-            linear, ind_leaf * tr.broadcast(lam, t, tr.horizon) * stream.future_sum(t + 1), walk
-        ).Y[t]
+        lin_val = solve_bsde(linear, tail_payoff(stream, ind * lam, t), walk).Y[t]
         worst = max(worst, float(np.max(np.abs(ind * a_val - lin_val))))
         worst = max(worst, float(np.max(np.abs(ind * b_val - lin_val))))
     return AgreementReport(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -221,7 +222,7 @@ def load_scenario(cfg: dict, seed_override: Optional[int] = None) -> Scenario:
         params = {k: v for k, v in d.items() if k != "kind"}
         scn.drivers[name] = builtin_driver(d["kind"], walk, **params)
     for name, f in cfg.get("families", {}).items():
-        scn.families[name] = builtin_family(f["kind"], walk)
+        scn.families[name] = builtin_family(_family_kind(f), walk)
     for name, s in cfg.get("streams", {}).items():
         scn.streams[name] = _build_stream(walk.tree, s)
     secs = [_build_security(scn, s) for s in cfg.get("securities", [])]
@@ -235,9 +236,13 @@ def load_scenario(cfg: dict, seed_override: Optional[int] = None) -> Scenario:
 
 def _search_config(job: dict, seed: int) -> SearchConfig:
     s = job.get("search", {})
+    points = s.get("grid_points", 21)
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 1:
+        raise ScenarioError(f"grid_points must be a positive integer, got {points!r}")
+    bound = s.get("bound")
     return SearchConfig(
-        grid_points=int(s.get("grid_points", 21)),
-        bound=s.get("bound"),
+        grid_points=int(points),
+        bound=None if bound is None else _number("bound", bound),
         multi_starts=int(s.get("multi_starts", 8)),
         sweeps=int(s.get("sweeps", 4)),
         refine_rounds=int(s.get("refine_rounds", 3)),
@@ -255,6 +260,22 @@ def _level(key: str, value, last: int) -> int:
     if not 0 <= value <= last:
         raise ScenarioError(f"{key} must lie in 0..{last}, got {value}")
     return int(value)
+
+
+def _number(key: str, value, positive: bool = False) -> float:
+    """A job's real parameter: a finite number, nonnegative or positive."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ScenarioError(f"{key} must be a finite {sign} number, got {value!r}")
+    return float(value)
+
+
+def _family_kind(spec) -> str:
+    """The kind of a family spec {"kind": ...}, which takes no other key."""
+    if not isinstance(spec, dict) or set(spec) != {"kind"}:
+        raise ScenarioError(f"a family spec is {{'kind': ...}} and nothing else, got {spec!r}")
+    return spec["kind"]
 
 
 def _resolve_driver(scn: Scenario, spec):
@@ -282,7 +303,7 @@ def _resolve_family(scn: Scenario, spec):
                 return scn.families[spec]
             return builtin_family(spec, scn.walk)
         if isinstance(spec, dict):
-            return builtin_family(spec["kind"], scn.walk)
+            return builtin_family(_family_kind(spec), scn.walk)
     except (DriverError, KeyError, TypeError) as exc:
         raise ScenarioError(f"cannot resolve family reference {spec!r}: {exc}") from exc
     raise ScenarioError(f"cannot resolve family reference {spec!r}")
@@ -329,12 +350,17 @@ def _job_price_table(scn: Scenario, job: dict, out_dir: str, idx: int):
     fam = _resolve_family(scn, job["family"])
     stream = _resolve_stream(scn, job["stream"])
     tr = scn.walk.tree
-    gammas = [float(g) for g in job.get("gammas", [1.0])]
-    phi = float(job.get("phi", 1.0))
+    gammas = job.get("gammas", [1.0])
+    if not isinstance(gammas, list) or not gammas:
+        raise ScenarioError(f"gammas must list at least one level, got {gammas!r}")
+    gammas = [_number("gammas", g, positive=True) for g in gammas]
+    phi = _number("phi", job.get("phi", 1.0))
     times = [_level("times", t, tr.horizon) for t in job.get("times", range(tr.horizon + 1))]
     if not times:
         raise ScenarioError("times must list at least one time")
     sides = job.get("sides", ["ask", "bid"])
+    if not sides or any(side not in ("ask", "bid") for side in sides):
+        raise ScenarioError(f"sides must list 'ask' and/or 'bid', got {sides!r}")
     rows = []
     worst_cross = 0.0
     for t in times:
@@ -464,7 +490,7 @@ def _job_ngd(scn: Scenario, job: dict, out_dir: str, idx: int):
     fam = _resolve_family(scn, job["family"])
     cfg = _search_config(job, scn.seed)
     entry = _level("entry", job.get("entry", 0), scn.walk.tree.horizon - 1)
-    rep = check_ngd(fam, float(job["gamma"]), scn.market, entry, cfg)
+    rep = check_ngd(fam, _number("gamma", job["gamma"], positive=True), scn.market, entry, cfg)
     out = job.get("out", f"job{idx}_ngd.json")
     write_json(
         os.path.join(out_dir, out),
@@ -492,9 +518,9 @@ def _job_hedged(scn: Scenario, job: dict, out_dir: str, idx: int):
     stream = _resolve_stream(scn, job["stream"])
     cfg = _search_config(job, scn.seed)
     entry = _level("entry", job.get("entry", 0), scn.walk.tree.horizon - 1)
-    rep = hedged_sandwich(
-        fam, float(job["gamma"]), float(job.get("phi", 1.0)), stream, scn.market, entry, cfg
-    )
+    gamma = _number("gamma", job["gamma"], positive=True)
+    phi = _number("phi", job.get("phi", 1.0))
+    rep = hedged_sandwich(fam, gamma, phi, stream, scn.market, entry, cfg)
     out = job.get("out", f"job{idx}_hedged.json")
     write_json(
         os.path.join(out_dir, out),

@@ -426,6 +426,14 @@ class AdaptedProcess:
         return self.scale_from(lam, t).add(other.scale_from(1.0 - lam, t))
 
 
+def tail_payoff(stream: AdaptedProcess, phi: np.ndarray, t: int) -> np.ndarray:
+    """phi shares of the stream's payments after t, lifted to the leaves:
+    phi at each leaf's level-t ancestor times D_{t+1} + ... + D_T along its
+    path. phi is level-t measurable and may carry leading batch axes."""
+    tr = stream.tree
+    return tr.broadcast(phi, t, tr.horizon) * stream.future_sum(t + 1)
+
+
 def zero_process(tree: FiltrationTree) -> AdaptedProcess:
     return AdaptedProcess(tree, tuple(np.zeros(tree.n_nodes(t)) for t in range(tree.horizon + 1)))
 

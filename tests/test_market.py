@@ -32,6 +32,7 @@ from conicfin import (
     zero_process,
     zero_strategy,
 )
+from conicfin.arbitrage import FLOAT_GAIN_TOL, FLOAT_LOSS_TOL, _exact_view, _fractions
 from conicfin.pricing import ask, bid
 from conicfin.search import SearchConfig
 
@@ -228,6 +229,50 @@ def test_explicit_certificate_on_hand_tables():
     assert rep.min_terminal == 0.0
     assert rep.max_terminal == 1.0
     assert rep.prob_positive == pytest.approx(0.5)
+
+
+def test_exact_certificates_decide_gains_and_losses_below_float_tolerances():
+    """Buy one share at 0.3 and sell it a period later at the bid: a gain or
+    loss of 5.55e-17 at one leaf is decided exactly, where the float verdict
+    could not tell it from zero."""
+    walk = make_walk(1)
+    tree = walk.tree
+    stream = zero_process(tree)
+    long = [[None, np.array([1.0])]]
+    short = [[None, np.zeros(1)]]
+    for bid_down, want_valid in ((0.3, True), (0.29999999999999993, False)):
+        sec = Security(
+            sid="stk",
+            stream_ask=stream,
+            stream_bid=stream,
+            op_ask=DirectOperator(tree, [[0.3], [1.0, 1.0]]),
+            op_bid=DirectOperator(tree, [[0.3], [0.1 + 0.2, bid_down]]),
+        )
+        market = MarketModel(walk=walk, securities=(sec,))
+        rep = validate_certificate(complete_bank_leg(long, short, market, 0), market, 0)
+        assert rep.exact and rep.valid == want_valid
+        gains = [Fraction(0.1 + 0.2) - Fraction(0.3), Fraction(bid_down) - Fraction(0.3)]
+        assert rep.min_terminal == float(min(gains))
+        assert rep.max_terminal == float(max(gains))
+        assert 0.0 < rep.max_terminal < FLOAT_GAIN_TOL
+        assert -FLOAT_LOSS_TOL < rep.min_terminal <= 0.0
+
+
+def test_completed_bank_leg_keeps_fraction_legs_exact():
+    market = direct_two_period_market()
+    exact = _exact_view(market)
+    tr = market.tree
+    rng = np.random.default_rng(5)
+    for entry in range(tr.horizon):
+        long = [[None] + [rng.random(tr.n_nodes(t - 1)) * (t > entry) for t in range(1, 3)]]
+        short = [[None] + [rng.random(tr.n_nodes(t - 1)) * (t > entry) for t in range(1, 3)]]
+        to_fractions = lambda legs: [[None] + [_fractions(x) for x in leg[1:]] for leg in legs]
+        floats = complete_bank_leg(long, short, market, entry)
+        fractions = complete_bank_leg(to_fractions(long), to_fractions(short), exact, entry)
+        for t in range(1, tr.horizon + 1):
+            bank = fractions.bank[t]
+            assert bank.dtype == object and all(isinstance(x, Fraction) for x in bank)
+            assert np.max(np.abs(bank.astype(float) - floats.bank[t])) < 1e-12
 
 
 def test_search_finds_entry_zero_arbitrage_but_not_entry_one():

@@ -213,6 +213,10 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
         load_scenario({"tree": {"horizon": 2}, "martingale": "walk?"})
     with pytest.raises(ScenarioError):
         load_scenario({"tree": {"horizon": 2}, "streams": {"s": {"wat": 1}}})
+    with pytest.raises(ScenarioError):
+        load_scenario({"tree": {"horizon": 2}, "families": {"f": {"kind": "coherent", "gamma": 3}}})
+    with pytest.raises(ScenarioError):
+        load_scenario({"tree": {"horizon": 2}, "families": {"f": "coherent"}})
     cfg = conic_cfg()
     cfg["jobs"] = [{"type": "mystery"}]
     with pytest.raises(ScenarioError):
@@ -245,6 +249,18 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
         {"type": "price_table", "family": "ent", "stream": "payout", "times": []},
         {"type": "solve", "driver": "zero", "terminal": [1.0, 2.0]},
         {"type": "solve", "driver": "zero", "terminal": [1.0, 2.0, float("nan"), 0.0]},
+        {"type": "price_table", "family": "ent", "stream": "payout", "gammas": [-1.0]},
+        {"type": "price_table", "family": "ent", "stream": "payout", "gammas": ["a"]},
+        {"type": "price_table", "family": "ent", "stream": "payout", "gammas": []},
+        {"type": "price_table", "family": "ent", "stream": "payout", "phi": -2},
+        {"type": "price_table", "family": "ent", "stream": "payout", "sides": ["mid"]},
+        {"type": "index", "family": {"kind": "coherent", "x": 1}, "stream": "payout"},
+        {"type": "hedged", "family": "ent", "gamma": -1, "stream": "payout", "search": LIGHT_SEARCH},
+        {"type": "hedged", "family": "ent", "gamma": "nan", "stream": "payout", "search": LIGHT_SEARCH},
+        {"type": "ngd", "family": "ent", "gamma": -1, "search": LIGHT_SEARCH},
+        {"type": "ngd", "family": "ent", "gamma": "nan", "search": LIGHT_SEARCH},
+        {"type": "arbitrage", "search": {**LIGHT_SEARCH, "grid_points": 0}},
+        {"type": "arbitrage", "search": {**LIGHT_SEARCH, "bound": -1}},
     ):
         cfg["jobs"] = [job]
         with pytest.raises(ScenarioError):
