@@ -1,10 +1,12 @@
-"""Write the artifacts of the bundled scenarios and the benchmark scenarios.
+"""Write the artifacts of the bundled scenarios, the benchmark scenarios and the studies.
 
 Runs every scenario in scenarios/ and every scenario that
 perfbench/workloads.py generates for seeds 1 and 7, each into its own
-directory under OUT, with the conicfin of the checkout the script sits in.
-A change that must leave outputs byte-identical is checked by running the
-script in both checkouts and comparing the two directories:
+directory under OUT, and runs each study script in scripts/ with its
+default arguments, writing its output to OUT/scripts/<name>.txt; all with
+the conicfin of the checkout the script sits in. A change that must leave
+outputs byte-identical is checked by running the script in both checkouts
+and comparing the two directories:
 
     python3 scripts/write_artifacts.py /tmp/before    # in the parent checkout
     python3 scripts/write_artifacts.py /tmp/after     # in the changed checkout
@@ -14,6 +16,7 @@ script in both checkouts and comparing the two directories:
 import argparse
 import json
 import os
+import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -23,6 +26,7 @@ from conicfin.scenario import run_scenario  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 7)
+STUDIES = ("arbitrage_demo", "hedged_vs_plain", "spread_vs_level")
 
 
 def main():
@@ -42,6 +46,15 @@ def main():
     for rel, cfg in runs:
         summary = run_scenario(cfg, os.path.join(args.out, rel))
         print(f"{rel}: {'passed' if summary['passed'] else 'FAILED'}")
+    os.makedirs(os.path.join(args.out, "scripts"), exist_ok=True)
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    for name in STUDIES:
+        script = os.path.join(ROOT, "scripts", f"{name}.py")
+        run = subprocess.run([sys.executable, script], env=env, capture_output=True, text=True)
+        run.check_returncode()
+        with open(os.path.join(args.out, "scripts", f"{name}.txt"), "w") as f:
+            f.write(run.stdout)
+        print(f"scripts/{name}: written")
 
 
 if __name__ == "__main__":

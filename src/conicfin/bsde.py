@@ -21,6 +21,9 @@ from .drivers import Driver, DriverError, _on_grid
 from .tree import MartingaleSpec
 
 EQ_TOL = 1e-10
+COMPARISON_Z_GRID = np.linspace(-8.0, 8.0, 33)
+LINEAR_PROBES = np.array([-2.5, -1.0, 0.7, 1.0, 3.3])
+LINEAR_TOL = 1e-9
 
 
 class PreconditionViolated(ValueError):
@@ -134,21 +137,16 @@ class ComparisonReport:
     equality_nodes: int
 
 
-def _driver_dominates(g1: Driver, g2: Driver, z_grid, tol: float) -> float:
+def _driver_dominates(g1: Driver, g2: Driver) -> float:
     worst = 0.0
     for t in range(1, g1.tree.horizon + 1):
-        worst = max(worst, float(np.max(_on_grid(g2, t, z_grid) - _on_grid(g1, t, z_grid))))
+        gap = _on_grid(g2, t, COMPARISON_Z_GRID) - _on_grid(g1, t, COMPARISON_Z_GRID)
+        worst = max(worst, float(np.max(gap)))
     return worst
 
 
 def compare_solutions(
-    g1: Driver,
-    g2: Driver,
-    terminal1,
-    terminal2,
-    walk: MartingaleSpec,
-    z_grid=np.linspace(-8.0, 8.0, 33),
-    tol: float = EQ_TOL,
+    g1: Driver, g2: Driver, terminal1, terminal2, walk: MartingaleSpec
 ) -> ComparisonReport:
     """Order two backward solutions and audit propagation of equality.
 
@@ -164,10 +162,10 @@ def compare_solutions(
     tr = walk.tree
     terminal1 = tr.check_level_array(np.asarray(terminal1, dtype=float), tr.horizon)
     terminal2 = tr.check_level_array(np.asarray(terminal2, dtype=float), tr.horizon)
-    if np.min(terminal1 - terminal2) < -tol:
+    if np.min(terminal1 - terminal2) < -EQ_TOL:
         raise PreconditionViolated("terminal conditions are not ordered")
-    dom = _driver_dominates(g1, g2, z_grid, tol)
-    if dom > tol:
+    dom = _driver_dominates(g1, g2)
+    if dom > EQ_TOL:
         raise PreconditionViolated(f"driver domination fails by {dom:.3e} on the z grid")
     reg = is_regular(g1)
     if not reg.regular:
@@ -180,7 +178,7 @@ def compare_solutions(
     strict_worst = 0.0
     eq_nodes = 0
     for t in range(tr.horizon + 1):
-        eq = np.abs(s1.Y[t] - s2.Y[t]) <= tol
+        eq = np.abs(s1.Y[t] - s2.Y[t]) <= EQ_TOL
         eq_nodes += int(np.count_nonzero(eq))
         if not np.any(eq):
             continue
@@ -194,9 +192,9 @@ def compare_solutions(
             drv_gap = np.abs(g1.eval(u, s2.Z[u]) - g2.eval(u, s2.Z[u]))
             strict_worst = max(strict_worst, float(np.max(on_slots * drv_gap)))
     return ComparisonReport(
-        ordering_ok=min_gap >= -tol,
+        ordering_ok=min_gap >= -EQ_TOL,
         min_gap=min_gap,
-        strictness_ok=strict_worst <= 10.0 * tol,
+        strictness_ok=strict_worst <= 10.0 * EQ_TOL,
         strictness_worst=strict_worst,
         equality_nodes=eq_nodes,
     )
@@ -251,12 +249,7 @@ def extract_linear_measure(g: Driver, walk: MartingaleSpec) -> LinearMeasure:
     return LinearMeasure(tree_q=tree_q, leaf_density=density, weights=tuple(weights))
 
 
-def detect_linear_driver(
-    g: Driver,
-    walk: MartingaleSpec,
-    z_probes=(-2.5, -1.0, 0.7, 1.0, 3.3),
-    tol: float = 1e-9,
-):
+def detect_linear_driver(g: Driver, walk: MartingaleSpec):
     """Probe whether g acts linearly; returns per-level slopes or None.
 
     The slope candidate is g(t, 1); the probes check proportionality in z,
@@ -264,11 +257,12 @@ def detect_linear_driver(
     expectation. Returns [None, x_1, ..., x_T] on success.
     """
     tr = walk.tree
-    z = np.asarray(z_probes, dtype=float)[:, None]
+    z = LINEAR_PROBES[:, None]
     slopes = [None]
     for t in range(1, tr.horizon + 1):
         x_t = g.eval(t, np.ones(tr.n_nodes(t - 1)))
-        if np.any(np.abs(_on_grid(g, t, z_probes) - x_t * z) > tol * np.maximum(1.0, np.abs(z))):
+        gap = np.abs(_on_grid(g, t, LINEAR_PROBES) - x_t * z)
+        if np.any(gap > LINEAR_TOL * np.maximum(1.0, np.abs(z))):
             return None
         slopes.append(np.asarray(x_t, dtype=float))
     rng = np.random.default_rng(0)
@@ -278,6 +272,6 @@ def detect_linear_driver(
     e2 = solve_bsde(g, x2, walk).Y[0]
     e12 = solve_bsde(g, x1 + x2, walk).Y[0]
     eneg = solve_bsde(g, -x1, walk).Y[0]
-    if np.max(np.abs(e12 - e1 - e2)) > tol or np.max(np.abs(eneg + e1)) > tol:
+    if np.max(np.abs(e12 - e1 - e2)) > LINEAR_TOL or np.max(np.abs(eneg + e1)) > LINEAR_TOL:
         return None
     return slopes

@@ -49,8 +49,8 @@ def main(argv=None) -> int:
         summary = run_scenario(
             cfg, args.out, seed_override=args.seed, jobs_parallel=args.jobs, strict=args.strict
         )
-    except (ScenarioError, KeyError, ValueError) as exc:
-        print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except ScenarioError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     print(render_summary(summary))
     return 0 if summary["passed"] else 1

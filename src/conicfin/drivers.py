@@ -290,8 +290,9 @@ class RiskInducedDriver(Driver):
     """
 
     kind = "risk_induced"
+    convex = True
 
-    def __init__(self, walk, rho: Callable, convex: bool = True):
+    def __init__(self, walk, rho: Callable):
         if not walk.predictable_representation:
             raise NotRandomWalk(
                 "reading a driver off a risk measure needs the symmetric walk "
@@ -299,7 +300,6 @@ class RiskInducedDriver(Driver):
             )
         super().__init__(walk)
         self._rho = rho
-        self.convex = convex
         self._lip = None
 
     def eval(self, t, z):
@@ -417,15 +417,19 @@ def builtin_driver(kind: str, walk: MartingaleSpec, **params) -> Driver:
     return build(walk, params)
 
 
-def driver_from_risk_measure(rho, walk, convex: bool = True) -> RiskInducedDriver:
+def driver_from_risk_measure(rho, walk) -> RiskInducedDriver:
     """Driver whose nonlinear expectation reproduces the risk measure rho."""
-    return RiskInducedDriver(walk, rho, convex=convex)
+    return RiskInducedDriver(walk, rho)
 
 
 # ---- validation reports -----------------------------------------------------
 
 
 DEFAULT_Z_GRID = np.linspace(-10.0, 10.0, 161)
+DOMINANCE_TOL = 1e-6
+FAMILY_LEVELS = (0.1, 0.5, 1.0, 2.0, 5.0, 20.0)
+FAMILY_Z_GRID = np.linspace(-6.0, 6.0, 49)
+MONOTONE_TOL = 1e-12
 
 
 def _on_grid(g: Driver, t: int, grid) -> np.ndarray:
@@ -458,7 +462,7 @@ class AssumptionAReport:
     passed: bool
 
 
-def validate_assumption_A(g: Driver, z_grid=None) -> AssumptionAReport:
+def validate_assumption_A(g: Driver) -> AssumptionAReport:
     """Audit g(t,0)=0 and the declared Lipschitz constants on a z grid.
 
     The estimate is the largest divided difference between neighboring grid
@@ -466,7 +470,6 @@ def validate_assumption_A(g: Driver, z_grid=None) -> AssumptionAReport:
     constant (plus 1e-9). A super-linear driver fails on any grid wide
     enough to reveal the growth.
     """
-    grid = DEFAULT_Z_GRID if z_grid is None else np.asarray(z_grid, dtype=float)
     tr = g.tree
     worst_zero = 0.0
     worst_est = 0.0
@@ -477,7 +480,7 @@ def validate_assumption_A(g: Driver, z_grid=None) -> AssumptionAReport:
         worst_zero = max(worst_zero, float(zero.max()))
         lip = g.lipschitz(t)
         declared = max(declared, float(np.max(lip)))
-        diffs = _divided_differences(g, t, grid)
+        diffs = _divided_differences(g, t, DEFAULT_Z_GRID)
         worst_est = max(worst_est, float(diffs.max()))
         # each slot's differences against its own constant
         ok = ok and not np.any(diffs.max(axis=0) > lip + LIPSCHITZ_TOL)
@@ -525,16 +528,16 @@ def is_regular(g: Driver) -> RegularityReport:
     return RegularityReport(False, margin, "not-regular")
 
 
-def lipschitz_dominance_check(g1: Driver, g2: Driver, z_grid=None, tol: float = 1e-6):
+def lipschitz_dominance_check(g1: Driver, g2: Driver):
     """Empirical check that g1's sharp constant is dominated by g2's.
 
     For convex Lipschitz drivers with g(0) = 0 and g1 <= g2 pointwise the
     dominance is automatic; this estimates both constants by divided
     differences and reports (ok, c1_estimate, c2_estimate).
     """
-    grid = DEFAULT_Z_GRID if z_grid is None else np.asarray(z_grid, dtype=float)
-    c1, c2 = _max_divided_difference(g1, grid), _max_divided_difference(g2, grid)
-    return c1 <= c2 + tol, c1, c2
+    c1 = _max_divided_difference(g1, DEFAULT_Z_GRID)
+    c2 = _max_divided_difference(g2, DEFAULT_Z_GRID)
+    return c1 <= c2 + DOMINANCE_TOL, c1, c2
 
 
 @dataclass(frozen=True)
@@ -548,37 +551,30 @@ class FamilyReport:
     levels: tuple
 
 
-def validate_family(
-    family: DriverFamily,
-    x_grid=(0.1, 0.5, 1.0, 2.0, 5.0, 20.0),
-    z_grid=None,
-    tol: float = 1e-12,
-) -> FamilyReport:
+def validate_family(family: DriverFamily) -> FamilyReport:
     """Audit the family axioms on grids of levels and z values.
 
     Checks pointwise monotonicity of x -> g_x, midpoint convexity and
     regularity of each g_x, and continuity from the left in x.
     """
-    grid = np.linspace(-6.0, 6.0, 49) if z_grid is None else np.asarray(z_grid, dtype=float)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    xs = sorted(float(x) for x in x_grid)
-    drivers = {x: family.make(x) for x in xs}
-    left = {x: family.make(max(x - 1e-9, x * 0.5e-9)) for x in xs}
+    mids = 0.5 * (FAMILY_Z_GRID[:-1] + FAMILY_Z_GRID[1:])
+    drivers = {x: family.make(x) for x in FAMILY_LEVELS}
+    left = {x: family.make(max(x - 1e-9, x * 0.5e-9)) for x in FAMILY_LEVELS}
     mono_worst = 0.0
     convex_ok = True
     left_ok = True
     for t in range(1, family.tree.horizon + 1):
-        vals = {x: _on_grid(g, t, grid) for x, g in drivers.items()}
-        for lo, hi in zip(xs, xs[1:]):
+        vals = {x: _on_grid(g, t, FAMILY_Z_GRID) for x, g in drivers.items()}
+        for lo, hi in zip(FAMILY_LEVELS, FAMILY_LEVELS[1:]):
             mono_worst = max(mono_worst, float(np.max(vals[lo] - vals[hi])))
-        for x in xs:
+        for x in FAMILY_LEVELS:
             v = vals[x]
             if np.max(_on_grid(drivers[x], t, mids) - 0.5 * (v[:-1] + v[1:])) > 1e-10:
                 convex_ok = False
-            if np.max(np.abs(_on_grid(left[x], t, grid) - v)) > 1e-6:
+            if np.max(np.abs(_on_grid(left[x], t, FAMILY_Z_GRID) - v)) > 1e-6:
                 left_ok = False
     regular_ok = all(is_regular(g).regular for g in drivers.values())
-    mono_ok = mono_worst <= tol
+    mono_ok = mono_worst <= MONOTONE_TOL
     return FamilyReport(
         monotone_in_level=mono_ok,
         monotone_worst=mono_worst,
@@ -586,5 +582,5 @@ def validate_family(
         each_level_regular=regular_ok,
         left_continuous=left_ok,
         passed=mono_ok and convex_ok and regular_ok and left_ok,
-        levels=tuple(xs),
+        levels=FAMILY_LEVELS,
     )

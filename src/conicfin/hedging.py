@@ -30,6 +30,7 @@ from .arbitrage import ArbitrageSearchResult, find_arbitrage
 from .bsde import solve_bsde
 from .drivers import Driver, DriverFamily
 from .market import MarketModel, TradingStrategy, liquidation_value
+from .pricing import PRICE_TOL
 from .pricing import ask as plain_ask
 from .pricing import bid as plain_bid
 from .search import LegLayout, SearchConfig, ascend, leg_layout
@@ -186,7 +187,6 @@ def hedged_sandwich(
     market: MarketModel,
     t: int = 0,
     cfg: SearchConfig = SearchConfig(),
-    tol: float = 1e-9,
 ) -> SandwichReport:
     """Hedging can only improve quotes, and absent good deals the hedged
     ask still dominates the hedged bid."""
@@ -199,9 +199,9 @@ def hedged_sandwich(
         ask_improvement_min=ask_gain,
         bid_improvement_min=bid_gain,
         hedged_spread_min=spread,
-        ask_ok=ask_gain >= -tol,
-        bid_ok=bid_gain >= -tol,
-        spread_ok=spread >= -tol,
+        ask_ok=ask_gain >= -GOOD_DEAL_TOL,
+        bid_ok=bid_gain >= -GOOD_DEAL_TOL,
+        spread_ok=spread >= -GOOD_DEAL_TOL,
     )
 
 
@@ -223,7 +223,6 @@ def hedged_level_monotonicity(
     market: MarketModel,
     t: int = 0,
     cfg: SearchConfig = SearchConfig(),
-    tol: float = 1e-10,
 ) -> HedgedLevelReport:
     """Tighter acceptability widens hedged quotes.
 
@@ -252,8 +251,8 @@ def hedged_level_monotonicity(
         gap_a = float(np.max(ask_vals[lo] - ask_vals[hi]))
         gap_b = float(np.max(bid_vals[hi] - bid_vals[lo]))
         worst = max(worst, gap_a, gap_b)
-        ask_ok = ask_ok and gap_a <= tol
-        bid_ok = bid_ok and gap_b <= tol
+        ask_ok = ask_ok and gap_a <= PRICE_TOL
+        bid_ok = bid_ok and gap_b <= PRICE_TOL
     return HedgedLevelReport(
         gammas=tuple(gs),
         ask_values=tuple(ask_vals),
@@ -282,7 +281,6 @@ def hedged_convexity_check(
     market: MarketModel,
     t: int = 0,
     cfg: SearchConfig = SearchConfig(),
-    tol: float = 1e-9,
 ) -> HedgedConvexityReport:
     """Convexity of the hedged ask in the stream.
 
@@ -318,5 +316,5 @@ def hedged_convexity_check(
         mixed_value=mixed_value,
         split_value=split_value,
         worst_gap=worst,
-        passed=worst <= tol,
+        passed=worst <= GOOD_DEAL_TOL,
     )

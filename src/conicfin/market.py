@@ -29,6 +29,8 @@ from .drivers import DriverFamily
 from .tree import AdaptedProcess, FiltrationTree, MartingaleSpec, tail_payoff
 
 SELF_FIN_TOL = 1e-9
+MARKET_AXIOM_SAMPLES = 8
+MARKET_AXIOM_TOL = 1e-9
 
 
 class MarketError(ValueError):
@@ -379,10 +381,7 @@ class SelfFinancingReport:
 
 
 def validate_self_financing(
-    strategy: TradingStrategy,
-    market: MarketModel,
-    entry: int = 0,
-    tol: float = SELF_FIN_TOL,
+    strategy: TradingStrategy, market: MarketModel, entry: int = 0
 ) -> SelfFinancingReport:
     """Audit the rebalancing identity at every date and, for strategies
     entering at a later time, that all positions through the entry vanish.
@@ -402,10 +401,10 @@ def validate_self_financing(
     zero_ok = True
     for u in range(1, entry + 1):
         for legs in [strategy.bank] + [l for l in strategy.long] + [s for s in strategy.short]:
-            if float(np.max(np.abs(np.asarray(legs[u], dtype=float)))) > tol:
+            if float(np.max(np.abs(np.asarray(legs[u], dtype=float)))) > SELF_FIN_TOL:
                 zero_ok = False
     return SelfFinancingReport(
-        max_residual=worst, passed=worst <= tol and zero_ok, zero_before_ok=zero_ok
+        max_residual=worst, passed=worst <= SELF_FIN_TOL and zero_ok, zero_before_ok=zero_ok
     )
 
 
@@ -446,26 +445,18 @@ class MarketAxiomReport:
     passed: bool
 
 
-def validate_market_axioms(
-    market: MarketModel,
-    times: Optional[Sequence[int]] = None,
-    seed: int = 0,
-    samples: int = 8,
-    tol: float = 1e-9,
-) -> MarketAxiomReport:
+def validate_market_axioms(market: MarketModel, seed: int = 0) -> MarketAxiomReport:
     """Sampled audit of operator axioms: zero orders cost nothing, asks are
     convex and bids concave in the order size, and netting a long against a
     short through the operators never beats trading the net quantity."""
     tr = market.tree
     rng = np.random.default_rng(seed)
-    if times is None:
-        times = list(range(tr.horizon))
     worst_zero, worst_cvx, worst_net = 0.0, 0.0, 0.0
     for sec in market.securities:
         cap = min(
             getattr(sec.op_ask, "depth", np.inf), getattr(sec.op_bid, "depth", np.inf), 4.0
         )
-        for t in times:
+        for t in range(tr.horizon):
             n = tr.n_nodes(t)
             zero = np.zeros(n)
             worst_zero = max(
@@ -473,7 +464,7 @@ def validate_market_axioms(
                 float(np.max(np.abs(sec.op_ask.price(t, zero)))),
                 float(np.max(np.abs(sec.op_bid.price(t, zero)))),
             )
-            for _ in range(samples):
+            for _ in range(MARKET_AXIOM_SAMPLES):
                 p1 = cap * rng.random(n)
                 p2 = cap * rng.random(n)
                 lam = rng.choice(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), size=n)
@@ -499,7 +490,7 @@ def validate_market_axioms(
         zero_at_zero=worst_zero,
         convexity_worst=worst_cvx,
         netting_worst=worst_net,
-        passed=max(worst_zero, worst_cvx, worst_net) <= tol,
+        passed=max(worst_zero, worst_cvx, worst_net) <= MARKET_AXIOM_TOL,
     )
 
 

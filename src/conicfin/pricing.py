@@ -22,6 +22,9 @@ from .risk import random_streams
 from .tree import AdaptedProcess, single_payment, tail_payoff
 
 PRICE_TOL = 1e-10
+IMPACT_LAMS = (0.25, 0.5, 0.75, 1.5, 2.0)
+AGREEMENT_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
+AGREEMENT_TOL = 1e-9
 
 
 class LevelNonpositive(ValueError):
@@ -179,9 +182,6 @@ def market_impact_check(
     stream: AdaptedProcess,
     t: int,
     phi=1.0,
-    lams=(0.25, 0.5, 0.75, 1.5, 2.0),
-    seed: int = 0,
-    tol: float = PRICE_TOL,
 ) -> ImpactReport:
     """Scaling and convexity behavior of the ask (mirrored for the bid).
 
@@ -194,7 +194,7 @@ def market_impact_check(
     phi = _check_inputs(family, gamma, phi, t)
     base = ask(family, gamma, phi, stream, t).value
     worst_sub, worst_super = 0.0, 0.0
-    for lam in lams:
+    for lam in IMPACT_LAMS:
         scaled = ask(family, gamma, lam * phi, stream, t).value
         if lam <= 1.0:
             worst_sub = max(worst_sub, float(np.max(scaled - lam * base)))
@@ -202,8 +202,7 @@ def market_impact_check(
             worst_super = max(worst_super, float(np.max(lam * base - scaled)))
     one_share = ask(family, gamma, 1.0, stream.scale_from(phi, t), t).value
     ident = float(np.max(np.abs(one_share - base)))
-    rng = np.random.default_rng(seed)
-    others = random_streams(tr, rng, 2)
+    others = random_streams(tr, np.random.default_rng(0), 2)
     worst_cvx = 0.0
     for other in others:
         for lam in (0.25, 0.5, 0.75):
@@ -220,12 +219,12 @@ def market_impact_check(
             worst_cvx = max(worst_cvx, float(np.max(b_split - b_mix)))
     worst = max(worst_sub, worst_super, ident, worst_cvx)
     return ImpactReport(
-        subscale_ok=worst_sub <= tol,
-        superscale_ok=worst_super <= tol,
-        shares_identity_ok=ident <= tol,
-        convexity_ok=worst_cvx <= tol,
+        subscale_ok=worst_sub <= PRICE_TOL,
+        superscale_ok=worst_super <= PRICE_TOL,
+        shares_identity_ok=ident <= PRICE_TOL,
+        convexity_ok=worst_cvx <= PRICE_TOL,
         worst=worst,
-        passed=worst <= tol,
+        passed=worst <= PRICE_TOL,
     )
 
 
@@ -246,8 +245,6 @@ def agreement_diagnostic(
     stream: AdaptedProcess,
     t: int,
     indicator=None,
-    fractions=(0.0, 0.25, 0.5, 0.75, 1.0),
-    tol: float = 1e-9,
 ) -> AgreementReport:
     """Certify bid-ask agreement on a level-t event through a linear driver.
 
@@ -276,7 +273,7 @@ def agreement_diagnostic(
             admissible = False
     linear = LinearDriver(walk, slopes)
     worst = 0.0
-    for frac in fractions:
+    for frac in AGREEMENT_FRACTIONS:
         lam = frac * phi
         a_val = ask(family1, gamma1, lam, stream, t).value
         b_val = bid(family2, gamma2, lam, stream, t).value
@@ -284,7 +281,7 @@ def agreement_diagnostic(
         worst = max(worst, float(np.max(np.abs(ind * a_val - lin_val))))
         worst = max(worst, float(np.max(np.abs(ind * b_val - lin_val))))
     return AgreementReport(
-        holds=worst <= tol and admissible,
+        holds=worst <= AGREEMENT_TOL and admissible,
         worst_residual=worst,
         slope_sup=sup_slope,
         slopes_admissible=admissible,

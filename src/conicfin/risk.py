@@ -17,7 +17,6 @@ scalar-level counterparts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +28,7 @@ AXIOM_TOL = 1e-10
 INDEX_TOL = 1e-8
 X_MIN = 1e-6
 X_MAX = 1e6
+DUALITY_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,27 +61,20 @@ def _risk_at_levels(family: DriverFamily, terminal: np.ndarray, t: int, x_nodes:
     return solve_bsde(family.make(x_levels), terminal, family.walk).Y[t]
 
 
-def acceptability_index(
-    family: DriverFamily,
-    stream: AdaptedProcess,
-    t: int,
-    x_min: float = X_MIN,
-    x_max: float = X_MAX,
-    x_tol: float = INDEX_TOL,
-) -> np.ndarray:
+def acceptability_index(family: DriverFamily, stream: AdaptedProcess, t: int) -> np.ndarray:
     """Per-node acceptability level of the stream at time t."""
     tr = family.tree
     terminal = -stream.future_sum(t)
     n = tr.n_nodes(t)
-    lo = np.full(n, x_min)
-    hi = np.full(n, x_max)
+    lo = np.full(n, X_MIN)
+    hi = np.full(n, X_MAX)
     feas_lo = _risk_at_levels(family, terminal, t, lo) <= 0.0
     feas_hi = _risk_at_levels(family, terminal, t, hi) <= 0.0
     alpha = np.empty(n)
     alpha[~feas_lo] = 0.0
     alpha[feas_hi] = np.inf
     active = feas_lo & ~feas_hi
-    while np.any(active & (hi - lo > x_tol)):
+    while np.any(active & (hi - lo > INDEX_TOL)):
         mid = np.where(active, 0.5 * (lo + hi), lo)
         feas = _risk_at_levels(family, terminal, t, mid) <= 0.0
         take_lo = active & feas
@@ -115,12 +108,10 @@ class AxiomReport:
         raise KeyError(name)
 
 
-def random_streams(
-    tree: FiltrationTree, rng: np.random.Generator, count: int, scale: float = 1.0
-) -> list:
+def random_streams(tree: FiltrationTree, rng: np.random.Generator, count: int) -> list:
     out = []
     for _ in range(count):
-        vals = [scale * rng.normal(size=tree.n_nodes(s)) for s in range(tree.horizon + 1)]
+        vals = [rng.normal(size=tree.n_nodes(s)) for s in range(tree.horizon + 1)]
         out.append(AdaptedProcess(tree, tuple(vals)))
     return out
 
@@ -155,13 +146,7 @@ def _level_lambdas(rng: np.random.Generator, n: int, values=(0.0, 0.25, 0.5, 0.7
     return rng.choice(np.asarray(values, dtype=float), size=n)
 
 
-def check_dcrm_axioms(
-    driver: Driver,
-    streams: Optional[Sequence[AdaptedProcess]] = None,
-    times: Optional[Sequence[int]] = None,
-    seed: int = 0,
-    tol: float = AXIOM_TOL,
-) -> AxiomReport:
+def check_dcrm_axioms(driver: Driver, seed: int = 0) -> AxiomReport:
     """Sampled audit of the convex risk-measure axioms for one driver.
 
     Locality, convexity, tail monotonicity, cash additivity, one-step time
@@ -171,10 +156,8 @@ def check_dcrm_axioms(
     """
     tr = driver.tree
     rng = np.random.default_rng(seed)
-    if streams is None:
-        streams = random_streams(tr, rng, 6)
-    if times is None:
-        times = list(range(tr.horizon + 1))
+    streams = random_streams(tr, rng, 6)
+    times = range(tr.horizon + 1)
     rho = lambda D, t: risk(driver, D, t)
 
     worst = {k: 0.0 for k in ("locality", "convexity", "monotonicity", "cash", "consistency")}
@@ -208,11 +191,11 @@ def check_dcrm_axioms(
                 )
     results = [
         AxiomResult("adapted", True, 0.0, "values live on level arrays by construction"),
-        AxiomResult("locality", worst["locality"] <= tol, worst["locality"]),
-        AxiomResult("convexity", worst["convexity"] <= tol, worst["convexity"]),
-        AxiomResult("monotonicity", worst["monotonicity"] <= tol, worst["monotonicity"]),
-        AxiomResult("cash_additivity", worst["cash"] <= tol, worst["cash"]),
-        AxiomResult("time_consistency", worst["consistency"] <= tol, worst["consistency"]),
+        AxiomResult("locality", worst["locality"] <= AXIOM_TOL, worst["locality"]),
+        AxiomResult("convexity", worst["convexity"] <= AXIOM_TOL, worst["convexity"]),
+        AxiomResult("monotonicity", worst["monotonicity"] <= AXIOM_TOL, worst["monotonicity"]),
+        AxiomResult("cash_additivity", worst["cash"] <= AXIOM_TOL, worst["cash"]),
+        AxiomResult("time_consistency", worst["consistency"] <= AXIOM_TOL, worst["consistency"]),
     ]
     if driver.positive_homogeneous:
         worst_h = 0.0
@@ -222,18 +205,12 @@ def check_dcrm_axioms(
                 lam = rng.choice(np.array([0.0, 0.5, 1.0, 2.0]), size=n)
                 gap = np.abs(risk(driver, D.scale_from(lam, t), t) - lam * risk(driver, D, t))
                 worst_h = max(worst_h, float(np.max(gap)))
-        results.append(AxiomResult("positive_homogeneity", worst_h <= tol, worst_h))
+        results.append(AxiomResult("positive_homogeneity", worst_h <= AXIOM_TOL, worst_h))
     passed = all(r.passed for r in results)
     return AxiomReport(results=tuple(results), passed=passed)
 
 
-def check_dai_axioms(
-    family: DriverFamily,
-    streams: Optional[Sequence[AdaptedProcess]] = None,
-    times: Optional[Sequence[int]] = None,
-    seed: int = 0,
-    x_tol: float = INDEX_TOL,
-) -> AxiomReport:
+def check_dai_axioms(family: DriverFamily, seed: int = 0) -> AxiomReport:
     """Sampled audit of the acceptability-index axioms for one family.
 
     Locality, quasi-concavity, tail monotonicity, the two directions of
@@ -244,12 +221,10 @@ def check_dai_axioms(
     """
     tr = family.tree
     rng = np.random.default_rng(seed)
-    if streams is None:
-        streams = _tilted_streams(family.walk) + random_streams(tr, rng, 3)
-    if times is None:
-        times = list(range(tr.horizon + 1))
-    tol = 200.0 * x_tol
-    alpha = lambda D, t: acceptability_index(family, D, t, x_tol=x_tol)
+    streams = _tilted_streams(family.walk) + random_streams(tr, rng, 3)
+    times = range(tr.horizon + 1)
+    tol = 200.0 * INDEX_TOL
+    alpha = lambda D, t: acceptability_index(family, D, t)
 
     def gap_below(a, b):
         """max over nodes of (b - a) treating equal infinities as zero gap."""
@@ -357,18 +332,17 @@ def level_set_duality(
     stream: AdaptedProcess,
     t: int,
     gamma: float,
-    margin: float = 1e-6,
 ) -> DualityReport:
     """Check that {index >= gamma} coincides with {level-gamma risk <= 0}.
 
-    Nodes whose index sits within `margin` of gamma, or whose risk sits at
+    Nodes whose index sits within DUALITY_MARGIN of gamma, or whose risk sits at
     round-off of zero, are boundary cases and excluded from the comparison.
     """
     alpha = acceptability_index(family, stream, t)
     val = risk(family.make(gamma), stream, t)
     alpha_side = alpha >= gamma
     val_side = val <= 0.0
-    decisive = (np.abs(np.where(np.isinf(alpha), np.inf, alpha - gamma)) > margin) & (
+    decisive = (np.abs(np.where(np.isinf(alpha), np.inf, alpha - gamma)) > DUALITY_MARGIN) & (
         np.abs(val) > 1e-10
     )
     mismatch = decisive & (alpha_side != val_side)

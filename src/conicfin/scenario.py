@@ -125,12 +125,57 @@ class Scenario:
     jobs: list
 
 
+def _required(spec: dict, key: str, where: str):
+    """spec[key]; a missing key is a config error that names it."""
+    if key not in spec:
+        raise ScenarioError(f"{where} needs {key!r}")
+    return spec[key]
+
+
+def _typed(key: str, value, kind: type):
+    """value, which must be a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise ScenarioError(f"{key} must be {name}, got {value!r}")
+    return value
+
+
+def _integer(key: str, value, low: int = 0, high: Optional[int] = None) -> int:
+    """An integer in low..high, or from low up when high is None."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ScenarioError(f"{key} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        raise ScenarioError(f"{key} must lie in {low}..{'' if high is None else high}, got {value}")
+    return int(value)
+
+
+def _number(key: str, value, positive: bool = False) -> float:
+    """A finite number, nonnegative or positive."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ScenarioError(f"{key} must be a finite {sign} number, got {value!r}")
+    return float(value)
+
+
+def _boolean(key: str, value) -> bool:
+    """A JSON true or false."""
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _choice(key: str, value, options: tuple):
+    """One of the listed values."""
+    if value not in options:
+        raise ScenarioError(f"{key} must be one of {json.dumps(options)}, got {value!r}")
+    return value
+
+
 def _build_walk(cfg: dict):
-    tree_cfg = cfg.get("tree")
-    if tree_cfg is None:
-        raise ScenarioError("scenario needs a 'tree' section")
+    tree_cfg = _typed("tree", _required(cfg, "tree", "scenario"), dict)
     if "horizon" in tree_cfg:
-        tree = uniform_binary_tree(int(tree_cfg["horizon"]))
+        tree = uniform_binary_tree(_integer("horizon", tree_cfg["horizon"], 1))
     elif "levels" in tree_cfg:
         tree = build_tree(tree_cfg["levels"])
     else:
@@ -155,77 +200,102 @@ def _level_values(tree, values) -> list:
 def _build_stream(tree, spec) -> AdaptedProcess:
     if spec == "zero":
         return AdaptedProcess(tree, tuple(np.zeros(tree.n_nodes(t)) for t in range(tree.horizon + 1)))
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"a stream spec is 'zero' or an object, got {spec!r}")
     if "values" in spec:
         return AdaptedProcess(tree, tuple(_level_values(tree, spec["values"])))
     if "cds" in spec:
-        c = spec["cds"]
-        side = c.get("side", "ask")
-        a, b = cds_streams(tree, c["tau"], c["delta"], c["kappa_ask"], c["kappa_bid"])
+        c = _typed("cds", spec["cds"], dict)
+        side = _choice("cds side", c.get("side", "ask"), ("ask", "bid"))
+        keys = ("tau", "delta", "kappa_ask", "kappa_bid")
+        a, b = cds_streams(tree, *(_required(c, k, "cds stream") for k in keys))
         return a if side == "ask" else b
     if "stock" in spec:
-        s = spec["stock"]
-        divs = _level_values(tree, s["dividends"])
-        return stock_stream(tree, divs, np.asarray(s["terminal"], dtype=float))
+        s = _typed("stock", spec["stock"], dict)
+        divs = _level_values(tree, _required(s, "dividends", "stock stream"))
+        terminal = np.asarray(_required(s, "terminal", "stock stream"), dtype=float)
+        return stock_stream(tree, divs, terminal)
     raise ScenarioError(f"cannot build stream from {spec!r}")
 
 
-def _build_security(scn: Scenario, spec: dict) -> Security:
+def _build_security(scn: Scenario, spec) -> Security:
     tree = scn.walk.tree
+    spec = _typed("security", spec, dict)
     sid = spec.get("id", "sec")
     flavor = spec.get("flavor")
+    where = f"{flavor} security {sid!r}"
     if flavor == "conic":
-        fam = scn.families[spec["family"]]
-        stream = scn.streams[spec["stream"]]
-        return conic_security(
-            sid, fam, stream, float(spec["gamma_ask"]), float(spec.get("gamma_bid", spec["gamma_ask"]))
-        )
+        fam = _resolve_family(scn, _required(spec, "family", where))
+        stream = _resolve_stream(scn, _required(spec, "stream", where))
+        gamma_ask = float(_required(spec, "gamma_ask", where))
+        return conic_security(sid, fam, stream, gamma_ask, float(spec.get("gamma_bid", gamma_ask)))
     if flavor == "direct":
-        sa = scn.streams[spec.get("stream_ask", spec.get("stream"))]
-        sb = scn.streams[spec.get("stream_bid", spec.get("stream"))]
+        sa = _resolve_stream(scn, spec.get("stream_ask", spec.get("stream")))
+        sb = _resolve_stream(scn, spec.get("stream_bid", spec.get("stream")))
+        ask, bid = (_required(spec, k, where) for k in ("unit_ask", "unit_bid"))
         return Security(
             sid=sid,
             stream_ask=sa,
             stream_bid=sb,
-            op_ask=DirectOperator(tree, [np.asarray(v, float) for v in spec["unit_ask"]]),
-            op_bid=DirectOperator(tree, [np.asarray(v, float) for v in spec["unit_bid"]]),
+            op_ask=DirectOperator(tree, [np.asarray(v, float) for v in ask]),
+            op_bid=DirectOperator(tree, [np.asarray(v, float) for v in bid]),
         )
     if flavor == "book":
-        stream = scn.streams[spec.get("stream", "zero")]
+        stream = _resolve_stream(scn, spec.get("stream", "zero"))
         scale = int(spec.get("tick_scale", 100))
         return Security(
             sid=sid,
             stream_ask=stream,
             stream_bid=stream,
-            op_ask=OrderBookOperator("ask", spec["ask_ladder"], tick_scale=scale),
-            op_bid=OrderBookOperator("bid", spec["bid_ladder"], tick_scale=scale),
+            op_ask=OrderBookOperator("ask", _required(spec, "ask_ladder", where), tick_scale=scale),
+            op_bid=OrderBookOperator("bid", _required(spec, "bid_ladder", where), tick_scale=scale),
         )
     raise ScenarioError(f"unknown security flavor {flavor!r}")
 
 
+def _job(job) -> dict:
+    """A job object of a known type."""
+    job = _typed("job", job, dict)
+    if job.get("type") not in _JOB_RUNNERS:
+        raise ScenarioError(f"unknown job type {job.get('type')!r}")
+    return job
+
+
 def load_scenario(cfg: dict, seed_override: Optional[int] = None) -> Scenario:
+    """Build a scenario from its config; every malformed input raises ScenarioError."""
     if not isinstance(cfg, dict):
         raise ScenarioError("scenario config must be a JSON object")
+    try:
+        return _build_scenario(cfg, seed_override)
+    except ScenarioError:
+        raise
+    except (ValueError, TypeError) as exc:
+        # TreeError, DriverError and MarketError are ValueErrors, and so are
+        # the failed numpy conversions of malformed numbers
+        raise ScenarioError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _build_scenario(cfg: dict, seed_override: Optional[int]) -> Scenario:
     walk = _build_walk(cfg)
     scn = Scenario(
         name=str(cfg.get("name", "scenario")),
-        seed=int(cfg["seed"] if seed_override is None else seed_override)
-        if ("seed" in cfg or seed_override is not None)
-        else 0,
+        seed=_integer("seed", cfg.get("seed", 0) if seed_override is None else seed_override),
         walk=walk,
         drivers={},
         families={},
         streams={"zero": _build_stream(walk.tree, "zero")},
         market=None,
-        jobs=list(cfg.get("jobs", [])),
+        jobs=[_job(j) for j in _typed("jobs", cfg.get("jobs", []), list)],
     )
-    for name, d in cfg.get("drivers", {}).items():
+    for name, d in _typed("drivers", cfg.get("drivers", {}), dict).items():
+        d = _typed(f"driver {name!r}", d, dict)
         params = {k: v for k, v in d.items() if k != "kind"}
-        scn.drivers[name] = builtin_driver(d["kind"], walk, **params)
-    for name, f in cfg.get("families", {}).items():
+        scn.drivers[name] = builtin_driver(_required(d, "kind", f"driver {name!r}"), walk, **params)
+    for name, f in _typed("families", cfg.get("families", {}), dict).items():
         scn.families[name] = builtin_family(_family_kind(f), walk)
-    for name, s in cfg.get("streams", {}).items():
+    for name, s in _typed("streams", cfg.get("streams", {}), dict).items():
         scn.streams[name] = _build_stream(walk.tree, s)
-    secs = [_build_security(scn, s) for s in cfg.get("securities", [])]
+    secs = [_build_security(scn, s) for s in _typed("securities", cfg.get("securities", []), list)]
     if secs:
         scn.market = MarketModel(walk=walk, securities=tuple(secs), name=scn.name)
     return scn
@@ -234,41 +304,26 @@ def load_scenario(cfg: dict, seed_override: Optional[int] = None) -> Scenario:
 # ---- jobs ---------------------------------------------------------------------
 
 
+# search key -> check of its value; a key left out keeps the SearchConfig default
+_SEARCH_FIELDS = {
+    "grid_points": lambda k, v: _integer(k, v, 1),
+    "bound": lambda k, v: None if v is None else _number(k, v),
+    "multi_starts": _integer,
+    "sweeps": _integer,
+    "refine_rounds": _integer,
+    "seed": _integer,
+    "exhaustive": _boolean,
+    "exhaustive_target": lambda k, v: _integer(k, v, 1),
+    "tol": _number,
+}
+
+
 def _search_config(job: dict, seed: int) -> SearchConfig:
-    s = job.get("search", {})
-    points = s.get("grid_points", 21)
-    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 1:
-        raise ScenarioError(f"grid_points must be a positive integer, got {points!r}")
-    bound = s.get("bound")
-    return SearchConfig(
-        grid_points=int(points),
-        bound=None if bound is None else _number("bound", bound),
-        multi_starts=int(s.get("multi_starts", 8)),
-        sweeps=int(s.get("sweeps", 4)),
-        refine_rounds=int(s.get("refine_rounds", 3)),
-        seed=int(s.get("seed", seed)),
-        exhaustive=bool(s.get("exhaustive", False)),
-        exhaustive_target=int(s.get("exhaustive_target", 200_000)),
-        tol=float(s.get("tol", 1e-9)),
-    )
-
-
-def _level(key: str, value, last: int) -> int:
-    """A job's time index, which must be an integer in 0..last."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ScenarioError(f"{key} must be an integer, got {value!r}")
-    if not 0 <= value <= last:
-        raise ScenarioError(f"{key} must lie in 0..{last}, got {value}")
-    return int(value)
-
-
-def _number(key: str, value, positive: bool = False) -> float:
-    """A job's real parameter: a finite number, nonnegative or positive."""
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (number and math.isfinite(value) and (value > 0 if positive else value >= 0)):
-        sign = "positive" if positive else "nonnegative"
-        raise ScenarioError(f"{key} must be a finite {sign} number, got {value!r}")
-    return float(value)
+    s = _typed("search", job.get("search", {}), dict)
+    unknown = sorted(set(s) - set(_SEARCH_FIELDS))
+    if unknown:
+        raise ScenarioError(f"search takes no key {unknown}; it takes {list(_SEARCH_FIELDS)}")
+    return SearchConfig(**{"seed": seed, **{k: _SEARCH_FIELDS[k](k, v) for k, v in s.items()}})
 
 
 def _family_kind(spec) -> str:
@@ -315,12 +370,12 @@ def _resolve_stream(scn: Scenario, name) -> AdaptedProcess:
     return scn.streams[name]
 
 
-def _job_solve(scn: Scenario, job: dict, out_dir: str, idx: int):
-    g = _resolve_driver(scn, job["driver"])
+def _job_solve(scn: Scenario, job: dict, path: str):
+    g = _resolve_driver(scn, _required(job, "driver", "solve job"))
     tr = scn.walk.tree
-    term = job["terminal"]
+    term = _required(job, "terminal", "solve job")
     if isinstance(term, dict):
-        terminal = _resolve_stream(scn, term["stream"]).future_sum(0)
+        terminal = _resolve_stream(scn, _required(term, "stream", "terminal")).future_sum(0)
     else:
         try:
             terminal = np.asarray(term, dtype=float)
@@ -335,27 +390,25 @@ def _job_solve(scn: Scenario, job: dict, out_dir: str, idx: int):
         for v in range(tr.n_nodes(t)):
             z = "" if t == 0 else _fmt(float(sol.Z[t][int(tr.parent[t][v])]))
             rows.append((t, v, _fmt(float(sol.Y[t][v])), z, _fmt(float(sol.M[t][v]))))
-    out = job.get("out", f"job{idx}_solve.csv")
-    write_csv(os.path.join(out_dir, out), ("t", "node", "Y", "Z", "M"), rows)
+    write_csv(path, ("t", "node", "Y", "Z", "M"), rows)
     ok = diag.bsde_residual <= 1e-10 and diag.orthogonality_residual <= 1e-10
     return ("pass" if ok else "fail"), {
         "residual": diag.bsde_residual,
         "orthogonality": diag.orthogonality_residual,
         "remainder_sup": diag.remainder_sup,
-        "artifact": out,
     }
 
 
-def _job_price_table(scn: Scenario, job: dict, out_dir: str, idx: int):
-    fam = _resolve_family(scn, job["family"])
-    stream = _resolve_stream(scn, job["stream"])
+def _job_price_table(scn: Scenario, job: dict, path: str):
+    fam = _resolve_family(scn, _required(job, "family", "price_table job"))
+    stream = _resolve_stream(scn, _required(job, "stream", "price_table job"))
     tr = scn.walk.tree
     gammas = job.get("gammas", [1.0])
     if not isinstance(gammas, list) or not gammas:
         raise ScenarioError(f"gammas must list at least one level, got {gammas!r}")
     gammas = [_number("gammas", g, positive=True) for g in gammas]
     phi = _number("phi", job.get("phi", 1.0))
-    times = [_level("times", t, tr.horizon) for t in job.get("times", range(tr.horizon + 1))]
+    times = [_integer("times", t, 0, tr.horizon) for t in job.get("times", range(tr.horizon + 1))]
     if not times:
         raise ScenarioError("times must list at least one time")
     sides = job.get("sides", ["ask", "bid"])
@@ -373,46 +426,36 @@ def _job_price_table(scn: Scenario, job: dict, out_dir: str, idx: int):
                     rows.append((t, v, side, _fmt(gamma), fam.kind, _fmt(phi), _fmt(float(q.value[v]))))
             if "ask" in quotes and "bid" in quotes:
                 worst_cross = max(worst_cross, float(np.max(quotes["bid"] - quotes["ask"])))
-    out = job.get("out", f"job{idx}_prices.csv")
-    write_csv(
-        os.path.join(out_dir, out),
-        ("t", "node", "side", "gamma", "family", "phi", "value"),
-        rows,
-    )
+    write_csv(path, ("t", "node", "side", "gamma", "family", "phi", "value"), rows)
     nested = [time_consistency_check(s, fam, g, stream) for s in sides for g in gammas]
     worst_nest = max(n.worst_residual for n in nested)
     mono = cross_compare(fam, gammas[0], fam, gammas[-1], stream, times[0], gammas=gammas)
-    ok = (
-        worst_cross <= 1e-9
-        and worst_nest <= 1e-9
-        and mono.ask_monotone_ok
-        and mono.bid_antitone_ok
-    )
+    level_monotone = mono.ask_monotone_ok and mono.bid_antitone_ok
+    ok = worst_cross <= 1e-9 and worst_nest <= 1e-9 and level_monotone
     return ("pass" if ok else "fail"), {
         "worst_bid_minus_ask": worst_cross,
         "worst_nesting_residual": worst_nest,
-        "level_monotone": mono.ask_monotone_ok and mono.bid_antitone_ok,
-        "artifact": out,
+        "level_monotone": level_monotone,
     }
 
 
-def _job_axioms(scn: Scenario, job: dict, out_dir: str, idx: int):
+def _job_axioms(scn: Scenario, job: dict, path: str):
     target = job.get("target")
-    seed = int(job.get("seed", scn.seed))
+    seed = _integer("seed", job.get("seed", scn.seed))
     if target == "dcrm":
-        rep = check_dcrm_axioms(_resolve_driver(scn, job["driver"]), seed=seed)
+        g = _resolve_driver(scn, _required(job, "driver", "dcrm job"))
+        rep = check_dcrm_axioms(g, seed=seed)
         payload = {r.name: {"passed": r.passed, "worst": r.worst} for r in rep.results}
         ok = rep.passed
     elif target == "dai":
-        fam = _resolve_family(scn, job["family"])
+        fam = _resolve_family(scn, _required(job, "family", "dai job"))
+        expect_si = job.get("expect_scale_invariance", fam.positive_homogeneous)
+        expect_si = _boolean("expect_scale_invariance", expect_si)
         rep = check_dai_axioms(fam, seed=seed)
         payload = {r.name: {"passed": r.passed, "worst": r.worst} for r in rep.results}
-        ok = rep.passed
-        expect_si = job.get("expect_scale_invariance", fam.positive_homogeneous)
-        ok = ok and (rep["scale_invariance"].passed == bool(expect_si))
+        ok = rep.passed and rep["scale_invariance"].passed == expect_si
     elif target == "family":
-        fam = _resolve_family(scn, job["family"])
-        rep = validate_family(fam)
+        rep = validate_family(_resolve_family(scn, _required(job, "family", "family job")))
         payload = {
             "monotone_in_level": rep.monotone_in_level,
             "each_level_convex": rep.each_level_convex,
@@ -421,40 +464,41 @@ def _job_axioms(scn: Scenario, job: dict, out_dir: str, idx: int):
         }
         ok = rep.passed
     elif target == "regularity":
-        rep = is_regular(_resolve_driver(scn, job["driver"]))
+        g = _resolve_driver(scn, _required(job, "driver", "regularity job"))
+        expect = _boolean("expect_regular", job.get("expect_regular", True))
+        rep = is_regular(g)
         payload = {"regular": rep.regular, "margin": rep.margin, "reason": rep.reason}
-        ok = rep.regular == bool(job.get("expect_regular", True))
+        ok = rep.regular == expect
     else:
         raise ScenarioError(f"unknown axioms target {target!r}")
-    out = job.get("out", f"job{idx}_axioms.json")
-    write_json(os.path.join(out_dir, out), payload)
-    return ("pass" if ok else "fail"), {"target": target, "artifact": out}
+    write_json(path, payload)
+    return ("pass" if ok else "fail"), {"target": target}
 
 
-def _job_index(scn: Scenario, job: dict, out_dir: str, idx: int):
-    fam = _resolve_family(scn, job["family"])
-    stream = _resolve_stream(scn, job["stream"])
-    t = _level("time", job.get("time", 0), scn.walk.tree.horizon)
+def _job_index(scn: Scenario, job: dict, path: str):
+    fam = _resolve_family(scn, _required(job, "family", "index job"))
+    stream = _resolve_stream(scn, _required(job, "stream", "index job"))
+    t = _integer("time", job.get("time", 0), 0, scn.walk.tree.horizon)
     alpha = acceptability_index(fam, stream, t)
-    out = job.get("out", f"job{idx}_index.json")
-    write_json(os.path.join(out_dir, out), {"time": t, "alpha": alpha})
+    write_json(path, {"time": t, "alpha": alpha})
     ok = True
     if "expect" in job:
         want = np.asarray(job["expect"], dtype=float)
-        tol = float(job.get("tol", 1e-6))
+        tol = _number("tol", job.get("tol", 1e-6))
         finite = np.isfinite(want)
         ok = bool(
             np.all(np.abs(alpha[finite] - want[finite]) <= tol)
             and np.all(np.isinf(alpha[~finite]))
         )
-    return ("pass" if ok else "fail"), {"artifact": out}
+    return ("pass" if ok else "fail"), {}
 
 
-def _job_arbitrage(scn: Scenario, job: dict, out_dir: str, idx: int):
+def _job_arbitrage(scn: Scenario, job: dict, path: str):
     if scn.market is None:
         raise ScenarioError("arbitrage job needs securities")
     cfg = _search_config(job, scn.seed)
-    entry = _level("entry", job.get("entry", 0), scn.walk.tree.horizon - 1)
+    entry = _integer("entry", job.get("entry", 0), 0, scn.walk.tree.horizon - 1)
+    expect = _choice("expect", job.get("expect"), (None, "found", "none"))
     res = find_arbitrage(scn.market, entry, cfg)
     payload = {
         "found": res.found,
@@ -470,9 +514,7 @@ def _job_arbitrage(scn: Scenario, job: dict, out_dir: str, idx: int):
             "prob_positive": res.certificate.prob_positive,
             "exact": res.certificate.exact,
         }
-    out = job.get("out", f"job{idx}_arbitrage.json")
-    write_json(os.path.join(out_dir, out), payload)
-    expect = job.get("expect")
+    write_json(path, payload)
     if expect == "found":
         status = "pass" if res.found else "fail"
     elif expect == "none":
@@ -481,19 +523,20 @@ def _job_arbitrage(scn: Scenario, job: dict, out_dir: str, idx: int):
             status = "warn"
     else:
         status = "warn" if not res.found else "pass"
-    return status, {"found": res.found, "artifact": out}
+    return status, {"found": res.found}
 
 
-def _job_ngd(scn: Scenario, job: dict, out_dir: str, idx: int):
+def _job_ngd(scn: Scenario, job: dict, path: str):
     if scn.market is None:
         raise ScenarioError("ngd job needs securities")
-    fam = _resolve_family(scn, job["family"])
+    fam = _resolve_family(scn, _required(job, "family", "ngd job"))
     cfg = _search_config(job, scn.seed)
-    entry = _level("entry", job.get("entry", 0), scn.walk.tree.horizon - 1)
-    rep = check_ngd(fam, _number("gamma", job["gamma"], positive=True), scn.market, entry, cfg)
-    out = job.get("out", f"job{idx}_ngd.json")
+    entry = _integer("entry", job.get("entry", 0), 0, scn.walk.tree.horizon - 1)
+    gamma = _number("gamma", _required(job, "gamma", "ngd job"), positive=True)
+    expect = _choice("expect", job.get("expect"), (None, "GOOD_DEAL_FOUND", "NONE_FOUND"))
+    rep = check_ngd(fam, gamma, scn.market, entry, cfg)
     write_json(
-        os.path.join(out_dir, out),
+        path,
         {
             "verdict": rep.verdict,
             "worst_risk": rep.worst_risk,
@@ -501,29 +544,27 @@ def _job_ngd(scn: Scenario, job: dict, out_dir: str, idx: int):
             "note": rep.note,
         },
     )
-    expect = job.get("expect")
     if expect is not None:
         status = "pass" if rep.verdict == expect else "fail"
         if status == "pass" and rep.verdict == "NONE_FOUND":
             status = "pass" if rep.consistent else "fail"
     else:
         status = "warn" if rep.verdict == "NONE_FOUND" else "pass"
-    return status, {"verdict": rep.verdict, "artifact": out}
+    return status, {"verdict": rep.verdict}
 
 
-def _job_hedged(scn: Scenario, job: dict, out_dir: str, idx: int):
+def _job_hedged(scn: Scenario, job: dict, path: str):
     if scn.market is None:
         raise ScenarioError("hedged job needs securities")
-    fam = _resolve_family(scn, job["family"])
-    stream = _resolve_stream(scn, job["stream"])
+    fam = _resolve_family(scn, _required(job, "family", "hedged job"))
+    stream = _resolve_stream(scn, _required(job, "stream", "hedged job"))
     cfg = _search_config(job, scn.seed)
-    entry = _level("entry", job.get("entry", 0), scn.walk.tree.horizon - 1)
-    gamma = _number("gamma", job["gamma"], positive=True)
+    entry = _integer("entry", job.get("entry", 0), 0, scn.walk.tree.horizon - 1)
+    gamma = _number("gamma", _required(job, "gamma", "hedged job"), positive=True)
     phi = _number("phi", job.get("phi", 1.0))
     rep = hedged_sandwich(fam, gamma, phi, stream, scn.market, entry, cfg)
-    out = job.get("out", f"job{idx}_hedged.json")
     write_json(
-        os.path.join(out_dir, out),
+        path,
         {
             "ask_improvement_min": rep.ask_improvement_min,
             "bid_improvement_min": rep.bid_improvement_min,
@@ -531,42 +572,62 @@ def _job_hedged(scn: Scenario, job: dict, out_dir: str, idx: int):
         },
     )
     ok = rep.ask_ok and rep.bid_ok and rep.spread_ok
-    return ("pass" if ok else "fail"), {"artifact": out}
+    return ("pass" if ok else "fail"), {}
 
 
-def _job_book_quotes(scn: Scenario, job: dict, out_dir: str, idx: int):
+def _job_book_quotes(scn: Scenario, job: dict, path: str):
     if scn.market is None:
         raise ScenarioError("book_quotes job needs securities")
-    sec = scn.market.security(job["security"])
-    side = job.get("side", "ask")
+    sid = _required(job, "security", "book_quotes job")
+    if sid not in [s.sid for s in scn.market.securities]:
+        raise ScenarioError(f"unknown security {sid!r}")
+    sec = scn.market.security(sid)
+    side = _choice("side", job.get("side", "ask"), ("ask", "bid"))
     op = sec.op_ask if side == "ask" else sec.op_bid
-    t = _level("time", job.get("time", 0), scn.walk.tree.horizon)
+    t = _integer("time", job.get("time", 0), 0, scn.walk.tree.horizon)
     n = scn.walk.tree.n_nodes(t)
+    phis = _typed("phis", _required(job, "phis", "book_quotes job"), list)
+    phis = [_number("phis", phi) for phi in phis]
     rows = []
     values = []
-    for phi in job["phis"]:
-        v = float(op.price(t, np.full(n, float(phi)))[0])
+    for phi in phis:
+        v = float(op.price(t, np.full(n, phi))[0])
         values.append(v)
-        rows.append((t, 0, side, _fmt(float(phi)), _fmt(v)))
-    out = job.get("out", f"job{idx}_book.csv")
-    write_csv(os.path.join(out_dir, out), ("t", "node", "side", "phi", "value"), rows)
+        rows.append((t, 0, side, _fmt(phi), _fmt(v)))
+    write_csv(path, ("t", "node", "side", "phi", "value"), rows)
     ok = True
     if "expect" in job:
         want = [float(x) for x in job["expect"]]
         ok = all(abs(a - b) <= 1e-9 for a, b in zip(values, want)) and len(want) == len(values)
-    return ("pass" if ok else "fail"), {"values": values, "artifact": out}
+    return ("pass" if ok else "fail"), {"values": values}
 
 
+# job type -> (runner, suffix of the default artifact name job<idx>_<suffix>)
 _JOB_RUNNERS = {
-    "solve": _job_solve,
-    "price_table": _job_price_table,
-    "axioms": _job_axioms,
-    "index": _job_index,
-    "arbitrage": _job_arbitrage,
-    "ngd": _job_ngd,
-    "hedged": _job_hedged,
-    "book_quotes": _job_book_quotes,
+    "solve": (_job_solve, "solve.csv"),
+    "price_table": (_job_price_table, "prices.csv"),
+    "axioms": (_job_axioms, "axioms.json"),
+    "index": (_job_index, "index.json"),
+    "arbitrage": (_job_arbitrage, "arbitrage.json"),
+    "ngd": (_job_ngd, "ngd.json"),
+    "hedged": (_job_hedged, "hedged.json"),
+    "book_quotes": (_job_book_quotes, "book.csv"),
 }
+
+
+def _artifact_names(jobs: list) -> list:
+    """Each job's artifact file name: its out, or job<idx>_<suffix>. A name
+    is a bare file name, so it stays inside the output directory, and it is
+    neither another job's name nor summary.json, so nothing is overwritten."""
+    names = []
+    for idx, job in enumerate(jobs):
+        name = job.get("out", f"job{idx}_{_JOB_RUNNERS[job['type']][1]}")
+        if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ScenarioError(f"job {idx}: out must be a bare file name, got {name!r}")
+        if name in names or name == "summary.json":
+            raise ScenarioError(f"job {idx}: out {name!r} is taken by another job or summary.json")
+        names.append(name)
+    return names
 
 
 def run_scenario(
@@ -578,28 +639,25 @@ def run_scenario(
 ) -> dict:
     """Run every job; write artifacts and summary.json; return the summary."""
     scn = load_scenario(cfg, seed_override)
+    names = _artifact_names(scn.jobs)
     os.makedirs(out_dir, exist_ok=True)
 
-    def run_one(idx_job):
-        idx, job = idx_job
-        jtype = job.get("type")
-        if jtype not in _JOB_RUNNERS:
-            raise ScenarioError(f"unknown job type {jtype!r}")
+    def run_one(idx):
+        jtype = scn.jobs[idx]["type"]
         try:
-            status, details = _JOB_RUNNERS[jtype](scn, job, out_dir, idx)
+            runner = _JOB_RUNNERS[jtype][0]
+            status, details = runner(scn, scn.jobs[idx], os.path.join(out_dir, names[idx]))
         except ScenarioError:
             raise
         except Exception as exc:  # report, do not kill sibling jobs
             return {"job": idx, "type": jtype, "status": "error", "error": f"{type(exc).__name__}: {exc}"}
-        return {"job": idx, "type": jtype, "status": status, **details}
+        return {"job": idx, "type": jtype, "status": status, **details, "artifact": names[idx]}
 
-    items = list(enumerate(scn.jobs))
     if jobs_parallel > 1:
         with ThreadPoolExecutor(max_workers=jobs_parallel) as ex:
-            entries = list(ex.map(run_one, items))
+            entries = list(ex.map(run_one, range(len(scn.jobs))))
     else:
-        entries = [run_one(it) for it in items]
-    entries.sort(key=lambda e: e["job"])
+        entries = [run_one(idx) for idx in range(len(scn.jobs))]
     statuses = [e["status"] for e in entries]
     failed = any(s in ("fail", "error") for s in statuses) or (
         strict and any(s == "warn" for s in statuses)

@@ -28,6 +28,10 @@ import numpy as np
 from .market import MarketModel, TradingStrategy, complete_bank_leg
 
 
+EXHAUSTIVE_MAX_DIMS = 24
+EXHAUSTIVE_CHUNK = 8192
+
+
 class InstanceTooLarge(ValueError):
     """The exhaustive grid would be astronomically large."""
 
@@ -42,7 +46,6 @@ class SearchConfig:
     seed: int = 0
     exhaustive: bool = False
     exhaustive_target: int = 200_000
-    max_dims: int = 24
     tol: float = 1e-9
 
 
@@ -219,7 +222,6 @@ def exhaustive_grid(
     dims: int,
     cfg: SearchConfig,
     bound: float,
-    chunk: int = 8192,
 ) -> SearchOutcome:
     """Sweep the full product grid on [0, bound]^dims.
 
@@ -228,8 +230,8 @@ def exhaustive_grid(
     would pass five million nodes (or whose dimension exceeds the cap) are
     refused.
     """
-    if dims > cfg.max_dims:
-        raise InstanceTooLarge(f"{dims} dimensions exceed the exhaustive cap {cfg.max_dims}")
+    if dims > EXHAUSTIVE_MAX_DIMS:
+        raise InstanceTooLarge(f"{dims} dimensions exceed the exhaustive cap {EXHAUSTIVE_MAX_DIMS}")
     points = max(2, int(round(cfg.exhaustive_target ** (1.0 / dims))))
     while points ** dims < cfg.exhaustive_target:
         points += 1
@@ -239,8 +241,8 @@ def exhaustive_grid(
     grid = np.linspace(0.0, bound, points)
     best_p, best_s = None, -np.inf
     evals = 0
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, EXHAUSTIVE_CHUNK):
+        flat = np.arange(start, min(start + EXHAUSTIVE_CHUNK, total))
         multi = np.stack(np.unravel_index(flat, (points,) * dims), axis=-1)
         rows = grid[multi]
         scores = np.asarray(evaluate(rows), dtype=float)

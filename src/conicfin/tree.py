@@ -145,21 +145,10 @@ class FiltrationTree:
             idx = self.parent[v][idx]
         return idx
 
-    def children(self, t: int, j: int) -> slice:
-        """Slice of level-t indices holding the children of node j at level t-1."""
-        off = self.offsets[t]
-        return slice(int(off[j]), int(off[j + 1]))
-
     def segment_max(self, x: np.ndarray, t: int) -> np.ndarray:
         """Per-parent maximum of a level-t array (shape (..., n_{t-1}))."""
         x = self.check_level_array(x, t)
         return np.maximum.reduceat(x, self.offsets[t][:-1], axis=-1)
-
-    def indicator(self, t: int, nodes: Sequence[int]) -> np.ndarray:
-        """Indicator of a union of level-t nodes, as a level-t 0/1 array."""
-        a = np.zeros(self.n_nodes(t))
-        a[np.asarray(list(nodes), dtype=np.int64)] = 1.0
-        return a
 
     # ---- measure change -------------------------------------------------
 

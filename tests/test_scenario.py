@@ -261,10 +261,37 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
         {"type": "ngd", "family": "ent", "gamma": "nan", "search": LIGHT_SEARCH},
         {"type": "arbitrage", "search": {**LIGHT_SEARCH, "grid_points": 0}},
         {"type": "arbitrage", "search": {**LIGHT_SEARCH, "bound": -1}},
+        {"type": "ngd", "family": "ent", "search": LIGHT_SEARCH},
+        {"type": "arbitrage", "search": {**LIGHT_SEARCH, "sweeps": "x"}},
+        {"type": "arbitrage", "search": {**LIGHT_SEARCH, "tol": "nan"}},
+        {"type": "arbitrage", "search": {**LIGHT_SEARCH, "tol": float("nan")}},
+        {"type": "arbitrage", "search": {**LIGHT_SEARCH, "multi_starts": -1}},
+        {"type": "arbitrage", "search": {**LIGHT_SEARCH, "seed": 1.5}},
+        {"type": "arbitrage", "search": {**LIGHT_SEARCH, "exhaustive": "true"}},
+        {"type": "arbitrage", "search": {**LIGHT_SEARCH, "exhaustive_target": 0}},
+        {"type": "arbitrage", "search": {**LIGHT_SEARCH, "sweep": 2}},
+        {"type": "arbitrage", "search": LIGHT_SEARCH, "out": "../escaped.json"},
+        {"type": "arbitrage", "search": LIGHT_SEARCH, "out": str(tmp_path / "escaped.json")},
+        {"type": "arbitrage", "search": LIGHT_SEARCH, "out": "summary.json"},
+        {"type": "book_quotes", "security": "note", "phis": [1.0], "side": "mid"},
+        {"type": "book_quotes", "security": "nope", "phis": [1.0]},
+        {"type": "book_quotes", "security": "note", "phis": ["a"]},
+        {"type": "book_quotes", "security": "note", "phis": 5},
+        {"type": "index", "family": "ent", "stream": "payout", "expect": [0.1], "tol": "x"},
+        {"type": "axioms", "target": "regularity", "driver": "zero", "expect_regular": "false"},
+        {"type": "axioms", "target": "dai", "family": "ent", "expect_scale_invariance": "false"},
+        {"type": "arbitrage", "expect": "nope", "search": LIGHT_SEARCH},
+        {"type": "ngd", "family": "ent", "gamma": 2.0, "expect": "nope", "search": LIGHT_SEARCH},
     ):
         cfg["jobs"] = [job]
         with pytest.raises(ScenarioError):
             run_scenario(cfg, str(tmp_path / "out5"))
+    assert not (tmp_path / "escaped.json").exists()
+    twice = {"type": "arbitrage", "search": LIGHT_SEARCH, "out": "same.json"}
+    cfg["jobs"] = [twice, {**twice, "expect": "none"}]
+    with pytest.raises(ScenarioError):
+        run_scenario(cfg, str(tmp_path / "out6"))
+    assert not (tmp_path / "out6").exists()
 
 
 def test_render_summary_lists_one_line_per_job(tmp_path):
@@ -309,7 +336,10 @@ def test_cli_exit_code_two_for_unusable_input(tmp_path, capsys):
     nan_stream["streams"]["payout"]["values"][1] = [float("nan"), -0.1]
     typo = conic_cfg()
     typo["drivers"] = {"lin": {"kind": "linear", "slop": 0.3}}
-    for k, cfg in enumerate((nan_stream, typo)):
+    malformed = [nan_stream, typo]
+    for key, value in (("streams", {"bad": 5}), ("drivers", []), ("jobs", "solve"), ("jobs", [5])):
+        malformed.append({**conic_cfg(), key: value})
+    for k, cfg in enumerate(malformed):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
