@@ -68,12 +68,8 @@ def solve_bsde(g: Driver, terminal, walk: MartingaleSpec) -> BsdeSolution:
             + np.take(prev, tr.parent[t], axis=-1)
         )
         Y[t - 1] = prev + g.eval(t, Z[t]) * walk.dqv(t)
-    batch = Y[T].shape[:-1]
-    Z[0] = np.zeros(batch + (1,))
-    M = [np.zeros(batch + (1,))]
-    for t in range(1, T + 1):
-        M.append(np.take(M[t - 1], tr.parent[t], axis=-1) + dM[t])
-    return BsdeSolution(Y=tuple(Y), Z=tuple(Z), M=tuple(M))
+    Z[0] = dM[0] = np.zeros(Y[T].shape[:-1] + (1,))
+    return BsdeSolution(Y=tuple(Y), Z=tuple(Z), M=tuple(tr.path_sums(dM, 0, T)))
 
 
 @dataclass(frozen=True)

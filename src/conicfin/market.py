@@ -125,6 +125,9 @@ class OrderBookOperator(PricingOperator):
             raise MarketError(f"side must be ask or bid, got {side!r}")
         if not ladder:
             raise MarketError("ladder must have at least one level")
+        integral = isinstance(tick_scale, (int, np.integer)) and not isinstance(tick_scale, bool)
+        if not (integral and tick_scale >= 1):
+            raise MarketError(f"tick_scale must be an integer >= 1, got {tick_scale!r}")
         self.side = side
         self.tick_scale = int(tick_scale)
         prices, sizes = [], []

@@ -149,13 +149,20 @@ def _integer(key: str, value, low: int = 0, high: Optional[int] = None) -> int:
     return int(value)
 
 
+def _finite(key: str, value) -> float:
+    """A finite number of either sign."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ScenarioError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _number(key: str, value, positive: bool = False) -> float:
     """A finite number, nonnegative or positive."""
-    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (number and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+    x = _finite(key, value)
+    if not (x > 0 if positive else x >= 0):
         sign = "positive" if positive else "nonnegative"
         raise ScenarioError(f"{key} must be a finite {sign} number, got {value!r}")
-    return float(value)
+    return x
 
 
 def _boolean(key: str, value) -> bool:
@@ -242,7 +249,7 @@ def _build_security(scn: Scenario, spec) -> Security:
         )
     if flavor == "book":
         stream = _resolve_stream(scn, spec.get("stream", "zero"))
-        scale = int(spec.get("tick_scale", 100))
+        scale = spec.get("tick_scale", 100)
         return Security(
             sid=sid,
             stream_ask=stream,
@@ -408,12 +415,14 @@ def _job_price_table(scn: Scenario, job: dict, path: str):
         raise ScenarioError(f"gammas must list at least one level, got {gammas!r}")
     gammas = [_number("gammas", g, positive=True) for g in gammas]
     phi = _number("phi", job.get("phi", 1.0))
-    times = [_integer("times", t, 0, tr.horizon) for t in job.get("times", range(tr.horizon + 1))]
+    times = _typed("times", job.get("times", list(range(tr.horizon + 1))), list)
+    times = [_integer("times", t, 0, tr.horizon) for t in times]
     if not times:
         raise ScenarioError("times must list at least one time")
-    sides = job.get("sides", ["ask", "bid"])
-    if not sides or any(side not in ("ask", "bid") for side in sides):
-        raise ScenarioError(f"sides must list 'ask' and/or 'bid', got {sides!r}")
+    sides = _typed("sides", job.get("sides", ["ask", "bid"]), list)
+    sides = [_choice("sides", side, ("ask", "bid")) for side in sides]
+    if not sides:
+        raise ScenarioError("sides must list 'ask' and/or 'bid'")
     rows = []
     worst_cross = 0.0
     for t in times:
@@ -479,12 +488,18 @@ def _job_index(scn: Scenario, job: dict, path: str):
     fam = _resolve_family(scn, _required(job, "family", "index job"))
     stream = _resolve_stream(scn, _required(job, "stream", "index job"))
     t = _integer("time", job.get("time", 0), 0, scn.walk.tree.horizon)
+    n = scn.walk.tree.n_nodes(t)
+    if "expect" in job:
+        want = _typed("expect", job["expect"], list)
+        if len(want) != n:
+            raise ScenarioError(f"expect must list {n} values, got {len(want)}")
+        # an unbounded index is +inf, or the "inf" string the index artifact writes
+        want = np.array([math.inf if w in ("inf", math.inf) else _number("expect", w) for w in want])
+        tol = _number("tol", job.get("tol", 1e-6))
     alpha = acceptability_index(fam, stream, t)
     write_json(path, {"time": t, "alpha": alpha})
     ok = True
     if "expect" in job:
-        want = np.asarray(job["expect"], dtype=float)
-        tol = _number("tol", job.get("tol", 1e-6))
         finite = np.isfinite(want)
         ok = bool(
             np.all(np.abs(alpha[finite] - want[finite]) <= tol)
@@ -588,6 +603,7 @@ def _job_book_quotes(scn: Scenario, job: dict, path: str):
     n = scn.walk.tree.n_nodes(t)
     phis = _typed("phis", _required(job, "phis", "book_quotes job"), list)
     phis = [_number("phis", phi) for phi in phis]
+    want = [_finite("expect", x) for x in _typed("expect", job.get("expect", []), list)]
     rows = []
     values = []
     for phi in phis:
@@ -597,7 +613,6 @@ def _job_book_quotes(scn: Scenario, job: dict, path: str):
     write_csv(path, ("t", "node", "side", "phi", "value"), rows)
     ok = True
     if "expect" in job:
-        want = [float(x) for x in job["expect"]]
         ok = all(abs(a - b) <= 1e-9 for a, b in zip(values, want)) and len(want) == len(values)
     return ("pass" if ok else "fail"), {"values": values}
 

@@ -2,9 +2,11 @@
 
 A tree with horizon T has levels 0..T. Level t holds n_t nodes indexed
 0..n_t-1; every level-t node (t >= 1) stores the index of its parent at
-level t-1 and the probability of the branch leading to it. Children of one
-parent occupy a contiguous index range, so conditional expectations run as
-segmented sums over the last axis.
+level t-1 and the probability of the branch leading to it. A parent may
+have any number of children, which occupy a contiguous index range, so the
+per-parent probability check and conditional expectations run as segmented
+reductions over the last axis. Sums along paths run forward one level at a
+time (FiltrationTree.path_sums).
 
 Random variables measurable at time t are float arrays of shape (..., n_t);
 leading axes are batch axes. Quantities predictable at time t (known at
@@ -57,13 +59,7 @@ class NonMartingaleIncrement(TreeError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-def _readonly_int(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.int64)
+    a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
 
@@ -145,6 +141,15 @@ class FiltrationTree:
             idx = self.parent[v][idx]
         return idx
 
+    def path_sums(self, x: Sequence, s: int, u: int) -> list:
+        """Running sums x[s] + ... + x[v] along each path, one level-v array
+        for each v = s..u. x[v] is level-v measurable and may carry leading
+        batch axes; each path adds its terms in level order from x[s] + 0.0."""
+        sums = [x[s] + 0.0]
+        for v in range(s + 1, u + 1):
+            sums.append(np.take(sums[-1], self.parent[v], axis=-1) + x[v])
+        return sums
+
     def segment_max(self, x: np.ndarray, t: int) -> np.ndarray:
         """Per-parent maximum of a level-t array (shape (..., n_{t-1}))."""
         x = self.check_level_array(x, t)
@@ -159,19 +164,13 @@ class FiltrationTree:
         branch probabilities; node probabilities are recomputed.
         """
         bp = [None]
+        np_levels = [self.node_prob[0]]
         for t in range(1, self.horizon + 1):
             p = np.asarray(new_branch_prob[t], dtype=float)
             if p.shape != (self.n_nodes(t),):
                 raise LevelMismatch(f"level {t} expects {self.n_nodes(t)} branch probabilities")
-            sums = np.add.reduceat(p, self.offsets[t][:-1])
-            if np.any(p <= 0.0) or np.any(np.abs(sums - 1.0) > PROB_TOL):
-                raise NonstochasticProbabilities(
-                    f"level {t}: branch probabilities must be positive and sum to 1"
-                )
             bp.append(_readonly(p))
-        np_levels = [self.node_prob[0]]
-        for t in range(1, self.horizon + 1):
-            np_levels.append(_readonly(np_levels[t - 1][self.parent[t]] * bp[t]))
+            np_levels.append(_node_prob(t, self.parent[t], self.offsets[t], p, np_levels[t - 1]))
         return FiltrationTree(
             horizon=self.horizon,
             parent=self.parent,
@@ -200,31 +199,28 @@ def build_tree(branching: Sequence) -> FiltrationTree:
         total += n
         if total > MAX_NODES:
             raise TreeError(f"level {t} takes the tree past {MAX_NODES} nodes")
-    parent = [None]
-    offsets = [None]
-    branch_prob = [None]
+    parent, offsets, branch_prob = [None], [None], [None]
     node_prob = [_readonly(np.ones(1))]
-    n_prev = 1
     for t, spec in enumerate(branching, start=1):
-        per_parent = _normalize_level_spec(spec, n_prev, t)
-        par, probs, offs = [], [], [0]
-        for k, pvec in enumerate(per_parent):
-            p = np.asarray(pvec, dtype=float)
-            if p.ndim != 1 or p.size == 0:
-                raise EmptyLevel(f"level {t}, parent {k}: needs at least one child")
-            if np.any(p <= 0.0) or abs(p.sum() - 1.0) > PROB_TOL:
-                raise NonstochasticProbabilities(
-                    f"level {t}, parent {k}: probabilities must be positive and sum to 1"
+        n_prev = node_prob[t - 1].size
+        if len(spec) > 0 and np.isscalar(spec[0]):
+            p = np.asarray(spec, dtype=float)
+            sizes = np.full(n_prev, p.size)
+            bp = np.tile(p, n_prev)
+        else:
+            if len(spec) != n_prev:
+                raise LevelMismatch(
+                    f"level {t}: got {len(spec)} probability vectors for {n_prev} parents"
                 )
-            par.extend([k] * p.size)
-            probs.append(p)
-            offs.append(offs[-1] + p.size)
-        parent.append(_readonly_int(np.array(par)))
-        offsets.append(_readonly_int(np.array(offs)))
-        bp = _readonly(np.concatenate(probs))
-        branch_prob.append(bp)
-        node_prob.append(_readonly(node_prob[t - 1][parent[t]] * bp))
-        n_prev = bp.size
+            vecs = [np.asarray(p, dtype=float) for p in spec]
+            sizes = np.array([p.size if p.ndim == 1 else 0 for p in vecs], dtype=np.int64)
+            if not np.all(sizes):
+                raise EmptyLevel(f"level {t}, parent {np.argmin(sizes)}: needs at least one child")
+            bp = np.concatenate(vecs)
+        parent.append(_readonly(np.repeat(np.arange(n_prev), sizes)))
+        offsets.append(_readonly(np.concatenate(([0], np.cumsum(sizes)))))
+        branch_prob.append(_readonly(bp))
+        node_prob.append(_node_prob(t, parent[t], offsets[t], bp, node_prob[t - 1]))
     return FiltrationTree(
         horizon=len(branching),
         parent=tuple(parent),
@@ -234,15 +230,17 @@ def build_tree(branching: Sequence) -> FiltrationTree:
     )
 
 
-def _normalize_level_spec(spec, n_prev: int, t: int):
-    spec = list(spec)
-    if len(spec) > 0 and np.isscalar(spec[0]):
-        return [spec] * n_prev
-    if len(spec) != n_prev:
-        raise LevelMismatch(
-            f"level {t}: got {len(spec)} probability vectors for {n_prev} parents"
+def _node_prob(t: int, parent, offsets, bp, prev) -> np.ndarray:
+    """Level-t node probabilities prev[parent] * bp, once every parent's
+    children carry positive branch probabilities summing to one (NaN fails)."""
+    low = np.minimum.reduceat(bp, offsets[:-1])
+    sums = np.add.reduceat(bp, offsets[:-1])
+    bad = np.flatnonzero(~((low > 0.0) & (np.abs(sums - 1.0) <= PROB_TOL)))
+    if bad.size:
+        raise NonstochasticProbabilities(
+            f"level {t}, parent {bad[0]}: probabilities must be positive and sum to 1"
         )
-    return spec
+    return _readonly(prev[parent] * bp)
 
 
 def uniform_binary_tree(horizon: int) -> FiltrationTree:
@@ -286,11 +284,7 @@ class MartingaleSpec:
 
     def path_values(self) -> list:
         """W_t along the tree (W_0 = 0), one level-t array per t."""
-        tr = self.tree
-        w = [np.zeros(1)]
-        for t in range(1, tr.horizon + 1):
-            w.append(w[t - 1][tr.parent[t]] + self.increments[t])
-        return w
+        return self.tree.path_sums((np.zeros(1),) + self.increments[1:], 0, self.tree.horizon)
 
 
 def martingale_from_increments(
@@ -300,8 +294,9 @@ def martingale_from_increments(
 ) -> MartingaleSpec:
     """Validate increments and package them with their quadratic variation.
 
-    Rejects increments whose conditional mean exceeds 1e-12 in absolute
-    value and increments with conditional variance below 1e-14.
+    Rejects non-finite increments, increments whose conditional mean exceeds
+    1e-12 in absolute value and increments with conditional variance below
+    1e-14.
     """
     inc = [None]
     qv = [None]
@@ -309,6 +304,8 @@ def martingale_from_increments(
         d = tree.check_level_array(np.asarray(increments[t], dtype=float), t)
         if d.ndim != 1:
             raise LevelMismatch(f"level {t}: increments must be one flat array per level")
+        if not np.all(np.isfinite(d)):
+            raise TreeError(f"level {t}: increments must be finite")
         mean = tree.condexp_step(d, t)
         if np.max(np.abs(mean)) > MEAN_TOL:
             raise NonMartingaleIncrement(
@@ -340,12 +337,9 @@ def symmetric_random_walk(tree: FiltrationTree) -> MartingaleSpec:
             raise NotBinaryTree(f"level {t}: symmetric walk needs exactly 2 children per node")
         if np.max(np.abs(tree.branch_prob[t] - 0.5)) > PROB_TOL:
             raise NotSymmetric(f"level {t}: symmetric walk needs 1/2-1/2 branches")
-    increments = [None]
-    for t in range(1, tree.horizon + 1):
-        d = np.empty(tree.n_nodes(t))
-        d[0::2] = 1.0
-        d[1::2] = -1.0
-        increments.append(d)
+    increments = [None] + [
+        np.tile([1.0, -1.0], tree.n_nodes(t - 1)) for t in range(1, tree.horizon + 1)
+    ]
     return martingale_from_increments(tree, increments, predictable_representation=True)
 
 
@@ -378,18 +372,13 @@ class AdaptedProcess:
     def future_sum(self, t: int) -> np.ndarray:
         """Leaf-level array of sum_{s=t}^{T} X_s along each path."""
         tr = self.tree
-        total = np.zeros(tr.n_leaves)
-        for s in range(t, tr.horizon + 1):
-            total = total + tr.broadcast(self.values[s], s, tr.horizon)
-        return total
+        if t > tr.horizon:
+            return np.zeros(tr.n_leaves)
+        return tr.path_sums(self.values, t, tr.horizon)[-1]
 
     def cumulative_through(self, t: int) -> np.ndarray:
         """Level-t array of sum_{s=0}^{t} X_s along each path."""
-        tr = self.tree
-        total = np.zeros(tr.n_nodes(t))
-        for s in range(0, t + 1):
-            total = total + tr.broadcast(self.values[s], s, t)
-        return total
+        return self.tree.path_sums(self.values, 0, t)[-1]
 
     def scale_from(self, lam: np.ndarray, t: int) -> "AdaptedProcess":
         """The truncating module action: (0,...,0, lam*X_t, ..., lam*X_T).

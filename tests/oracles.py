@@ -18,6 +18,25 @@ def ancestor_ids(tree, u: int, t: int) -> np.ndarray:
     return ids
 
 
+def tree_levels(branching) -> dict:
+    """parent, offsets, branch_prob and node_prob of build_tree(branching),
+    built one parent and one child at a time."""
+    levels = {"parent": [None], "offsets": [None], "branch_prob": [None], "node_prob": [[1.0]]}
+    for spec in branching:
+        prev = levels["node_prob"][-1]
+        per_parent = [spec] * len(prev) if np.isscalar(spec[0]) else spec
+        par, offs, probs, nodes = [], [0], [], []
+        for k, pvec in enumerate(per_parent):
+            for p in pvec:
+                par.append(k)
+                probs.append(float(p))
+                nodes.append(prev[k] * float(p))
+            offs.append(len(par))
+        for key, level in zip(levels, (par, offs, probs, nodes)):
+            levels[key].append(level)
+    return levels
+
+
 def node_probabilities(tree, t: int) -> np.ndarray:
     """Unconditional node probabilities at level t from branch products."""
     p = np.ones(1)

@@ -118,6 +118,9 @@ def test_order_book_rejects_bad_orders_and_ladders():
         OrderBookOperator("mid", AAPL_ASK)
     with pytest.raises(MarketError):
         OrderBookOperator("ask", [])
+    for scale in (0, -1, 2.5, "100", True):
+        with pytest.raises(MarketError, match="tick_scale"):
+            OrderBookOperator("ask", AAPL_ASK, tick_scale=scale)
 
 
 def test_conic_operator_prices_match_quote_functions():

@@ -282,6 +282,16 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
         {"type": "axioms", "target": "dai", "family": "ent", "expect_scale_invariance": "false"},
         {"type": "arbitrage", "expect": "nope", "search": LIGHT_SEARCH},
         {"type": "ngd", "family": "ent", "gamma": 2.0, "expect": "nope", "search": LIGHT_SEARCH},
+        {"type": "price_table", "family": "ent", "stream": "payout", "times": 3},
+        {"type": "price_table", "family": "ent", "stream": "payout", "sides": 5},
+        {"type": "price_table", "family": "ent", "stream": "payout", "sides": {"ask": 1}},
+        {"type": "index", "family": "ent", "stream": "payout", "expect": "x"},
+        {"type": "index", "family": "ent", "stream": "payout", "expect": [0.1, 0.2]},
+        {"type": "index", "family": "ent", "stream": "payout", "expect": ["infinite"]},
+        {"type": "index", "family": "ent", "stream": "payout", "expect": [float("nan")]},
+        {"type": "book_quotes", "security": "note", "phis": [1.0], "expect": 5},
+        {"type": "book_quotes", "security": "note", "phis": [1.0], "expect": ["a"]},
+        {"type": "book_quotes", "security": "note", "phis": [1.0], "expect": [float("inf")]},
     ):
         cfg["jobs"] = [job]
         with pytest.raises(ScenarioError):
@@ -339,6 +349,11 @@ def test_cli_exit_code_two_for_unusable_input(tmp_path, capsys):
     malformed = [nan_stream, typo]
     for key, value in (("streams", {"bad": 5}), ("drivers", []), ("jobs", "solve"), ("jobs", [5])):
         malformed.append({**conic_cfg(), key: value})
+    malformed.append({"tree": {"levels": [[float("nan"), 0.5]]}})
+    for scale in (0, 2.5):
+        book = tables_cfg()
+        book["securities"][1]["tick_scale"] = scale
+        malformed.append(book)
     for k, cfg in enumerate(malformed):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(cfg))

@@ -9,6 +9,7 @@ from conicfin import (
     DegenerateIncrement,
     FiltrationTree,
     LevelMismatch,
+    MartingaleSpec,
     NonMartingaleIncrement,
     NonstochasticProbabilities,
     NotBinaryTree,
@@ -40,6 +41,10 @@ def test_build_tree_rejects_nonstochastic_rows():
         build_tree([[0.4, 0.4]])
     with pytest.raises(NonstochasticProbabilities):
         build_tree([[0.5, 0.5], [1.2, -0.2]])
+    with pytest.raises(NonstochasticProbabilities, match="parent 0"):
+        build_tree([[np.nan, 0.5]])
+    with pytest.raises(NonstochasticProbabilities, match="level 2, parent 1"):
+        build_tree([[0.5, 0.5], [[0.5, 0.5], [np.inf, 0.5]]])
 
 
 def test_build_tree_per_parent_branching():
@@ -47,6 +52,64 @@ def test_build_tree_per_parent_branching():
     assert tree.n_nodes(1) == 2
     assert tree.n_nodes(2) == 5
     assert np.allclose(tree.node_prob[2], [0.125, 0.125, 0.075, 0.15, 0.525])
+
+
+_CHILDREN = st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=4).map(
+    lambda w: [x / sum(w) for x in w]
+)
+
+
+@st.composite
+def branchings(draw):
+    """Horizon 1..4; each level one shared vector or one vector per parent, 1-4 children."""
+    levels, n = [], 1
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            levels.append(draw(_CHILDREN))
+            n *= len(levels[-1])
+        else:
+            levels.append([draw(_CHILDREN) for _ in range(n)])
+            n = sum(len(p) for p in levels[-1])
+    return levels
+
+
+@given(branchings())
+@settings(max_examples=60, deadline=None)
+def test_build_tree_matches_per_parent_loop(levels):
+    tree = build_tree(levels)
+    for key, want in oracles.tree_levels(levels).items():
+        got = getattr(tree, key)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g is w is None or np.array_equal(g, np.asarray(w))
+
+
+@given(branchings(), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_path_sums_equal_broadcast_sums_bit_for_bit(levels, seed):
+    tree = build_tree(levels)
+    T = tree.horizon
+    rng = np.random.default_rng(seed)
+    D = AdaptedProcess(tree, tuple(rng.normal(size=tree.n_nodes(t)) for t in range(T + 1)))
+
+    def broadcast_sum(x, first, last, u):
+        total = np.zeros(x[u].shape)
+        for s in range(first, last + 1):
+            total = total + tree.broadcast(x[s], s, u)
+        return total
+
+    for t in range(T + 2):
+        assert np.array_equal(D.future_sum(t), broadcast_sum(D.values, t, T, T))
+    for t in range(T + 1):
+        assert np.array_equal(D.cumulative_through(t), broadcast_sum(D.values, 0, t, t))
+    inc = (None,) + tuple(rng.normal(size=tree.n_nodes(t)) for t in range(1, T + 1))
+    paths = MartingaleSpec(tree, inc, (None,) * (T + 1)).path_values()
+    assert np.array_equal(paths[0], np.zeros(1))
+    for t in range(1, T + 1):
+        assert np.array_equal(paths[t], broadcast_sum(inc, 1, t, t))
+    batch = [rng.normal(size=(3, tree.n_nodes(t))) for t in range(T + 1)]
+    for t, got in enumerate(tree.path_sums(batch, 0, T)):
+        assert np.array_equal(got, broadcast_sum(batch, 0, t, t))
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**31 - 1))
@@ -132,6 +195,9 @@ def test_martingale_from_increments_validation():
     degenerate = [None, np.array([0.0, 0.0]), np.array([1.0, -1.0, 1.0, -1.0])]
     with pytest.raises(DegenerateIncrement):
         martingale_from_increments(tree, degenerate)
+    for bad in ([np.nan, 1.0], [np.inf, -np.inf]):
+        with pytest.raises(TreeError, match="finite"):
+            martingale_from_increments(tree, [None, np.array(bad), np.array([1.0, -1.0, 1.0, -1.0])])
 
 
 def test_martingale_from_increments_custom_qv():
@@ -206,3 +272,5 @@ def test_with_probabilities_replaces_measure():
     assert np.allclose(tilted.node_prob[1], [0.75, 0.25])
     x = np.array([4.0, 0.0])
     assert abs(float(tilted.conditional_expectation(x, 1, 0)[0]) - 3.0) < ATOL
+    with pytest.raises(NonstochasticProbabilities):
+        tree.with_probabilities([None, np.array([np.nan, 0.5])])
