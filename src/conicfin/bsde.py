@@ -14,6 +14,7 @@ are carried through every level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,16 +40,29 @@ class BsdeSolution:
     """Backward solution triple; Y[t] lives on level t, Z[t] on level t-1 slots.
 
     Z[0] is the zero array (convention) and M[0] = 0; M accumulates the
-    orthogonal increments forward.
+    orthogonal increments forward. M is built from Y, Z and the walk on
+    first access and then kept.
     """
 
     Y: tuple
     Z: tuple
-    M: tuple
+    walk: MartingaleSpec
 
     def value(self) -> np.ndarray:
         """Initial value Y_0, shape (..., 1)."""
         return self.Y[0]
+
+    @cached_property
+    def M(self) -> tuple:
+        tr = self.walk.tree
+        dM = [self.Z[0]]
+        for t in range(1, tr.horizon + 1):
+            dM.append(
+                np.take(self.Z[t], tr.parent[t], axis=-1) * self.walk.dW(t)
+                - self.Y[t]
+                + np.take(tr.condexp_step(self.Y[t], t), tr.parent[t], axis=-1)
+            )
+        return tuple(tr.path_sums(dM, 0, tr.horizon))
 
 
 def solve_bsde(g: Driver, terminal, walk: MartingaleSpec) -> BsdeSolution:
@@ -57,19 +71,13 @@ def solve_bsde(g: Driver, terminal, walk: MartingaleSpec) -> BsdeSolution:
     T = tr.horizon
     Y = [None] * (T + 1)
     Z = [None] * (T + 1)
-    dM = [None] * (T + 1)
     Y[T] = tr.check_level_array(np.asarray(terminal, dtype=float), T)
     for t in range(T, 0, -1):
         prev = tr.condexp_step(Y[t], t)
         Z[t] = tr.condexp_step(Y[t] * walk.dW(t), t) / walk.dqv(t)
-        dM[t] = (
-            np.take(Z[t], tr.parent[t], axis=-1) * walk.dW(t)
-            - Y[t]
-            + np.take(prev, tr.parent[t], axis=-1)
-        )
         Y[t - 1] = prev + g.eval(t, Z[t]) * walk.dqv(t)
-    Z[0] = dM[0] = np.zeros(Y[T].shape[:-1] + (1,))
-    return BsdeSolution(Y=tuple(Y), Z=tuple(Z), M=tuple(tr.path_sums(dM, 0, T)))
+    Z[0] = np.zeros(Y[T].shape[:-1] + (1,))
+    return BsdeSolution(Y=tuple(Y), Z=tuple(Z), walk=walk)
 
 
 @dataclass(frozen=True)

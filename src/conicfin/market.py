@@ -69,7 +69,11 @@ class ConicOperator(PricingOperator):
 
     The ask of phi shares is the nonlinear expectation of phi times the
     stream's strictly-future payments; the bid negates the expectation of
-    the negated payoff. Quotes at the horizon are zero.
+    the negated payoff. Two quotes skip the backward solve and return what
+    it would: an all-zero phi before the horizon quotes +0.0 on the ask
+    side and -0.0 on the bid side (drivers are normalized, and every
+    builtin family has g(t, +-0) = +0.0), and a quote at the horizon is
+    tail_payoff itself, phi times no future payments.
     """
 
     def __init__(self, side: str, family: DriverFamily, gamma: float, stream: AdaptedProcess):
@@ -84,7 +88,13 @@ class ConicOperator(PricingOperator):
         self._g = family.make(gamma)
 
     def price(self, t: int, phi: np.ndarray) -> np.ndarray:
-        payoff = tail_payoff(self.stream, np.asarray(phi, dtype=float), t)
+        phi = np.asarray(phi, dtype=float)
+        tr = self.stream.tree
+        if 0 <= t < tr.horizon and not np.any(tr.check_level_array(phi, t)):
+            return np.zeros(phi.shape) if self.side == "ask" else np.full(phi.shape, -0.0)
+        payoff = tail_payoff(self.stream, phi, t)
+        if t == tr.horizon:
+            return payoff
         if self.side == "ask":
             return solve_bsde(self._g, payoff, self.family.walk).Y[t]
         return -solve_bsde(self._g, -payoff, self.family.walk).Y[t]
@@ -101,6 +111,9 @@ class DirectOperator(PricingOperator):
         self.tree = tree
         self.tables = tuple(tree.check_level_array(np.asarray(v, float), t)
                             for t, v in enumerate(tables))
+        for t, v in enumerate(self.tables):
+            if not np.all(np.isfinite(v)):
+                raise MarketError(f"level {t}: unit prices must be finite")
 
     def price(self, t: int, phi: np.ndarray) -> np.ndarray:
         return np.asarray(phi, dtype=float) * self.tables[t]
@@ -132,6 +145,8 @@ class OrderBookOperator(PricingOperator):
         self.tick_scale = int(tick_scale)
         prices, sizes = [], []
         for px, sz in ladder:
+            if not (np.isfinite(float(px)) and np.isfinite(float(sz))):
+                raise MarketError(f"ladder prices and sizes must be finite, got ({px}, {sz})")
             scaled = round(float(px) * self.tick_scale)
             if abs(float(px) * self.tick_scale - scaled) > 1e-6:
                 raise MarketError(f"price {px} is off the 1/{tick_scale} tick grid")

@@ -82,6 +82,11 @@ class FiltrationTree:
     branch_prob: tuple
     node_prob: tuple
 
+    def __post_init__(self):
+        # ancestor_map's read-only index arrays, keyed by (u, t); the tree
+        # never changes, so each map is built once.
+        object.__setattr__(self, "_ancestors", {})
+
     def n_nodes(self, t: int) -> int:
         return self.node_prob[t].shape[0]
 
@@ -133,12 +138,16 @@ class FiltrationTree:
         return np.take(x, self.ancestor_map(u, t), axis=-1) if u > t else x
 
     def ancestor_map(self, u: int, t: int) -> np.ndarray:
-        """Index array of length n_u sending level-u nodes to level-t ancestors."""
+        """Read-only index array of length n_u sending level-u nodes to their
+        level-t ancestors; built on the first call and shared after."""
         if t > u:
             raise LevelMismatch(f"level {t} nodes are not ancestors of level {u}")
-        idx = np.arange(self.n_nodes(u), dtype=np.int64)
-        for v in range(u, t, -1):
-            idx = self.parent[v][idx]
+        idx = self._ancestors.get((u, t))
+        if idx is None:
+            idx = np.arange(self.n_nodes(u), dtype=np.int64)
+            for v in range(u, t, -1):
+                idx = self.parent[v][idx]
+            idx = self._ancestors[(u, t)] = _readonly(idx)
         return idx
 
     def path_sums(self, x: Sequence, s: int, u: int) -> list:

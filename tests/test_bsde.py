@@ -96,6 +96,29 @@ def test_remainder_nonzero_without_representation():
     assert diag.remainder_sup > 1e-3
 
 
+def test_lazy_remainder_equals_the_eager_formula_bit_for_bit():
+    """sol.M, built on first access, equals the forward sum of
+    dM_t = Z_t dW_t - Y_t + E[Y_t | F_{t-1}] as written out here."""
+    tree = build_tree([[1 / 3, 1 / 3, 1 / 3], [[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]]])
+    inc = [None, np.array([1.5, 0.0, -1.5]), np.array([1.0, -1.0, 1.5, -0.5, 2.0, -2.0])]
+    walk = martingale_from_increments(tree, inc)
+    rng = np.random.default_rng(8)
+    g = builtin_driver("entropic", walk, gamma=0.8)
+    sol = solve_bsde(g, rng.normal(size=(2, tree.n_leaves)), walk)
+    want = [np.zeros((2, 1)) + 0.0]
+    for t in range(1, tree.horizon + 1):
+        par = tree.parent[t]
+        prev = tree.condexp_step(sol.Y[t], t)
+        dM = np.take(sol.Z[t], par, axis=-1) * walk.dW(t) - sol.Y[t] + np.take(prev, par, axis=-1)
+        want.append(np.take(want[-1], par, axis=-1) + dM)
+    M = sol.M
+    assert np.max(np.abs(M[tree.horizon])) > 1e-3
+    assert len(M) == len(want)
+    for got, w in zip(M, want):
+        assert np.array_equal(got, w)
+    assert sol.M is M
+
+
 def test_batched_terminals_solve_together():
     walk = make_walk(2)
     rng = np.random.default_rng(8)

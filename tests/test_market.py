@@ -7,8 +7,10 @@ import pytest
 
 from conicfin import (
     AdaptedProcess,
+    ConicOperator,
     DepthExceeded,
     DirectOperator,
+    LevelMismatch,
     MarketError,
     MarketModel,
     NegativeLeg,
@@ -23,6 +25,7 @@ from conicfin import (
     find_arbitrage,
     liquidation_value,
     setup_cost,
+    solve_bsde,
     stock_stream,
     symmetric_random_walk,
     uniform_binary_tree,
@@ -35,6 +38,7 @@ from conicfin import (
 from conicfin.arbitrage import FLOAT_GAIN_TOL, FLOAT_LOSS_TOL, _exact_view, _fractions
 from conicfin.pricing import ask, bid
 from conicfin.search import SearchConfig
+from conicfin.tree import tail_payoff
 
 SELF_FIN_ATOL = 1e-9
 
@@ -81,6 +85,9 @@ def test_direct_operator_is_per_share_and_exact():
     assert op.exact_price(1, 0, Fraction(3, 2)) == Fraction(18)
     with pytest.raises(MarketError):
         DirectOperator(tree, [[10.0], [12.0, 11.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(MarketError, match="level 1: unit prices must be finite"):
+            DirectOperator(tree, [[10.0], [bad, 11.0], [13.0, 11.0, 12.0, 10.0]])
 
 
 def test_order_book_walks_the_ladder_exactly():
@@ -121,6 +128,9 @@ def test_order_book_rejects_bad_orders_and_ladders():
     for scale in (0, -1, 2.5, "100", True):
         with pytest.raises(MarketError, match="tick_scale"):
             OrderBookOperator("ask", AAPL_ASK, tick_scale=scale)
+    for row in ((116.61, np.inf), (np.inf, 200), (np.nan, 200), (-np.inf, 200)):
+        with pytest.raises(MarketError, match="must be finite"):
+            OrderBookOperator("ask", [row])
 
 
 def test_conic_operator_prices_match_quote_functions():
@@ -136,6 +146,41 @@ def test_conic_operator_prices_match_quote_functions():
         assert np.allclose(sec.op_bid.price(t, phi), b, atol=1e-12)
     assert not market.supports_exact
     assert direct_two_period_market().supports_exact
+
+
+@pytest.mark.parametrize("kind", ["entropic", "coherent", "quasiconcave_lse"])
+def test_conic_fast_paths_equal_the_solve_bit_for_bit(kind):
+    """Zero orders before the horizon and every quote at the horizon skip
+    the backward solve; values and zero signs stay those of the solve."""
+    market = conic_market(horizon=3)
+    tree, walk = market.tree, market.walk
+    stream = market.securities[0].stream_ask
+    fam = builtin_family(kind, walk)
+    g = fam.make(1.5)
+    for t in range(tree.horizon + 1):
+        n = tree.n_nodes(t)
+        phis = [
+            np.zeros(n),
+            np.full(n, -0.0),
+            np.zeros((2, n)),
+            np.where(np.arange(n) % 2 == 0, 0.0, 1.3),
+            np.linspace(0.5, 2.0, n),
+        ]
+        for phi in phis:
+            payoff = tail_payoff(stream, phi, t)
+            for side, want in (
+                ("ask", solve_bsde(g, payoff, walk).Y[t]),
+                ("bid", -solve_bsde(g, -payoff, walk).Y[t]),
+            ):
+                got = ConicOperator(side, fam, 1.5, stream).price(t, phi)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+    op = ConicOperator("ask", fam, 1.5, stream)
+    with pytest.raises(LevelMismatch):
+        op.price(1, np.zeros(3))
+    with pytest.raises(LevelMismatch):
+        op.price(tree.horizon + 1, np.zeros(tree.n_leaves))
 
 
 def test_market_lookup_and_frictionless_flag():

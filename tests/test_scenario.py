@@ -297,6 +297,10 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
         with pytest.raises(ScenarioError):
             run_scenario(cfg, str(tmp_path / "out5"))
     assert not (tmp_path / "escaped.json").exists()
+    nan_table = tables_cfg()
+    nan_table["securities"][0]["unit_ask"][1] = [float("nan"), 11]
+    with pytest.raises(ScenarioError, match="unit prices must be finite"):
+        load_scenario(nan_table)
     twice = {"type": "arbitrage", "search": LIGHT_SEARCH, "out": "same.json"}
     cfg["jobs"] = [twice, {**twice, "expect": "none"}]
     with pytest.raises(ScenarioError):
@@ -354,6 +358,13 @@ def test_cli_exit_code_two_for_unusable_input(tmp_path, capsys):
         book = tables_cfg()
         book["securities"][1]["tick_scale"] = scale
         malformed.append(book)
+    for row in ([116.61, float("inf")], [float("inf"), 200], [float("nan"), 200]):
+        book = tables_cfg()
+        book["securities"][1]["ask_ladder"] = [row]
+        malformed.append(book)
+    nan_table = tables_cfg()
+    nan_table["securities"][0]["unit_ask"][1] = [float("nan"), 11]
+    malformed.append(nan_table)
     for k, cfg in enumerate(malformed):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(cfg))

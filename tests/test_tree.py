@@ -84,6 +84,18 @@ def test_build_tree_matches_per_parent_loop(levels):
             assert g is w is None or np.array_equal(g, np.asarray(w))
 
 
+@given(branchings())
+@settings(max_examples=60, deadline=None)
+def test_ancestor_map_is_cached_read_only_and_matches_parent_chains(levels):
+    tree = build_tree(levels)
+    for u in range(tree.horizon + 1):
+        for t in range(u + 1):
+            amap = tree.ancestor_map(u, t)
+            assert np.array_equal(amap, oracles.ancestor_ids(tree, u, t))
+            assert not amap.flags.writeable
+            assert tree.ancestor_map(u, t) is amap
+
+
 @given(branchings(), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=40, deadline=None)
 def test_path_sums_equal_broadcast_sums_bit_for_bit(levels, seed):
