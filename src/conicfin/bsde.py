@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .drivers import Driver, DriverError, _on_grid
-from .tree import MartingaleSpec
+from .tree import LevelMismatch, MartingaleSpec
 
 EQ_TOL = 1e-10
 COMPARISON_Z_GRID = np.linspace(-8.0, 8.0, 33)
@@ -47,10 +47,6 @@ class BsdeSolution:
     Y: tuple
     Z: tuple
     walk: MartingaleSpec
-
-    def value(self) -> np.ndarray:
-        """Initial value Y_0, shape (..., 1)."""
-        return self.Y[0]
 
     @cached_property
     def M(self) -> tuple:
@@ -121,9 +117,12 @@ def g_expectation(g: Driver, x, s: int, t: int, walk: MartingaleSpec) -> np.ndar
     """Nonlinear conditional expectation of the level-s payoff x at level t.
 
     For t >= s the result is x itself (lifted along the tree): the driver
-    vanishes at z = 0 and the integrand of a known payoff is zero.
+    vanishes at z = 0 and the integrand of a known payoff is zero. A t
+    outside 0..T raises LevelMismatch.
     """
     tr = walk.tree
+    if not 0 <= t <= tr.horizon:
+        raise LevelMismatch(f"level {t} is not one of 0..{tr.horizon}")
     x = tr.check_level_array(np.asarray(x, dtype=float), s)
     terminal = tr.broadcast(x, s, tr.horizon)
     return solve_bsde(g, terminal, walk).Y[t]
@@ -217,7 +216,6 @@ class LinearMeasure:
 
     tree_q: object
     leaf_density: np.ndarray
-    weights: tuple
 
     def expectation(self, x, s: int, t: int) -> np.ndarray:
         return self.tree_q.conditional_expectation(x, s, t)
@@ -233,7 +231,6 @@ def extract_linear_measure(g: Driver, walk: MartingaleSpec) -> LinearMeasure:
     if not g.linear:
         raise DriverError("measure extraction needs a linear driver")
     tr = walk.tree
-    weights = [None]
     new_bp = [None]
     for t in range(1, tr.horizon + 1):
         w = 1.0 + np.take(g.slope(t), tr.parent[t], axis=-1) * walk.dW(t)
@@ -246,11 +243,10 @@ def extract_linear_measure(g: Driver, walk: MartingaleSpec) -> LinearMeasure:
         if np.max(np.abs(sums - 1.0)) > 1e-10:
             raise MeasureNotEquivalent(f"level {t}: reweighted transitions drift off 1")
         q = q / np.take(sums, tr.parent[t], axis=-1)
-        weights.append(w)
         new_bp.append(q)
     tree_q = tr.with_probabilities(new_bp)
     density = tree_q.leaf_prob / tr.leaf_prob
-    return LinearMeasure(tree_q=tree_q, leaf_density=density, weights=tuple(weights))
+    return LinearMeasure(tree_q=tree_q, leaf_density=density)
 
 
 def detect_linear_driver(g: Driver, walk: MartingaleSpec):

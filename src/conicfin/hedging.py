@@ -2,9 +2,10 @@
 
 The hedged ask at time t lowers the plain conic ask by the best terminal
 wealth a zero-cost strategy entered at t can deliver against the payoff;
-the hedged bid mirrors it. Free consumption only ever raises the risk of a
-hedge, so the searches keep consumption at zero and sweep risky legs alone
-(the bank leg is reconstructed). Every objective is built by _node_values:
+the hedged bid mirrors it. The plain quote, the side and input checks and
+the level-gap test are pricing's own. Free consumption only ever raises
+the risk of a hedge, so the searches keep consumption at zero and sweep
+risky legs alone (the bank leg is reconstructed). Every objective is built by _node_values:
 legs -> self-financing strategy -> time-t value of the payoff net of the
 strategy's terminal wealth.
 
@@ -30,9 +31,7 @@ from .arbitrage import ArbitrageSearchResult, find_arbitrage
 from .bsde import solve_bsde
 from .drivers import Driver, DriverFamily
 from .market import MarketModel, TradingStrategy, liquidation_value
-from .pricing import PRICE_TOL
-from .pricing import ask as plain_ask
-from .pricing import bid as plain_bid
+from .pricing import PRICE_TOL, _check_inputs, _level_gaps, price
 from .search import LegLayout, SearchConfig, ascend, leg_layout
 from .tree import AdaptedProcess, tail_payoff
 
@@ -53,20 +52,21 @@ class HedgedQuote:
 def _per_node_search(
     evaluate_values: Callable[[np.ndarray], np.ndarray],
     layout: LegLayout,
-    t: int,
     cfg: SearchConfig,
-    bound: float,
 ):
     """Minimize a per-node objective over legs; merge per-node winners.
 
-    evaluate_values maps (B, dims) to (B, n_t) node values; the ascent
-    maximizes minus their sum. Each dimension belongs to one level-t
-    subtree, so accepted coordinate moves improve exactly their own node
-    and final strategies from different starts can be recombined node by
-    node into a single parameter vector.
+    evaluate_values maps (B, dims) to (B, n_t) node values at t =
+    layout.entry; the ascent maximizes minus their sum over legs capped at
+    layout.bound(cfg). Each dimension belongs to one level-t subtree, so
+    accepted coordinate moves improve exactly their own node and final
+    strategies from different starts can be recombined node by node into a
+    single parameter vector.
     """
-    dims = layout.dims
-    finals, evals = ascend(lambda P: -np.sum(evaluate_values(P), axis=-1), dims, cfg, bound)
+    dims, t = layout.dims, layout.entry
+    finals, evals = ascend(
+        lambda P: -np.sum(evaluate_values(P), axis=-1), dims, cfg, layout.bound(cfg)
+    )
     params = [p for p, _ in finals]
     stacked = np.stack([evaluate_values(p[None, :])[0] for p in params])
     evals += len(params)
@@ -101,15 +101,13 @@ def hedged_price(
     cfg: SearchConfig = SearchConfig(),
 ) -> HedgedQuote:
     """Hedged ask/bid of phi shares of the stream, entered at time t."""
-    if side not in ("ask", "bid"):
-        raise ValueError(f"side must be 'ask' or 'bid', got {side!r}")
+    quote = price(side, family, gamma, phi, stream, t)
     g = family.make(gamma)
-    quote = (plain_ask if side == "ask" else plain_bid)(family, gamma, phi, stream, t)
     sign = 1.0 if side == "ask" else -1.0
     payoff = sign * tail_payoff(stream, quote.phi, t)
     layout = leg_layout(market, t)
     values = _node_values(g, layout, payoff)
-    merged, merged_vals, evals = _per_node_search(values, layout, t, cfg, layout.bound(cfg))
+    merged, merged_vals, evals = _per_node_search(values, layout, cfg)
     strat = layout.strategy(merged)
     value = merged_vals if side == "ask" else -merged_vals
     return HedgedQuote(
@@ -149,7 +147,7 @@ def check_ngd(
     g = family.make(gamma)
     layout = leg_layout(market, t)
     risk_values = _node_values(g, layout, np.zeros(tr.n_leaves))
-    merged, merged_vals, evals = _per_node_search(risk_values, layout, t, cfg, layout.bound(cfg))
+    merged, merged_vals, evals = _per_node_search(risk_values, layout, cfg)
     worst = float(np.min(merged_vals))
     found = worst < -GOOD_DEAL_TOL
     strategy = layout.strategy(merged) if found else None
@@ -233,26 +231,18 @@ def hedged_level_monotonicity(
     """
     gs = sorted(float(x) for x in gammas)
     layout = leg_layout(market, t)
-    bound = layout.bound(cfg)
-    phi_arr = plain_ask(family, gs[0], phi, stream, t).phi
+    phi_arr = _check_inputs(family, gs[0], phi, t)
     payoff = tail_payoff(stream, phi_arr, t)
     drivers = [family.make(gamma) for gamma in gs]
     pool = [np.zeros(layout.dims)]
     for sign in (1.0, -1.0):
         for g in drivers:
             values = _node_values(g, layout, sign * payoff)
-            pool.append(_per_node_search(values, layout, t, cfg, bound)[0])
+            pool.append(_per_node_search(values, layout, cfg)[0])
     stack = np.stack(pool)
     ask_vals = [_node_values(g, layout, payoff)(stack).min(axis=0) for g in drivers]
     bid_vals = [-_node_values(g, layout, -payoff)(stack).min(axis=0) for g in drivers]
-    worst = 0.0
-    ask_ok = bid_ok = True
-    for lo, hi in zip(range(len(gs) - 1), range(1, len(gs))):
-        gap_a = float(np.max(ask_vals[lo] - ask_vals[hi]))
-        gap_b = float(np.max(bid_vals[hi] - bid_vals[lo]))
-        worst = max(worst, gap_a, gap_b)
-        ask_ok = ask_ok and gap_a <= PRICE_TOL
-        bid_ok = bid_ok and gap_b <= PRICE_TOL
+    worst, ask_ok, bid_ok = _level_gaps(ask_vals, bid_vals, PRICE_TOL)
     return HedgedLevelReport(
         gammas=tuple(gs),
         ask_values=tuple(ask_vals),
@@ -297,8 +287,7 @@ def hedged_convexity_check(
     q3 = hedged_price("ask", family, gamma, phi, mixed, market, t, cfg)
     layout = leg_layout(market, t)
     g = family.make(gamma)
-    phi_arr = np.broadcast_to(np.asarray(phi, dtype=float), (tr.n_nodes(t),))
-    payoff = tail_payoff(mixed, phi_arr, t)
+    payoff = tail_payoff(mixed, _check_inputs(family, gamma, phi, t), t)
 
     def legs_to_params(strategy: TradingStrategy) -> np.ndarray:
         out = np.zeros(layout.dims)

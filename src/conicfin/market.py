@@ -49,6 +49,15 @@ class NegativeLeg(MarketError):
     """Long/short legs and order sizes must be nonnegative."""
 
 
+class LevelNonpositive(MarketError):
+    """Acceptability levels must be strictly positive and finite."""
+
+
+def _check_level(gamma: float):
+    if not (gamma > 0.0 and np.isfinite(gamma)):
+        raise LevelNonpositive(f"acceptability level must be positive and finite, got {gamma}")
+
+
 # ---- pricing operators ------------------------------------------------------
 
 
@@ -79,8 +88,7 @@ class ConicOperator(PricingOperator):
     def __init__(self, side: str, family: DriverFamily, gamma: float, stream: AdaptedProcess):
         if side not in ("ask", "bid"):
             raise MarketError(f"side must be ask or bid, got {side!r}")
-        if not (gamma > 0.0 and np.isfinite(gamma)):
-            raise MarketError(f"acceptability level must be positive and finite, got {gamma}")
+        _check_level(gamma)
         self.side = side
         self.family = family
         self.gamma = float(gamma)
@@ -336,18 +344,6 @@ def _held_into(strategy: TradingStrategy, leg_list, t: int) -> np.ndarray:
     if t == 0:
         return strategy.zeros(1)
     return np.take(_num(leg_list[t]), strategy.tree.parent[t], axis=-1)
-
-
-def setup_cost(strategy: TradingStrategy, market: MarketModel, t: int) -> np.ndarray:
-    """Cost of putting on the time-(t+1) positions at time t quotes."""
-    tr = market.tree
-    if not 0 <= t < tr.horizon:
-        raise MarketError(f"setup cost is defined for t = 0..{tr.horizon - 1}")
-    total = _leg_at(strategy, strategy.bank, t).copy()
-    for i, sec in enumerate(market.securities):
-        total = total + sec.op_ask.price(t, _leg_at(strategy, strategy.long[i], t))
-        total = total - sec.op_bid.price(t, _leg_at(strategy, strategy.short[i], t))
-    return total
 
 
 def liquidation_value(strategy: TradingStrategy, market: MarketModel, t: int) -> np.ndarray:

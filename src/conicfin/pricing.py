@@ -3,10 +3,12 @@
 At acceptability level gamma, the time-t ask of phi shares of a stream D is
 the nonlinear expectation of phi * (D_{t+1} + ... + D_T), taken under the
 level-gamma driver of the chosen family; the bid is minus the expectation
-of the negated payoff. Ask dominates bid, prices are time consistent one
-step at a time, convex/concave in the stream, and market impact moves the
-per-share price against large orders. When the driver is linear both sides
-collapse to the discounted expectation under the reweighted measure.
+of the negated payoff. Both sides are quoted by the one conic pricing
+operator, market.ConicOperator; ask and bid check their inputs and wrap
+its value in a PriceQuote. Ask dominates bid, prices are time consistent
+one step at a time, convex/concave in the stream, and market impact moves
+the per-share price against large orders. When the driver is linear both
+sides collapse to the discounted expectation under the reweighted measure.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .bsde import solve_bsde
 from .drivers import DriverFamily, LinearDriver
+from .market import ConicOperator, LevelNonpositive, _check_level  # noqa: F401 (re-exported)
 from .risk import random_streams
 from .tree import AdaptedProcess, single_payment, tail_payoff
 
@@ -25,10 +28,6 @@ PRICE_TOL = 1e-10
 IMPACT_LAMS = (0.25, 0.5, 0.75, 1.5, 2.0)
 AGREEMENT_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 AGREEMENT_TOL = 1e-9
-
-
-class LevelNonpositive(ValueError):
-    """Acceptability levels must be strictly positive and finite."""
 
 
 class NegativeQuantity(ValueError):
@@ -46,8 +45,7 @@ class PriceQuote:
 
 
 def _check_inputs(family: DriverFamily, gamma: float, phi, t: int):
-    if not (gamma > 0.0 and np.isfinite(gamma)):
-        raise LevelNonpositive(f"acceptability level must be positive and finite, got {gamma}")
+    _check_level(gamma)
     tr = family.tree
     phi = np.broadcast_to(np.asarray(phi, dtype=float), (tr.n_nodes(t),)).copy() \
         if np.asarray(phi).ndim <= 1 else np.asarray(phi, dtype=float)
@@ -64,8 +62,7 @@ def ask(
 ) -> PriceQuote:
     """Time-t ask price of phi shares of the stream's strictly future payments."""
     phi = _check_inputs(family, gamma, phi, t)
-    g = family.make(gamma)
-    value = solve_bsde(g, tail_payoff(stream, phi, t), family.walk).Y[t]
+    value = ConicOperator("ask", family, gamma, stream).price(t, phi)
     return PriceQuote("ask", family.kind, float(gamma), t, phi, value)
 
 
@@ -74,8 +71,7 @@ def bid(
 ) -> PriceQuote:
     """Time-t bid price; minus the nonlinear expectation of the negated payoff."""
     phi = _check_inputs(family, gamma, phi, t)
-    g = family.make(gamma)
-    value = -solve_bsde(g, -tail_payoff(stream, phi, t), family.walk).Y[t]
+    value = ConicOperator("bid", family, gamma, stream).price(t, phi)
     return PriceQuote("bid", family.kind, float(gamma), t, phi, value)
 
 
@@ -121,6 +117,20 @@ def time_consistency_check(
     return ConsistencyReport(worst_residual=worst, passed=worst <= tol)
 
 
+def _level_gaps(asks: Sequence, bids: Sequence, tol: float):
+    """Check quotes listed by rising level: asks must not fall and bids must
+    not rise from one level to the next. Returns the worst gap (0 at least)
+    and whether the asks and the bids each stay within tol."""
+    worst, ask_ok, bid_ok = 0.0, True, True
+    for k in range(1, len(asks)):
+        gap_a = float(np.max(asks[k - 1] - asks[k]))
+        gap_b = float(np.max(bids[k] - bids[k - 1]))
+        worst = max(worst, gap_a, gap_b)
+        ask_ok = ask_ok and gap_a <= tol
+        bid_ok = bid_ok and gap_b <= tol
+    return worst, ask_ok, bid_ok
+
+
 @dataclass(frozen=True)
 class CrossCompareReport:
     ask_ge_bid_ok: bool
@@ -145,18 +155,11 @@ def cross_compare(
     a1 = ask(family1, gamma1, 1.0, stream, t).value
     b2 = bid(family2, gamma2, 1.0, stream, t).value
     worst_cross = float(np.max(b2 - a1))
-    mono_ok, anti_ok, worst_level = True, True, 0.0
-    if gammas:
-        gs = sorted(float(g) for g in gammas)
-        for fam in (family1, family2):
-            asks = [ask(fam, g, 1.0, stream, t).value for g in gs]
-            bids = [bid(fam, g, 1.0, stream, t).value for g in gs]
-            for lo, hi in zip(range(len(gs) - 1), range(1, len(gs))):
-                gap_a = float(np.max(asks[lo] - asks[hi]))
-                gap_b = float(np.max(bids[hi] - bids[lo]))
-                worst_level = max(worst_level, gap_a, gap_b)
-                mono_ok = mono_ok and gap_a <= tol
-                anti_ok = anti_ok and gap_b <= tol
+    gs = sorted(float(g) for g in gammas or ())
+    fams = (family1, family2)
+    asks = [np.stack([ask(fam, g, 1.0, stream, t).value for fam in fams]) for g in gs]
+    bids = [np.stack([bid(fam, g, 1.0, stream, t).value for fam in fams]) for g in gs]
+    worst_level, mono_ok, anti_ok = _level_gaps(asks, bids, tol)
     return CrossCompareReport(
         ask_ge_bid_ok=worst_cross <= tol,
         worst_cross_gap=worst_cross,

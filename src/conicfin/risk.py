@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import solve_bsde
+from .bsde import g_expectation, solve_bsde
 from .drivers import Driver, DriverFamily
 from .tree import AdaptedProcess, FiltrationTree, single_payment
 
@@ -47,8 +47,7 @@ class RiskMeasure:
 
 def risk(driver: Driver, stream: AdaptedProcess, t: int) -> np.ndarray:
     """Time-t risk of the stream: nonlinear expectation of minus its tail sum."""
-    terminal = -stream.future_sum(t)
-    return solve_bsde(driver, terminal, driver.walk).Y[t]
+    return g_expectation(driver, -stream.future_sum(t), driver.tree.horizon, t, driver.walk)
 
 
 def _risk_at_levels(family: DriverFamily, terminal: np.ndarray, t: int, x_nodes: np.ndarray):

@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .drivers import DriverError, builtin_driver, builtin_family, is_regular, va
 from .hedging import check_ngd, hedged_sandwich
 from .market import (
     DirectOperator,
+    MarketError,
     MarketModel,
     OrderBookOperator,
     Security,
@@ -46,6 +48,7 @@ from .tree import (
     martingale_from_increments,
     symmetric_random_walk,
     uniform_binary_tree,
+    zero_process,
 )
 
 
@@ -150,8 +153,10 @@ def _integer(key: str, value, low: int = 0, high: Optional[int] = None) -> int:
 
 
 def _finite(key: str, value) -> float:
-    """A finite number of either sign."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """A finite number of either sign. The bound test fails for NaN, for
+    infinities and for integers past the float range."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and abs(value) <= sys.float_info.max):
         raise ScenarioError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
@@ -206,7 +211,7 @@ def _level_values(tree, values) -> list:
 
 def _build_stream(tree, spec) -> AdaptedProcess:
     if spec == "zero":
-        return AdaptedProcess(tree, tuple(np.zeros(tree.n_nodes(t)) for t in range(tree.horizon + 1)))
+        return zero_process(tree)
     if not isinstance(spec, dict):
         raise ScenarioError(f"a stream spec is 'zero' or an object, got {spec!r}")
     if "values" in spec:
@@ -276,9 +281,10 @@ def load_scenario(cfg: dict, seed_override: Optional[int] = None) -> Scenario:
         return _build_scenario(cfg, seed_override)
     except ScenarioError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         # TreeError, DriverError and MarketError are ValueErrors, and so are
-        # the failed numpy conversions of malformed numbers
+        # the failed numpy conversions of malformed numbers; float() of an
+        # integer past the float range overflows
         raise ScenarioError(f"{type(exc).__name__}: {exc}") from exc
 
 
@@ -593,10 +599,10 @@ def _job_hedged(scn: Scenario, job: dict, path: str):
 def _job_book_quotes(scn: Scenario, job: dict, path: str):
     if scn.market is None:
         raise ScenarioError("book_quotes job needs securities")
-    sid = _required(job, "security", "book_quotes job")
-    if sid not in [s.sid for s in scn.market.securities]:
-        raise ScenarioError(f"unknown security {sid!r}")
-    sec = scn.market.security(sid)
+    try:
+        sec = scn.market.security(_required(job, "security", "book_quotes job"))
+    except MarketError as exc:
+        raise ScenarioError(str(exc)) from exc
     side = _choice("side", job.get("side", "ask"), ("ask", "bid"))
     op = sec.op_ask if side == "ask" else sec.op_bid
     t = _integer("time", job.get("time", 0), 0, scn.walk.tree.horizon)

@@ -88,6 +88,8 @@ class FiltrationTree:
         object.__setattr__(self, "_ancestors", {})
 
     def n_nodes(self, t: int) -> int:
+        if not 0 <= t <= self.horizon:
+            raise LevelMismatch(f"level {t} is not one of 0..{self.horizon}")
         return self.node_prob[t].shape[0]
 
     @property
@@ -154,6 +156,8 @@ class FiltrationTree:
         """Running sums x[s] + ... + x[v] along each path, one level-v array
         for each v = s..u. x[v] is level-v measurable and may carry leading
         batch axes; each path adds its terms in level order from x[s] + 0.0."""
+        if not 0 <= s <= u <= self.horizon:
+            raise LevelMismatch(f"no path from level {s} to level {u} in 0..{self.horizon}")
         sums = [x[s] + 0.0]
         for v in range(s + 1, u + 1):
             sums.append(np.take(sums[-1], self.parent[v], axis=-1) + x[v])
@@ -379,9 +383,10 @@ class AdaptedProcess:
         return self.values[t]
 
     def future_sum(self, t: int) -> np.ndarray:
-        """Leaf-level array of sum_{s=t}^{T} X_s along each path."""
+        """Leaf-level array of sum_{s=t}^{T} X_s along each path; zero for
+        t = T + 1, the empty sum."""
         tr = self.tree
-        if t > tr.horizon:
+        if t == tr.horizon + 1:
             return np.zeros(tr.n_leaves)
         return tr.path_sums(self.values, t, tr.horizon)[-1]
 

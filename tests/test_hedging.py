@@ -5,6 +5,8 @@ import pytest
 
 from conicfin import (
     AdaptedProcess,
+    LevelNonpositive,
+    NegativeQuantity,
     SearchConfig,
     builtin_family,
     check_ngd,
@@ -52,6 +54,9 @@ def test_hedged_quotes_at_interior_times():
     assert np.all(ha.value <= ha.unhedged + HEDGE_ATOL)
     with pytest.raises(ValueError):
         hedged_price("mid", fam, 2.0, 1.0, stream, market, cfg=LIGHT_CFG)
+    for gamma in (0.0, np.nan, np.inf):
+        with pytest.raises(LevelNonpositive):
+            hedged_price("bid", fam, gamma, 1.0, stream, market, cfg=LIGHT_CFG)
 
 
 def test_hedged_sandwich_holds_on_a_conic_market():
@@ -99,6 +104,8 @@ def test_tighter_levels_widen_hedged_quotes():
         assert np.all(hi >= lo - 1e-10)
     for lo, hi in zip(rep.bid_values, rep.bid_values[1:]):
         assert np.all(hi <= lo + 1e-10)
+    with pytest.raises(NegativeQuantity):
+        hedged_level_monotonicity(fam, [1.0, 2.0], -1.0, stream, market, cfg=LIGHT_CFG)
 
 
 def test_hedged_ask_is_convex_in_the_stream():

@@ -11,6 +11,7 @@ from conicfin import (
     DepthExceeded,
     DirectOperator,
     LevelMismatch,
+    LevelNonpositive,
     MarketError,
     MarketModel,
     NegativeLeg,
@@ -24,7 +25,6 @@ from conicfin import (
     conic_security,
     find_arbitrage,
     liquidation_value,
-    setup_cost,
     solve_bsde,
     stock_stream,
     symmetric_random_walk,
@@ -36,11 +36,9 @@ from conicfin import (
     zero_strategy,
 )
 from conicfin.arbitrage import FLOAT_GAIN_TOL, FLOAT_LOSS_TOL, _exact_view, _fractions
-from conicfin.pricing import ask, bid
+from conicfin.pricing import ask, bid, price
 from conicfin.search import SearchConfig
 from conicfin.tree import tail_payoff
-
-SELF_FIN_ATOL = 1e-9
 
 AAPL_ASK = [(116.61, 200), (116.62, 700), (116.63, 543), (116.64, 643), (116.65, 343)]
 AAPL_BID = [(116.59, 400), (116.58, 400), (116.57, 800), (116.56, 500), (116.55, 543)]
@@ -151,7 +149,8 @@ def test_conic_operator_prices_match_quote_functions():
 @pytest.mark.parametrize("kind", ["entropic", "coherent", "quasiconcave_lse"])
 def test_conic_fast_paths_equal_the_solve_bit_for_bit(kind):
     """Zero orders before the horizon and every quote at the horizon skip
-    the backward solve; values and zero signs stay those of the solve."""
+    the backward solve; values and zero signs stay those of the solve, for
+    the operator and for the ask, bid and price quotes built on it."""
     market = conic_market(horizon=3)
     tree, walk = market.tree, market.walk
     stream = market.securities[0].stream_ask
@@ -172,15 +171,32 @@ def test_conic_fast_paths_equal_the_solve_bit_for_bit(kind):
                 ("ask", solve_bsde(g, payoff, walk).Y[t]),
                 ("bid", -solve_bsde(g, -payoff, walk).Y[t]),
             ):
-                got = ConicOperator(side, fam, 1.5, stream).price(t, phi)
-                assert got.shape == want.shape
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+                quote = ask if side == "ask" else bid
+                for got in (
+                    ConicOperator(side, fam, 1.5, stream).price(t, phi),
+                    quote(fam, 1.5, phi, stream, t).value,
+                    price(side, fam, 1.5, phi, stream, t).value,
+                ):
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
     op = ConicOperator("ask", fam, 1.5, stream)
     with pytest.raises(LevelMismatch):
         op.price(1, np.zeros(3))
     with pytest.raises(LevelMismatch):
         op.price(tree.horizon + 1, np.zeros(tree.n_leaves))
+
+
+def test_conic_operator_rejects_bad_levels_as_market_errors():
+    market = conic_market()
+    fam = builtin_family("entropic", market.walk)
+    stream = market.securities[0].stream_ask
+    for gamma in (0.0, np.nan, np.inf):
+        for side in ("ask", "bid"):
+            with pytest.raises(LevelNonpositive):
+                ConicOperator(side, fam, gamma, stream)
+            with pytest.raises(MarketError):
+                ConicOperator(side, fam, gamma, stream)
 
 
 def test_market_lookup_and_frictionless_flag():
@@ -199,7 +215,6 @@ def test_market_lookup_and_frictionless_flag():
 def test_zero_strategy_costs_and_delivers_nothing():
     market = direct_two_period_market()
     strat = zero_strategy(market)
-    assert np.allclose(setup_cost(strat, market, 0), 0.0)
     assert np.allclose(liquidation_value(strat, market, 2), 0.0)
     rep = validate_self_financing(strat, market)
     assert rep.passed and rep.max_residual == 0.0
@@ -219,7 +234,6 @@ def test_completed_bank_leg_is_self_financing_for_random_legs():
             rep = validate_self_financing(strat, market, entry)
             assert rep.passed, f"residual {rep.max_residual} (entry {entry})"
             assert rep.zero_before_ok
-            assert np.max(np.abs(setup_cost(strat, market, entry))) < SELF_FIN_ATOL
 
 
 def test_completed_bank_leg_rejects_bad_entry_times():

@@ -6,16 +6,22 @@ from hypothesis import given, settings, strategies as st
 
 from conicfin import (
     AdaptedProcess,
+    ConicOperator,
+    LevelMismatch,
     LevelNonpositive,
     NegativeQuantity,
+    acceptability_index,
     agreement_diagnostic,
     ask,
     bid,
+    builtin_driver,
     builtin_family,
     cross_compare,
     cumulative_price,
+    g_expectation,
     market_impact_check,
     price,
+    risk,
     single_payment,
     symmetric_random_walk,
     time_consistency_check,
@@ -95,6 +101,31 @@ def test_price_rejects_bad_inputs():
         bid(fam, np.nan, 1.0, D, 0)
     with pytest.raises(ValueError):
         price("mid", fam, 1.0, 1.0, D, 0)
+
+
+@pytest.mark.parametrize("t", [-1, 3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fam, g, D, t: ConicOperator("ask", fam, 1.0, D).price(t, np.zeros(4)),
+        lambda fam, g, D, t: ask(fam, 1.0, 1.0, D, t),
+        lambda fam, g, D, t: bid(fam, 1.0, 1.0, D, t),
+        lambda fam, g, D, t: risk(g, D, t),
+        lambda fam, g, D, t: acceptability_index(fam, D, t),
+        lambda fam, g, D, t: g_expectation(g, D.at(2), 2, t, fam.walk),
+        lambda fam, g, D, t: D.cumulative_through(t),
+        lambda fam, g, D, t: D.future_sum(t + 1 if t > 0 else t),
+    ],
+    ids=["operator", "ask", "bid", "risk", "index", "g_expectation", "cumulative", "future_sum"],
+)
+def test_levels_outside_the_horizon_raise_level_mismatch(call, t):
+    """On a horizon-2 walk, levels -1 and 3 are refused wherever the tree
+    reads them (future_sum(3) is the empty sum, so 4 stands in for 3)."""
+    walk = make_walk(2)
+    fam = builtin_family("entropic", walk)
+    D = random_stream(walk.tree, 6)
+    with pytest.raises(LevelMismatch):
+        call(fam, builtin_driver("entropic", walk, gamma=1.0), D, t)
 
 
 def test_time_consistency_nesting():

@@ -292,10 +292,20 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
         {"type": "book_quotes", "security": "note", "phis": [1.0], "expect": 5},
         {"type": "book_quotes", "security": "note", "phis": [1.0], "expect": ["a"]},
         {"type": "book_quotes", "security": "note", "phis": [1.0], "expect": [float("inf")]},
+        {"type": "hedged", "family": "ent", "gamma": 2.0, "stream": "payout", "phi": 10**400},
+        {"type": "hedged", "family": "ent", "gamma": 2.0, "stream": "payout",
+         "search": {**LIGHT_SEARCH, "bound": 10**400}},
     ):
         cfg["jobs"] = [job]
         with pytest.raises(ScenarioError):
             run_scenario(cfg, str(tmp_path / "out5"))
+    huge_level = conic_cfg()
+    huge_level["securities"][0]["gamma_ask"] = 10**400
+    huge_ladder = tables_cfg()
+    huge_ladder["securities"][1]["ask_ladder"] = [[10**400, 1]]
+    for bad in (huge_level, huge_ladder):
+        with pytest.raises(ScenarioError, match="OverflowError"):
+            load_scenario(bad)
     assert not (tmp_path / "escaped.json").exists()
     nan_table = tables_cfg()
     nan_table["securities"][0]["unit_ask"][1] = [float("nan"), 11]
@@ -365,6 +375,14 @@ def test_cli_exit_code_two_for_unusable_input(tmp_path, capsys):
     nan_table = tables_cfg()
     nan_table["securities"][0]["unit_ask"][1] = [float("nan"), 11]
     malformed.append(nan_table)
+    # 401-digit JSON integers, past the float range
+    huge_phi, huge_bound, huge_level = conic_cfg(), conic_cfg(), conic_cfg()
+    huge_phi["jobs"][2]["phi"] = 10**400
+    huge_bound["jobs"][2]["search"] = {**LIGHT_SEARCH, "bound": 10**400}
+    huge_level["securities"][0]["gamma_ask"] = 10**400
+    huge_ladder = tables_cfg()
+    huge_ladder["securities"][1]["ask_ladder"] = [[10**400, 1]]
+    malformed += [huge_phi, huge_bound, huge_level, huge_ladder]
     for k, cfg in enumerate(malformed):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(cfg))
