@@ -8,6 +8,13 @@ with zero entry cost is unique, so it is reconstructed rather than
 searched. Candidates are ranked by worst leaf first and mean leaf second,
 because certificates may legitimately sit at a worst leaf of exactly zero.
 
+The exhaustive sweep rests on the ledger never netting long against short:
+each ledger term prices one (security, long/short) leg alone and the bank
+sums them, so terminal wealth is the sum of every leg group's wealth alone.
+Sums taken group by group differ from the full ledger by rounding only (at
+most 1.5e-11 on the benchmark's clean tables); the chosen row's score is
+recomputed through the full ledger.
+
 A found candidate is only reported after re-validation. When every
 operator supports exact arithmetic (price tables, order books), the market
 ledger reruns over the exact rationals of the legs, dividends and quotes
@@ -76,9 +83,15 @@ def find_arbitrage(
     """Search for an arbitrage entered at `entry`; certificates are re-validated."""
     layout = leg_layout(market, entry)
     T = market.tree.horizon
-    evaluate = lambda P: _score(liquidation_value(layout.strategy(P), market, T), cfg.tol)
-    search = exhaustive_grid if cfg.exhaustive else maximize
-    outcome = search(evaluate, layout.dims, cfg, layout.bound(cfg))
+    wealth = lambda P: liquidation_value(layout.strategy(P), market, T)
+    score = lambda v: _score(v, cfg.tol)
+    if cfg.exhaustive:
+        widths = {}  # the layout lays out each leg group's blocks side by side
+        for b in layout.blocks:
+            widths[b.security, b.kind] = widths.get((b.security, b.kind), 0) + b.n_slots
+        outcome = exhaustive_grid(wealth, tuple(widths.values()), cfg, layout.bound(cfg), score)
+    else:
+        outcome = maximize(lambda P: score(wealth(P)), layout.dims, cfg, layout.bound(cfg))
     strat = layout.strategy(outcome.params)
     report = validate_certificate(strat, market, entry)
     if report.valid:

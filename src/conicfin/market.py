@@ -230,6 +230,10 @@ class MarketModel:
     securities: tuple
     name: str = "market"
 
+    def __post_init__(self):
+        if not self.securities:
+            raise MarketError("a market needs at least one security")
+
     @property
     def tree(self) -> FiltrationTree:
         return self.walk.tree

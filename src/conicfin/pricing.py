@@ -108,12 +108,13 @@ def time_consistency_check(
     at t+1 worth the next dividend plus the time-(t+1) quote."""
     tr = family.tree
     worst = 0.0
+    lhs = price(side, family, gamma, 1.0, stream, 0).value
     for t in range(tr.horizon):
         inner = price(side, family, gamma, 1.0, stream, t + 1).value
         nested_stream = single_payment(tr, t + 1, stream.at(t + 1) + inner)
-        lhs = price(side, family, gamma, 1.0, stream, t).value
         rhs = price(side, family, gamma, 1.0, nested_stream, t).value
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        lhs = inner
     return ConsistencyReport(worst_residual=worst, passed=worst <= tol)
 
 

@@ -39,7 +39,7 @@ from .market import (
     conic_security,
     stock_stream,
 )
-from .pricing import cross_compare, price, time_consistency_check
+from .pricing import PRICE_TOL, _level_gaps, price, time_consistency_check
 from .risk import acceptability_index, check_dai_axioms, check_dcrm_axioms
 from .search import SearchConfig
 from .tree import (
@@ -444,8 +444,13 @@ def _job_price_table(scn: Scenario, job: dict, path: str):
     write_csv(path, ("t", "node", "side", "gamma", "family", "phi", "value"), rows)
     nested = [time_consistency_check(s, fam, g, stream) for s in sides for g in gammas]
     worst_nest = max(n.worst_residual for n in nested)
-    mono = cross_compare(fam, gammas[0], fam, gammas[-1], stream, times[0], gammas=gammas)
-    level_monotone = mono.ask_monotone_ok and mono.bid_antitone_ok
+    levels = sorted(gammas)
+    _, ask_ok, bid_ok = _level_gaps(
+        [price("ask", fam, g, 1.0, stream, times[0]).value for g in levels],
+        [price("bid", fam, g, 1.0, stream, times[0]).value for g in levels],
+        PRICE_TOL,
+    )
+    level_monotone = ask_ok and bid_ok
     ok = worst_cross <= 1e-9 and worst_nest <= 1e-9 and level_monotone
     return ("pass" if ok else "fail"), {
         "worst_bid_minus_ask": worst_cross,

@@ -8,9 +8,9 @@ bank leg, so every objective is built as legs -> strategy -> value.
 ascend is the one seeded multi-start coordinate ascent over shrinking
 grids that arbitrage and hedging share; batched objectives score whole
 candidate sets at once. maximize keeps the best start's final point;
-hedging merges the starts' finals node by node instead. An exhaustive
-product grid is available for small instances where a sweep of the entire
-space is wanted.
+hedging merges the starts' finals node by node instead. exhaustive_grid
+sweeps the full product grid of a small instance whose wealth is a sum
+over column groups.
 
 Every dimension touches exactly one subtree of the evaluation root, so
 objectives that decompose across level-t nodes can merge per-node winners
@@ -21,7 +21,7 @@ dimension-to-node assignment for that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -218,18 +218,28 @@ def maximize(
 
 
 def exhaustive_grid(
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    dims: int,
+    wealth: Callable[[np.ndarray], np.ndarray],
+    widths: Sequence[int],
     cfg: SearchConfig,
     bound: float,
+    score: Callable[[np.ndarray], np.ndarray],
 ) -> SearchOutcome:
-    """Sweep the full product grid on [0, bound]^dims.
+    """Sweep the full product grid on [0, bound]^dims, dims = sum(widths).
+
+    wealth maps a (B, dims) batch to (B, n) outcomes and must be additive
+    over consecutive column groups of the given widths: a row's wealth is
+    the sum of the wealths of the rows keeping one group's columns. So
+    wealth runs once, on every group's sub-grid, and the product grid is
+    swept in C order, chunk by chunk, adding one term per group; score maps
+    (B, n) outcomes to (B,) scores. The earliest best row wins, and its
+    score is recomputed from wealth of that row alone.
 
     The per-dimension point count is sized so the total grid lands at or
     above the configured target without exploding; instances whose grid
     would pass five million nodes (or whose dimension exceeds the cap) are
     refused.
     """
+    dims = sum(widths)
     if dims > EXHAUSTIVE_MAX_DIMS:
         raise InstanceTooLarge(f"{dims} dimensions exceed the exhaustive cap {EXHAUSTIVE_MAX_DIMS}")
     points = max(2, int(round(cfg.exhaustive_target ** (1.0 / dims))))
@@ -239,15 +249,21 @@ def exhaustive_grid(
     if total > 5_000_000:
         raise InstanceTooLarge(f"exhaustive grid would hold {total} strategies")
     grid = np.linspace(0.0, bound, points)
-    best_p, best_s = None, -np.inf
-    evals = 0
+    product = lambda flat, w: grid[np.stack(np.unravel_index(flat, (points,) * w), axis=-1)]
+    sizes = [points ** w for w in widths]
+    rows = np.zeros((sum(sizes), dims))
+    row, col = 0, 0
+    for size, w in zip(sizes, widths):
+        rows[row : row + size, col : col + w] = product(np.arange(size), w)
+        row, col = row + size, col + w
+    terms = np.split(np.asarray(wealth(rows), dtype=float), np.cumsum(sizes)[:-1])
+    best_flat, best_s = 0, -np.inf
     for start in range(0, total, EXHAUSTIVE_CHUNK):
-        flat = np.arange(start, min(start + EXHAUSTIVE_CHUNK, total))
-        multi = np.stack(np.unravel_index(flat, (points,) * dims), axis=-1)
-        rows = grid[multi]
-        scores = np.asarray(evaluate(rows), dtype=float)
-        evals += rows.shape[0]
+        picks = np.unravel_index(np.arange(start, min(start + EXHAUSTIVE_CHUNK, total)), sizes)
+        scores = np.asarray(score(sum(term[pick] for term, pick in zip(terms, picks))), dtype=float)
         k = int(np.argmax(scores))
         if scores[k] > best_s:
-            best_p, best_s = rows[k].copy(), float(scores[k])
-    return SearchOutcome(params=best_p, score=best_s, evaluations=evals, exhaustive_total=total)
+            best_flat, best_s = start + k, float(scores[k])
+    best_p = product(best_flat, dims)
+    best_s = float(score(wealth(best_p[None, :]))[0])
+    return SearchOutcome(params=best_p, score=best_s, evaluations=total, exhaustive_total=total)

@@ -21,9 +21,11 @@ from conicfin import (
     TradingStrategy,
     builtin_family,
     cds_streams,
+    check_ngd,
     complete_bank_leg,
     conic_security,
     find_arbitrage,
+    hedged_price,
     liquidation_value,
     solve_bsde,
     stock_stream,
@@ -335,6 +337,25 @@ def test_completed_bank_leg_keeps_fraction_legs_exact():
             bank = fractions.bank[t]
             assert bank.dtype == object and all(isinstance(x, Fraction) for x in bank)
             assert np.max(np.abs(bank.astype(float) - floats.bank[t])) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, fam: find_arbitrage(m, 0),
+        lambda m, fam: find_arbitrage(m, 0, SearchConfig(exhaustive=True)),
+        lambda m, fam: check_ngd(fam, 2.0, m),
+        lambda m, fam: hedged_price("ask", fam, 2.0, 1.0, zero_process(m.tree), m),
+    ],
+    ids=["search", "exhaustive", "ngd", "hedged"],
+)
+def test_market_without_securities_is_refused_at_construction(call):
+    """A market with no securities is a MarketError where it is built, not
+    an IndexError or ZeroDivisionError inside a later search."""
+    walk = make_walk(2)
+    fam = builtin_family("entropic", walk)
+    with pytest.raises(MarketError, match="at least one security"):
+        call(MarketModel(walk=walk, securities=()), fam)
 
 
 def test_search_finds_entry_zero_arbitrage_but_not_entry_one():
