@@ -7,6 +7,12 @@ dM_t = Z_t dW_t - (Y_t - E[Y_t | F_{t-1}]), and the value rolls back as
 Y_{t-1} = E[Y_t | F_{t-1}] + g(t, Z_t) dqv_t. On the symmetric walk with
 its generated filtration the remainder vanishes identically.
 
+solve_bsde keeps Y and Z at every level; g_expectation rolls Y alone back
+from a level-s payoff to level t. Both take the same one-level step, _step.
+Above s a known payoff has Z = 0 and g(t, 0) = 0, so the full solve only
+carries it; on the symmetric walk that carry is exact in floats, so the two
+agree bit for bit there, and elsewhere it rounds in the last bits.
+
 All routines accept batched inputs: leading axes of the terminal condition
 are carried through every level.
 """
@@ -61,6 +67,14 @@ class BsdeSolution:
         return tuple(tr.path_sums(dM, 0, tr.horizon))
 
 
+def _step(g: Driver, y: np.ndarray, t: int, walk: MartingaleSpec):
+    """One level of the backward recursion: (Y_{t-1}, Z_t) from Y_t = y."""
+    tr = walk.tree
+    prev = tr.condexp_step(y, t)
+    z = tr.condexp_step(y * walk.dW(t), t) / walk.dqv(t)
+    return prev + g.eval(t, z) * walk.dqv(t), z
+
+
 def solve_bsde(g: Driver, terminal, walk: MartingaleSpec) -> BsdeSolution:
     """Solve the backward equation with driver g and leaf condition terminal."""
     tr = walk.tree
@@ -69,9 +83,7 @@ def solve_bsde(g: Driver, terminal, walk: MartingaleSpec) -> BsdeSolution:
     Z = [None] * (T + 1)
     Y[T] = tr.check_level_array(np.asarray(terminal, dtype=float), T)
     for t in range(T, 0, -1):
-        prev = tr.condexp_step(Y[t], t)
-        Z[t] = tr.condexp_step(Y[t] * walk.dW(t), t) / walk.dqv(t)
-        Y[t - 1] = prev + g.eval(t, Z[t]) * walk.dqv(t)
+        Y[t - 1], Z[t] = _step(g, Y[t], t, walk)
     Z[0] = np.zeros(Y[T].shape[:-1] + (1,))
     return BsdeSolution(Y=tuple(Y), Z=tuple(Z), walk=walk)
 
@@ -116,16 +128,27 @@ def diagnose_solution(sol: BsdeSolution, g: Driver, walk: MartingaleSpec) -> Sol
 def g_expectation(g: Driver, x, s: int, t: int, walk: MartingaleSpec) -> np.ndarray:
     """Nonlinear conditional expectation of the level-s payoff x at level t.
 
-    For t >= s the result is x itself (lifted along the tree): the driver
-    vanishes at z = 0 and the integrand of a known payoff is zero. A t
-    outside 0..T raises LevelMismatch.
+    Rolls Y alone back from level s to t. For t >= s the result is x lifted
+    to level t (the integrand of a known payoff is zero and g(t, 0) = 0),
+    with the solve's +0.0 for -0.0 below the horizon. A t outside 0..T
+    raises LevelMismatch.
     """
     tr = walk.tree
-    if not 0 <= t <= tr.horizon:
-        raise LevelMismatch(f"level {t} is not one of 0..{tr.horizon}")
-    x = tr.check_level_array(np.asarray(x, dtype=float), s)
-    terminal = tr.broadcast(x, s, tr.horizon)
-    return solve_bsde(g, terminal, walk).Y[t]
+    T = tr.horizon
+    if not 0 <= t <= T:
+        raise LevelMismatch(f"level {t} is not one of 0..{T}")
+    y = tr.check_level_array(x, s)
+    if t == T:
+        return tr.broadcast(y, s, T)
+    if s < T:
+        # The solve reaches level s by a carry from the leaves, which turns
+        # -0.0 into +0.0.
+        y = y + 0.0
+    if t >= s:
+        return tr.broadcast(y, s, t)
+    for u in range(s, t, -1):
+        y = _step(g, y, u, walk)[0]
+    return y
 
 
 # ---- comparison -------------------------------------------------------------

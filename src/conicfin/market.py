@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bsde import solve_bsde
+from .bsde import g_expectation
 from .drivers import DriverFamily
-from .tree import AdaptedProcess, FiltrationTree, MartingaleSpec, tail_payoff
+from .tree import AdaptedProcess, FiltrationTree, MartingaleSpec, tail_payment
 
 SELF_FIN_TOL = 1e-9
 MARKET_AXIOM_SAMPLES = 8
@@ -78,11 +78,14 @@ class ConicOperator(PricingOperator):
 
     The ask of phi shares is the nonlinear expectation of phi times the
     stream's strictly-future payments; the bid negates the expectation of
-    the negated payoff. Two quotes skip the backward solve and return what
-    it would: an all-zero phi before the horizon quotes +0.0 on the ask
-    side and -0.0 on the bid side (drivers are normalized, and every
-    builtin family has g(t, +-0) = +0.0), and a quote at the horizon is
-    tail_payoff itself, phi times no future payments.
+    the negated payoff. The payoff is tail_payment, placed at the stream's
+    last paying level s, and Y rolls back from s to t only (g_expectation),
+    not from the leaves. Two quotes skip the roll-back and return what a
+    full solve would: an all-zero phi, or a stream that pays nothing after
+    t, quotes +0.0 on the ask side and -0.0 on the bid side before the
+    horizon (drivers are normalized, and every builtin family has
+    g(t, +-0) = +0.0), and a quote at the horizon is tail_payment itself,
+    phi times no future payments.
     """
 
     def __init__(self, side: str, family: DriverFamily, gamma: float, stream: AdaptedProcess):
@@ -96,16 +99,16 @@ class ConicOperator(PricingOperator):
         self._g = family.make(gamma)
 
     def price(self, t: int, phi: np.ndarray) -> np.ndarray:
-        phi = np.asarray(phi, dtype=float)
-        tr = self.stream.tree
-        if 0 <= t < tr.horizon and not np.any(tr.check_level_array(phi, t)):
+        stream = self.stream
+        phi = stream.tree.check_level_array(phi, t)
+        if t < stream.tree.horizon and (stream.last_paying <= t or not np.any(phi)):
             return np.zeros(phi.shape) if self.side == "ask" else np.full(phi.shape, -0.0)
-        payoff = tail_payoff(self.stream, phi, t)
-        if t == tr.horizon:
+        s, payoff = tail_payment(stream, phi, t)
+        if t == s:
             return payoff
         if self.side == "ask":
-            return solve_bsde(self._g, payoff, self.family.walk).Y[t]
-        return -solve_bsde(self._g, -payoff, self.family.walk).Y[t]
+            return g_expectation(self._g, payoff, s, t, self.family.walk)
+        return -g_expectation(self._g, -payoff, s, t, self.family.walk)
 
 
 class DirectOperator(PricingOperator):

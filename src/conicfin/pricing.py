@@ -18,11 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bsde import solve_bsde
+from .bsde import g_expectation, solve_bsde
 from .drivers import DriverFamily, LinearDriver
 from .market import ConicOperator, LevelNonpositive, _check_level  # noqa: F401 (re-exported)
 from .risk import random_streams
-from .tree import AdaptedProcess, single_payment, tail_payoff
+from .tree import AdaptedProcess, single_payment, tail_payment, tail_payoff
 
 PRICE_TOL = 1e-10
 IMPACT_LAMS = (0.25, 0.5, 0.75, 1.5, 2.0)
@@ -47,8 +47,9 @@ class PriceQuote:
 def _check_inputs(family: DriverFamily, gamma: float, phi, t: int):
     _check_level(gamma)
     tr = family.tree
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), (tr.n_nodes(t),)).copy() \
-        if np.asarray(phi).ndim <= 1 else np.asarray(phi, dtype=float)
+    phi = np.array(phi, dtype=float)
+    if phi.ndim == 0:
+        phi = np.full(tr.n_nodes(t), phi)
     phi = tr.check_level_array(phi, t)
     if not np.all(np.isfinite(phi)):
         raise NegativeQuantity("phi must be finite")
@@ -281,7 +282,8 @@ def agreement_diagnostic(
         lam = frac * phi
         a_val = ask(family1, gamma1, lam, stream, t).value
         b_val = bid(family2, gamma2, lam, stream, t).value
-        lin_val = solve_bsde(linear, tail_payoff(stream, ind * lam, t), walk).Y[t]
+        s, payoff = tail_payment(stream, ind * lam, t)
+        lin_val = g_expectation(linear, payoff, s, t, walk)
         worst = max(worst, float(np.max(np.abs(ind * a_val - lin_val))))
         worst = max(worst, float(np.max(np.abs(ind * b_val - lin_val))))
     return AgreementReport(

@@ -361,7 +361,11 @@ def symmetric_random_walk(tree: FiltrationTree) -> MartingaleSpec:
 
 @dataclass(frozen=True)
 class AdaptedProcess:
-    """A process X_0..X_T with X_t measurable at level t."""
+    """A process X_0..X_T with X_t measurable at level t.
+
+    last_paying is the highest level t with a nonzero X_t (0 when there is
+    none): the stream pays nothing after it.
+    """
 
     tree: FiltrationTree
     values: tuple
@@ -378,6 +382,9 @@ class AdaptedProcess:
             if not np.all(np.isfinite(v)):
                 raise TreeError(f"adapted process holds non-finite values at level {t}")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(
+            self, "last_paying", max((t for t, v in enumerate(vals) if np.any(v)), default=0)
+        )
 
     def at(self, t: int) -> np.ndarray:
         return self.values[t]
@@ -418,12 +425,23 @@ class AdaptedProcess:
         return self.scale_from(lam, t).add(other.scale_from(1.0 - lam, t))
 
 
-def tail_payoff(stream: AdaptedProcess, phi: np.ndarray, t: int) -> np.ndarray:
-    """phi shares of the stream's payments after t, lifted to the leaves:
-    phi at each leaf's level-t ancestor times D_{t+1} + ... + D_T along its
-    path. phi is level-t measurable and may carry leading batch axes."""
+def tail_payment(stream: AdaptedProcess, phi: np.ndarray, t: int):
+    """phi shares of the stream's payments after t, paid at once at level s,
+    the later of t and the stream's last paying level: returns s and the
+    level-s array of phi at each node's level-t ancestor times
+    D_{t+1} + ... + D_s along its path (phi times zeros when s = t). phi is
+    level-t measurable and may carry leading batch axes."""
     tr = stream.tree
-    return tr.broadcast(phi, t, tr.horizon) * stream.future_sum(t + 1)
+    s = max(t, stream.last_paying)
+    if s == t:
+        return s, tr.check_level_array(phi, t) * np.zeros(tr.n_nodes(t))
+    return s, tr.broadcast(phi, t, s) * tr.path_sums(stream.values, t + 1, s)[-1]
+
+
+def tail_payoff(stream: AdaptedProcess, phi: np.ndarray, t: int) -> np.ndarray:
+    """The tail_payment of phi shares after t, lifted to the leaves."""
+    s, payoff = tail_payment(stream, phi, t)
+    return stream.tree.broadcast(payoff, s, stream.tree.horizon)
 
 
 def zero_process(tree: FiltrationTree) -> AdaptedProcess:

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conicfin import (
     MeasureNotEquivalent,
     PreconditionViolated,
     builtin_driver,
+    builtin_family,
     build_tree,
     compare_solutions,
     detect_linear_driver,
@@ -24,6 +26,14 @@ import oracles
 
 SOLVER_ATOL = 1e-10
 ORACLE_ATOL = 1e-9
+
+# Payoff entries for the bit-for-bit checks: signed zeros and finite values
+# away from the subnormal range, where halving a value (the one-half carry
+# of a constant across two siblings) would round.
+PAYOFF_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-50.0, max_value=50.0).filter(lambda v: v == 0.0 or abs(v) > 1e-300),
+)
 
 
 def make_walk(horizon=3):
@@ -143,6 +153,45 @@ def test_g_expectation_constants_and_tower():
     nested = g_expectation(g, inner, 2, 0, walk)
     direct = g_expectation(g, X, 3, 0, walk)
     assert np.max(np.abs(nested - direct)) < SOLVER_ATOL
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from(["coherent", "quasiconcave_lse", "entropic"]),
+    st.floats(min_value=0.1, max_value=8.0),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_g_expectation_equals_the_full_solve_bit_for_bit(horizon, kind, level, data):
+    """The Y-only roll-back from level s equals the solve of the payoff lifted
+    to the leaves, read at t: values and zero signs, for t below, at and
+    above s, unbatched and batched."""
+    walk = make_walk(horizon)
+    tr = walk.tree
+    s = data.draw(st.integers(min_value=0, max_value=horizon))
+    t = data.draw(st.integers(min_value=0, max_value=horizon))
+    batch = data.draw(st.sampled_from([(), (1,), (3,)]))
+    x = data.draw(arrays(float, batch + (tr.n_nodes(s),), elements=PAYOFF_ENTRIES))
+    g = builtin_family(kind, walk).make(level)
+    got = g_expectation(g, x, s, t, walk)
+    want = solve_bsde(g, tr.broadcast(x, s, horizon), walk).Y[t]
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_g_expectation_lift_carries_the_solve_zero_signs():
+    """At or above the payoff's level the result is the payoff lifted along
+    the tree, with +0.0 for -0.0 below the horizon as the solve gives."""
+    walk = make_walk(3)
+    g = builtin_driver("entropic", walk, gamma=1.0)
+    x = np.array([-0.0, 2.5])
+    for t in (1, 2):
+        got = g_expectation(g, x, 1, t, walk)
+        assert np.array_equal(got, walk.tree.broadcast(x, 1, t))
+        assert not np.any(np.signbit(got))
+    leaves = g_expectation(g, x, 1, 3, walk)
+    assert np.array_equal(np.signbit(leaves), np.repeat([True, False], 4))
 
 
 def test_comparison_orders_solutions_with_dominating_driver():

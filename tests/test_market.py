@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conicfin import (
     AdaptedProcess,
@@ -19,6 +20,7 @@ from conicfin import (
     OrderBookOperator,
     Security,
     TradingStrategy,
+    build_tree,
     builtin_family,
     cds_streams,
     check_ngd,
@@ -27,6 +29,8 @@ from conicfin import (
     find_arbitrage,
     hedged_price,
     liquidation_value,
+    martingale_from_increments,
+    single_payment,
     solve_bsde,
     stock_stream,
     symmetric_random_walk,
@@ -41,6 +45,12 @@ from conicfin.arbitrage import FLOAT_GAIN_TOL, FLOAT_LOSS_TOL, _exact_view, _fra
 from conicfin.pricing import ask, bid, price
 from conicfin.search import SearchConfig
 from conicfin.tree import tail_payoff
+
+# Largest gap between a conic quote and the full solve on a walk that is not
+# the symmetric one, as a share of the payoff's largest magnitude. There the
+# full solve carries a payoff known at level s up to the leaves and back,
+# and p * a + (1 - p) * a rounds; the roll-back from s does not carry it.
+NONSYMMETRIC_QUOTE_RTOL = 1e-14
 
 AAPL_ASK = [(116.61, 200), (116.62, 700), (116.63, 543), (116.64, 643), (116.65, 343)]
 AAPL_BID = [(116.59, 400), (116.58, 400), (116.57, 800), (116.56, 500), (116.55, 543)]
@@ -187,6 +197,80 @@ def test_conic_fast_paths_equal_the_solve_bit_for_bit(kind):
         op.price(1, np.zeros(3))
     with pytest.raises(LevelMismatch):
         op.price(tree.horizon + 1, np.zeros(tree.n_leaves))
+
+
+@pytest.mark.parametrize("kind", ["entropic", "coherent", "quasiconcave_lse"])
+def test_streams_paying_nothing_after_t_quote_the_solve_zeros(kind):
+    """A stream whose last payment is at or before t quotes +0.0 on the ask
+    side and -0.0 on the bid side before the horizon, for any batched phi,
+    as the full solve does; quotes at the horizon and the refusal of a
+    level past it are those of the solve too."""
+    walk = make_walk(3)
+    tree = walk.tree
+    T = tree.horizon
+    fam = builtin_family(kind, walk)
+    g = fam.make(1.5)
+    rng = np.random.default_rng(5)
+    assert zero_process(tree).last_paying == 0
+    for last in range(T + 1):
+        vals = [
+            rng.normal(size=tree.n_nodes(s)) if s <= last else np.full(tree.n_nodes(s), -0.0)
+            for s in range(T + 1)
+        ]
+        stream = AdaptedProcess(tree, tuple(vals))
+        assert stream.last_paying == last
+        for t in range(last, T + 1):
+            phi = np.abs(rng.normal(size=(2, tree.n_nodes(t))))
+            payoff = tail_payoff(stream, phi, t)
+            for side, want in (
+                ("ask", solve_bsde(g, payoff, walk).Y[t]),
+                ("bid", -solve_bsde(g, -payoff, walk).Y[t]),
+            ):
+                got = ConicOperator(side, fam, 1.5, stream).price(t, phi)
+                assert got.shape == want.shape == phi.shape
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+                if t < T:
+                    assert not np.any(got) and np.all(np.signbit(got) == (side == "bid"))
+        with pytest.raises(LevelMismatch):
+            ConicOperator("ask", fam, 1.5, stream).price(T + 1, np.zeros(tree.n_leaves))
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from(["entropic", "coherent", "quasiconcave_lse"]),
+    st.floats(min_value=0.1, max_value=8.0),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_quotes_on_asymmetric_walks_stay_near_the_full_solve(horizon, kind, level, data):
+    """On binary trees with random branch probabilities p, 1 - p and the
+    mean-zero, unit-variance increments sqrt((1-p)/p), -sqrt(p/(1-p)),
+    quotes of single payments stay within NONSYMMETRIC_QUOTE_RTOL of the
+    full solve, on both sides and at every level."""
+    branching, increments = [], [None]
+    for t in range(1, horizon + 1):
+        n = 2 ** (t - 1)
+        p = np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n)))
+        branching.append([[q, 1.0 - q] for q in p])
+        increments.append(np.stack([np.sqrt((1 - p) / p), -np.sqrt(p / (1 - p))], axis=1).ravel())
+    tree = build_tree(branching)
+    walk = martingale_from_increments(tree, increments)
+    fam = builtin_family(kind, walk)
+    g = fam.make(level)
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    u = data.draw(st.integers(min_value=1, max_value=horizon))
+    stream = single_payment(tree, u, rng.normal(scale=10.0, size=tree.n_nodes(u)))
+    for t in range(horizon + 1):
+        phi = rng.uniform(0.0, 3.0, size=(2, tree.n_nodes(t)))
+        payoff = tail_payoff(stream, phi, t)
+        bound = NONSYMMETRIC_QUOTE_RTOL * float(np.max(np.abs(payoff)))
+        for side, want in (
+            ("ask", solve_bsde(g, payoff, walk).Y[t]),
+            ("bid", -solve_bsde(g, -payoff, walk).Y[t]),
+        ):
+            got = ConicOperator(side, fam, level, stream).price(t, phi)
+            assert np.max(np.abs(got - want)) <= bound
 
 
 def test_conic_operator_rejects_bad_levels_as_market_errors():

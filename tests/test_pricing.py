@@ -103,6 +103,23 @@ def test_price_rejects_bad_inputs():
         price("mid", fam, 1.0, 1.0, D, 0)
 
 
+def test_share_counts_of_the_wrong_length_raise_level_mismatch():
+    """Only a scalar phi is spread over the level; an array must have one
+    entry per level-t node (ask, bid and the impact check share the check)."""
+    walk = make_walk(2)
+    fam = builtin_family("coherent", walk)
+    D = random_stream(walk.tree, 4)
+    for t, phi in ((0, [1.0, 2.0]), (1, [1.0]), (1, np.ones(4)), (2, np.ones((2, 3)))):
+        for call in (ask, bid):
+            with pytest.raises(LevelMismatch):
+                call(fam, 1.0, phi, D, t)
+        with pytest.raises(LevelMismatch):
+            market_impact_check(fam, 1.0, D, t, phi)
+    quote = ask(fam, 1.0, 2.0, D, 1)
+    assert quote.phi.shape == (2,) and np.all(quote.phi == 2.0)
+    assert np.array_equal(ask(fam, 1.0, [2.0, 2.0], D, 1).value, quote.value)
+
+
 @pytest.mark.parametrize("t", [-1, 3])
 @pytest.mark.parametrize(
     "call",
