@@ -71,10 +71,18 @@ class ArbitrageSearchResult:
 
 
 def _score(v_terminal: np.ndarray, tol: float) -> np.ndarray:
-    """Worst leaf when losing; 1 + mean leaf once nothing is lost."""
-    worst = np.min(v_terminal, axis=-1)
-    mean = np.mean(v_terminal, axis=-1)
-    return np.where(worst < -tol, worst, 1.0 + mean)
+    """Worst leaf when losing; 1 + mean leaf once nothing is lost.
+
+    The worst leaf is a fold of np.minimum over the leaf columns: exact and
+    NaN-propagating like np.min, and much cheaper on a short leaf axis. The
+    mean is taken only on the rows that lose nothing.
+    """
+    worst = v_terminal[..., 0].copy()
+    for j in range(1, v_terminal.shape[-1]):
+        np.minimum(worst, v_terminal[..., j], out=worst)
+    keep = ~(worst < -tol)
+    worst[keep] = 1.0 + np.mean(v_terminal[keep], axis=-1)
+    return worst
 
 
 def find_arbitrage(

@@ -62,13 +62,18 @@ def _per_node_search(
     accepted coordinate moves improve exactly their own node and final
     strategies from different starts can be recombined node by node into a
     single parameter vector.
+
+    The ascent scores the candidates of all active starts in one call per
+    coordinate step, and the starts' finals are valued in one call too.
+    The ledger and solve_bsde treat each row on its own, so each row gets
+    the values it would get alone.
     """
     dims, t = layout.dims, layout.entry
     finals, evals = ascend(
         lambda P: -np.sum(evaluate_values(P), axis=-1), dims, cfg, layout.bound(cfg)
     )
     params = [p for p, _ in finals]
-    stacked = np.stack([evaluate_values(p[None, :])[0] for p in params])
+    stacked = evaluate_values(np.stack(params))
     evals += len(params)
     node_dim = layout.dim_subtree_map(t) if dims else np.zeros(0, dtype=np.int64)
     winner = np.argmin(stacked, axis=0)

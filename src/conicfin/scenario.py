@@ -170,6 +170,18 @@ def _number(key: str, value, positive: bool = False) -> float:
     return x
 
 
+def _family_level(fam, key: str, value) -> float:
+    """A positive finite level that the family itself accepts, so a level
+    its driver would refuse (a coherent level whose x/(x+1) rounds to 1) is
+    a config error."""
+    x = _number(key, value, positive=True)
+    try:
+        fam.make(x)
+    except DriverError as exc:
+        raise ScenarioError(f"{key} {value!r} is out of range for the {fam.kind} family: {exc}") from exc
+    return x
+
+
 def _boolean(key: str, value) -> bool:
     """A JSON true or false."""
     if not isinstance(value, bool):
@@ -419,7 +431,7 @@ def _job_price_table(scn: Scenario, job: dict, path: str):
     gammas = job.get("gammas", [1.0])
     if not isinstance(gammas, list) or not gammas:
         raise ScenarioError(f"gammas must list at least one level, got {gammas!r}")
-    gammas = [_number("gammas", g, positive=True) for g in gammas]
+    gammas = [_family_level(fam, "gammas", g) for g in gammas]
     phi = _number("phi", job.get("phi", 1.0))
     times = _typed("times", job.get("times", list(range(tr.horizon + 1))), list)
     times = [_integer("times", t, 0, tr.horizon) for t in times]
@@ -558,7 +570,7 @@ def _job_ngd(scn: Scenario, job: dict, path: str):
     fam = _resolve_family(scn, _required(job, "family", "ngd job"))
     cfg = _search_config(job, scn.seed)
     entry = _integer("entry", job.get("entry", 0), 0, scn.walk.tree.horizon - 1)
-    gamma = _number("gamma", _required(job, "gamma", "ngd job"), positive=True)
+    gamma = _family_level(fam, "gamma", _required(job, "gamma", "ngd job"))
     expect = _choice("expect", job.get("expect"), (None, "GOOD_DEAL_FOUND", "NONE_FOUND"))
     rep = check_ngd(fam, gamma, scn.market, entry, cfg)
     write_json(
@@ -586,7 +598,7 @@ def _job_hedged(scn: Scenario, job: dict, path: str):
     stream = _resolve_stream(scn, _required(job, "stream", "hedged job"))
     cfg = _search_config(job, scn.seed)
     entry = _integer("entry", job.get("entry", 0), 0, scn.walk.tree.horizon - 1)
-    gamma = _number("gamma", _required(job, "gamma", "hedged job"), positive=True)
+    gamma = _family_level(fam, "gamma", _required(job, "gamma", "hedged job"))
     phi = _number("phi", job.get("phi", 1.0))
     rep = hedged_sandwich(fam, gamma, phi, stream, scn.market, entry, cfg)
     write_json(

@@ -6,11 +6,15 @@ a batch of parameter vectors to self-financing strategies, filling in the
 bank leg, so every objective is built as legs -> strategy -> value.
 
 ascend is the one seeded multi-start coordinate ascent over shrinking
-grids that arbitrage and hedging share; batched objectives score whole
-candidate sets at once. maximize keeps the best start's final point;
-hedging merges the starts' finals node by node instead. exhaustive_grid
-sweeps the full product grid of a small instance whose wealth is a sum
-over column groups.
+grids that arbitrage and hedging share. Its starts move in lockstep, so
+one objective call scores the candidate sets of every active start at
+once. maximize keeps the best start's final point; hedging merges the
+starts' finals node by node instead. exhaustive_grid sweeps the full
+product grid of a small instance whose wealth is a sum over column groups,
+in chunks built by broadcasting the group terms. Both batchings are bit
+for bit the same as scoring one start, or one row, at a time whenever the
+objective scores each row on its own: every row gets the same score, so
+every accepted move and chosen row is the same.
 
 Every dimension touches exactly one subtree of the evaluation root, so
 objectives that decompose across level-t nodes can merge per-node winners
@@ -20,6 +24,7 @@ dimension-to-node assignment for that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -29,7 +34,7 @@ from .market import MarketModel, TradingStrategy, complete_bank_leg
 
 
 EXHAUSTIVE_MAX_DIMS = 24
-EXHAUSTIVE_CHUNK = 8192
+EXHAUSTIVE_CHUNK = 32_768
 
 
 class InstanceTooLarge(ValueError):
@@ -156,47 +161,61 @@ def ascend(
     """Seeded multi-start coordinate ascent on [0, bound]^dims.
 
     score maps a (B, dims) batch to (B,) scores. Each start sweeps the
-    coordinates over a grid around the current point, keeping a move only
-    when it beats the current score by more than 1e-13, and halves the grid
-    span every refinement round. The zero vector is always the first start.
-    Returns each start's final (params, score), in start order, and the
-    number of rows scored.
+    coordinates over a grid around its current point, keeping a move only
+    when it beats its current score by more than 1e-13, and the grid span
+    halves every refinement round. The zero vector is always the first
+    start. Returns each start's final (params, score), in start order, and
+    the number of rows scored.
+
+    The starts run in lockstep through one (round, sweep, coordinate)
+    schedule. Each start's first score is its own call; after that, every
+    coordinate step stacks the candidate batches of the active starts into
+    one score call and splits the scores back per start. A start with no
+    accepted move in a sweep is idle for the rest of that round, as if it
+    stopped sweeping. Each start still builds its own candidates and takes
+    its own argmax over its own rows, so a row-wise score gives every
+    start the moves, finals and evaluation count it would have alone.
     """
     rng = np.random.default_rng(cfg.seed)
     base_grid = np.linspace(0.0, bound, cfg.grid_points)
-    starts = [np.zeros(dims)]
+    points = [np.zeros(dims)]
     for _ in range(max(cfg.multi_starts - 1, 0)):
         raw = rng.choice(base_grid, size=dims)
         mask = rng.random(dims) < 0.35
-        starts.append(raw * mask)
-    finals = []
-    evals = 0
-    for p0 in starts:
-        p = p0.copy()
-        s = float(score(p[None, :])[0])
-        evals += 1
-        span = bound
-        for _ in range(cfg.refine_rounds):
-            for _ in range(cfg.sweeps):
-                improved = False
-                for d in range(dims):
+        points.append(raw * mask)
+    values = [float(score(p[None, :])[0]) for p in points]
+    evals = len(points)
+    span = bound
+    for _ in range(cfg.refine_rounds):
+        active = range(len(points))
+        for _ in range(cfg.sweeps):
+            improved = set()
+            for d in range(dims):
+                cands = []
+                for i in active:
                     cand = np.clip(
-                        np.linspace(p[d] - span, p[d] + span, cfg.grid_points), 0.0, bound
+                        np.linspace(points[i][d] - span, points[i][d] + span, cfg.grid_points),
+                        0.0,
+                        bound,
                     )
-                    cand = np.unique(np.concatenate([cand, [0.0, p[d]]]))
-                    batch = np.repeat(p[None, :], cand.size, axis=0)
-                    batch[:, d] = cand
-                    scores = np.asarray(score(batch), dtype=float)
-                    evals += cand.size
-                    k = int(np.argmax(scores))
-                    if scores[k] > s + 1e-13:
-                        p, s = batch[k].copy(), float(scores[k])
-                        improved = True
-                if not improved:
-                    break
-            span *= 0.5
-        finals.append((p, s))
-    return finals, evals
+                    cands.append(np.unique(np.concatenate([cand, [0.0, points[i][d]]])))
+                sizes = [c.size for c in cands]
+                batch = np.repeat(np.stack([points[i] for i in active]), sizes, axis=0)
+                batch[:, d] = np.concatenate(cands)
+                scores = np.asarray(score(batch), dtype=float)
+                evals += batch.shape[0]
+                lo = 0
+                for i, size in zip(active, sizes):
+                    k = lo + int(np.argmax(scores[lo : lo + size]))
+                    if scores[k] > values[i] + 1e-13:
+                        points[i], values[i] = batch[k].copy(), float(scores[k])
+                        improved.add(i)
+                    lo += size
+            active = sorted(improved)
+            if not active:
+                break
+        span *= 0.5
+    return list(zip(points, values)), evals
 
 
 def maximize(
@@ -230,9 +249,18 @@ def exhaustive_grid(
     over consecutive column groups of the given widths: a row's wealth is
     the sum of the wealths of the rows keeping one group's columns. So
     wealth runs once, on every group's sub-grid, and the product grid is
-    swept in C order, chunk by chunk, adding one term per group; score maps
-    (B, n) outcomes to (B,) scores. The earliest best row wins, and its
-    score is recomputed from wealth of that row alone.
+    swept in C order, chunk by chunk; score maps (B, n) outcomes to (B,)
+    scores. The earliest best row wins, and its score is recomputed from
+    wealth of that row alone.
+
+    A chunk is one index of the leading groups times the full product of
+    the trailing groups: as many trailing groups as fit in EXHAUSTIVE_CHUNK
+    rows, and at least the last one. Its wealth is built by broadcast
+    partial sums over the group terms, left to right from zero,
+    (((0 + t0[i]) + t1) + t2) + t3: the association of Python's sum of one
+    gathered term per group, so every row's sum is the same float. Chunks
+    run in C order and a later chunk must beat the best so far, so the
+    earliest best row wins whatever the chunk size.
 
     The per-dimension point count is sized so the total grid lands at or
     above the configured target without exploding; instances whose grid
@@ -257,13 +285,26 @@ def exhaustive_grid(
         rows[row : row + size, col : col + w] = product(np.arange(size), w)
         row, col = row + size, col + w
     terms = np.split(np.asarray(wealth(rows), dtype=float), np.cumsum(sizes)[:-1])
+    lead = len(terms) - 1
+    while lead > 0 and math.prod(sizes[lead - 1 :]) <= EXHAUSTIVE_CHUNK:
+        lead -= 1
+    # chunk c adds every trailing row to row c of the leading partial sums
+    heads = _partial_sums(np.zeros((1, terms[0].shape[-1])), terms[:lead])
+    chunk = math.prod(sizes[lead:])
     best_flat, best_s = 0, -np.inf
-    for start in range(0, total, EXHAUSTIVE_CHUNK):
-        picks = np.unravel_index(np.arange(start, min(start + EXHAUSTIVE_CHUNK, total)), sizes)
-        scores = np.asarray(score(sum(term[pick] for term, pick in zip(terms, picks))), dtype=float)
+    for c, head in enumerate(heads):
+        scores = np.asarray(score(_partial_sums(head[None], terms[lead:])), dtype=float)
         k = int(np.argmax(scores))
         if scores[k] > best_s:
-            best_flat, best_s = start + k, float(scores[k])
+            best_flat, best_s = c * chunk + k, float(scores[k])
     best_p = product(best_flat, dims)
     best_s = float(score(wealth(best_p[None, :]))[0])
     return SearchOutcome(params=best_p, score=best_s, evaluations=total, exhaustive_total=total)
+
+
+def _partial_sums(acc: np.ndarray, terms) -> np.ndarray:
+    """Every acc row plus one row of each term in turn, in C order: (A, n)
+    and terms of (s_j, n) rows give (A * prod s_j, n)."""
+    for term in terms:
+        acc = (acc[:, None] + term[None]).reshape(-1, term.shape[-1])
+    return acc

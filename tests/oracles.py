@@ -106,3 +106,64 @@ def brute_force_solve(g, terminal, walk):
             y_prev.append(ey + float(g.eval(t, np.full(n_par, z))[j]) * float(dqv[j]))
         Y[t - 1] = y_prev
     return [np.asarray(level, dtype=float) for level in Y]
+
+
+def sequential_ascend(
+    score: Callable[[np.ndarray], np.ndarray],
+    dims: int,
+    cfg: SearchConfig,
+    bound: float,
+):
+    """Seeded multi-start coordinate ascent on [0, bound]^dims, one start
+    after the other: the per-start loop that search.ascend runs in lockstep.
+
+    score maps a (B, dims) batch to (B,) scores. Each start sweeps the
+    coordinates over a grid around the current point, keeping a move only
+    when it beats the current score by more than 1e-13, and halves the grid
+    span every refinement round. The zero vector is always the first start.
+    Returns each start's final (params, score), in start order, and the
+    number of rows scored.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    base_grid = np.linspace(0.0, bound, cfg.grid_points)
+    starts = [np.zeros(dims)]
+    for _ in range(max(cfg.multi_starts - 1, 0)):
+        raw = rng.choice(base_grid, size=dims)
+        mask = rng.random(dims) < 0.35
+        starts.append(raw * mask)
+    finals = []
+    evals = 0
+    for p0 in starts:
+        p = p0.copy()
+        s = float(score(p[None, :])[0])
+        evals += 1
+        span = bound
+        for _ in range(cfg.refine_rounds):
+            for _ in range(cfg.sweeps):
+                improved = False
+                for d in range(dims):
+                    cand = np.clip(
+                        np.linspace(p[d] - span, p[d] + span, cfg.grid_points), 0.0, bound
+                    )
+                    cand = np.unique(np.concatenate([cand, [0.0, p[d]]]))
+                    batch = np.repeat(p[None, :], cand.size, axis=0)
+                    batch[:, d] = cand
+                    scores = np.asarray(score(batch), dtype=float)
+                    evals += cand.size
+                    k = int(np.argmax(scores))
+                    if scores[k] > s + 1e-13:
+                        p, s = batch[k].copy(), float(scores[k])
+                        improved = True
+                if not improved:
+                    break
+            span *= 0.5
+        finals.append((p, s))
+    return finals, evals
+
+
+def product_grid_sums(terms) -> np.ndarray:
+    """Every row of the product grid of the groups' term rows, in C order:
+    sum(term[pick] ...) with the picks gathered by np.unravel_index."""
+    sizes = [len(term) for term in terms]
+    picks = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
+    return sum(term[pick] for term, pick in zip(terms, picks))

@@ -139,14 +139,30 @@ def test_every_job_type_passes_on_the_tables_scenario(tmp_path):
 
 
 def test_reruns_are_byte_identical_even_in_parallel(tmp_path):
-    cfg = tables_cfg()
-    run_scenario(cfg, str(tmp_path / "a"))
-    run_scenario(cfg, str(tmp_path / "b"))
-    run_scenario(cfg, str(tmp_path / "c"), jobs_parallel=3)
+    """Every job type, arbitrage both searched and exhaustive, on table,
+    book and conic markets: a rerun and a run with jobs_parallel=3 write
+    the same bytes, summary.json included."""
+    exhaustive = {"type": "arbitrage", "search": {"exhaustive": True, "exhaustive_target": 4096}}
+    hedged = {"type": "hedged", "family": "ent", "gamma": 2.0, "stream": "payout", "search": LIGHT_SEARCH}
+    tables, conic = tables_cfg(), conic_cfg()
+    tables["jobs"] += [exhaustive, hedged]
+    conic["jobs"] += [exhaustive, {"type": "price_table", "family": "ent", "stream": "payout"}]
+    run_scenario(tables, str(tmp_path / "a"))
+    run_scenario(tables, str(tmp_path / "b"))
+    run_scenario(tables, str(tmp_path / "c"), jobs_parallel=3)
     a = read_tree_bytes(tmp_path / "a")
     assert a == read_tree_bytes(tmp_path / "b")
     assert a == read_tree_bytes(tmp_path / "c")
-    assert len(a) == 11
+    assert len(a) == 13
+    summary = run_scenario(conic, str(tmp_path / "d"))
+    run_scenario(conic, str(tmp_path / "e"), jobs_parallel=3)
+    d = read_tree_bytes(tmp_path / "d")
+    assert d == read_tree_bytes(tmp_path / "e")
+    assert len(d) == 6
+    jobs = json.loads(a["summary.json"])["jobs"] + summary["jobs"]
+    assert all(e["status"] != "error" for e in jobs), jobs
+    types = {e["type"] for e in jobs}
+    assert types == {"solve", "price_table", "axioms", "index", "arbitrage", "ngd", "hedged", "book_quotes"}
 
 
 def test_seed_override_lands_in_the_summary(tmp_path):
@@ -399,3 +415,22 @@ def test_cli_seed_and_parallel_flags(tmp_path, capsys):
     capsys.readouterr()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["seed"] == 99
+
+
+def test_coherent_levels_past_the_driver_range_are_config_errors(tmp_path, capsys):
+    """At 1e16, x/(x+1) rounds to 1 and the coherent driver refuses the
+    level: every job level goes through the family's check, so the job is
+    a config error and the run exits 2. 9e15 still prices."""
+    def run(jobs, name):
+        cfg = {**tables_cfg(), "jobs": jobs}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        return main(["run", str(path), "--out", str(tmp_path / name)])
+
+    table = lambda level: {"type": "price_table", "family": "coh", "stream": "payout", "gammas": [1.0, level]}
+    assert run([table(1e16)], "table_1e16") == 2
+    assert run([table(9e15)], "table_9e15") == 0
+    for jtype in ("ngd", "hedged"):
+        job = {"type": jtype, "family": "coherent", "gamma": 1e16, "stream": "payout", "search": LIGHT_SEARCH}
+        assert run([job], f"{jtype}_1e16") == 2
+    capsys.readouterr()

@@ -23,9 +23,11 @@ from conicfin import (
     uniform_binary_tree,
     zero_process,
 )
+from conicfin import search
 from conicfin.arbitrage import _score
 from conicfin.search import ascend
 
+import oracles
 from test_market import AAPL_ASK, AAPL_BID, conic_market, direct_two_period_market
 
 SEARCH_ATOL = 2e-2
@@ -120,6 +122,71 @@ def test_ascend_returns_one_final_per_start_and_counts_scored_rows():
     assert best.evaluations == evals
 
 
+def _rugged_objective(draw, dims):
+    """A row-wise objective with plateaus (floor), kinks (abs, maximum) and
+    ties (rounding), built from exact elementwise ops one column at a time,
+    so a row scores the same in any batch."""
+    col = lambda: draw(st.lists(st.floats(-2.0, 2.0), min_size=dims, max_size=dims))
+    centre, weight, kink, slope = col(), col(), col(), col()
+    steps = draw(st.lists(st.sampled_from([1.0, 3.0, 8.0, 64.0]), min_size=dims, max_size=dims))
+    digits = draw(st.integers(0, 6))
+
+    def score(params):
+        out = np.zeros(params.shape[0])
+        for j in range(dims):
+            x = np.floor(params[:, j] * steps[j]) / steps[j]
+            out = out - abs(weight[j]) * np.abs(x - centre[j]) + slope[j] * np.maximum(x - kink[j], 0.0)
+        return np.round(out, digits)
+
+    return score
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_lockstep_ascend_matches_the_sequential_per_start_ascent(data):
+    """Random rugged objectives: the lockstep ascent gives every start the
+    final point and score of the per-start loop, and the same row count."""
+    dims = data.draw(st.integers(1, 4))
+    cfg = SearchConfig(
+        grid_points=data.draw(st.integers(1, 21)),
+        multi_starts=data.draw(st.integers(1, 8)),
+        sweeps=data.draw(st.integers(1, 4)),
+        refine_rounds=data.draw(st.integers(1, 5)),
+        seed=data.draw(st.integers(0, 2**32 - 1)),
+    )
+    bound = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+    score = _rugged_objective(data.draw, dims)
+    finals, evals = ascend(score, dims, cfg, bound)
+    want, want_evals = oracles.sequential_ascend(score, dims, cfg, bound)
+    assert evals == want_evals
+    assert len(finals) == len(want)
+    for (p, s), (q, r) in zip(finals, want):
+        assert np.array_equal(p, q)
+        assert s == r
+
+
+def test_lockstep_ascend_scores_several_starts_in_one_call():
+    """Coordinate steps stack the active starts' candidates: some call holds
+    more rows than one start's candidate set can, and there are fewer calls
+    than the per-start loop makes."""
+    target = np.array([0.7, 0.1, 0.4])
+    calls = []
+
+    def score(params):
+        calls.append(params.shape[0])
+        return -np.sum(np.abs(params - target), axis=-1)
+
+    cfg = SearchConfig(grid_points=5, multi_starts=4, sweeps=2, refine_rounds=3, seed=2)
+    ascend(score, dims=3, cfg=cfg, bound=1.0)
+    lockstep = list(calls)
+    calls.clear()
+    oracles.sequential_ascend(score, 3, cfg, 1.0)
+    assert lockstep[: cfg.multi_starts] == [1] * cfg.multi_starts
+    assert max(lockstep) > cfg.grid_points + 2
+    assert len(lockstep) < len(calls)
+    assert sum(lockstep) == sum(calls)
+
+
 def _wealth(layout):
     """Terminal wealth of a (B, dims) batch through the full ledger."""
     market = layout.market
@@ -200,6 +267,95 @@ def test_exhaustive_grid_refuses_oversized_instances():
         exhaustive_grid(wealth, [25], SearchConfig(), 1.0, score)
     with pytest.raises(InstanceTooLarge):
         exhaustive_grid(wealth, [12, 11], SearchConfig(), 1.0, score)
+
+
+def _additive_wealth(rng, dims, leaves):
+    """Synthetic wealth, additive over columns: each column adds its own
+    kinked leaf profile, column by column, so a row's wealth is the same in
+    any batch."""
+    slope = rng.normal(0.0, 1.0, (dims, leaves))
+    kink = rng.uniform(0.0, 1.0, (dims, leaves))
+    cost = rng.uniform(0.0, 0.5, dims)
+
+    def wealth(params):
+        out = np.zeros((params.shape[0], leaves))
+        for j in range(dims):
+            x = params[:, j : j + 1]
+            out = out + slope[j] * np.maximum(x - kink[j], 0.0) - cost[j] * x
+        return out
+
+    return wealth
+
+
+@pytest.mark.parametrize("widths", [[5], [1, 3, 2], [2, 2, 2, 2]])
+@pytest.mark.parametrize("leaves", [1, 4, 9])
+@pytest.mark.parametrize("chunk", [1, 100, 2000, search.EXHAUSTIVE_CHUNK])
+def test_exhaustive_chunks_match_the_brute_force_grid_exactly(widths, leaves, chunk, monkeypatch):
+    """The broadcast chunks hold, in C order, exactly the row sums of the
+    brute-force product grid, score them exactly as scoring the whole grid
+    does, and pick the same flat row. The chunk caps give one chunk for the
+    whole grid, chunks of two or three trailing groups, and, below a
+    group's size, the last group alone."""
+    monkeypatch.setattr(search, "EXHAUSTIVE_CHUNK", chunk)
+    dims = sum(widths)
+    rng = np.random.default_rng(dims * 100 + leaves)
+    wealth = _additive_wealth(rng, dims, leaves)
+    cfg = SearchConfig(exhaustive=True, exhaustive_target=3000)
+    bound = 2.0
+    seen, scored, sub_grid = [], [], []
+
+    def score(v):
+        seen.append(v.copy())
+        scored.append(_score(v, cfg.tol))
+        return scored[-1]
+
+    out = exhaustive_grid(lambda P: sub_grid.append(P) or wealth(P), widths, cfg, bound, score)
+
+    sizes = [round(out.exhaustive_total ** (w / dims)) for w in widths]
+    terms = np.split(wealth(sub_grid[0]), np.cumsum(sizes)[:-1])
+    brute = oracles.product_grid_sums(terms)
+    worst = np.min(brute, axis=-1)
+    brute_scores = np.where(worst < -cfg.tol, worst, 1.0 + np.mean(brute, axis=-1))
+    assert np.array_equal(np.concatenate(seen[:-1]), brute)
+    assert np.array_equal(np.signbit(np.concatenate(seen[:-1])), np.signbit(brute))
+    assert np.array_equal(np.concatenate(scored[:-1]), brute_scores)
+    k = int(np.argmax(brute_scores))
+    points = round(out.exhaustive_total ** (1.0 / dims))
+    grid = np.linspace(0.0, bound, points)
+    assert np.array_equal(out.params, grid[np.array(np.unravel_index(k, (points,) * dims))])
+    assert out.score == _score(wealth(out.params[None, :]), cfg.tol)[0]
+    assert 0.0 < np.mean(brute_scores < 0.0) < 1.0  # rows that lose and rows that do not
+    rows = {v.shape[0] for v in seen[:-1]}
+    assert len(rows) == 1 and rows.pop() <= max(chunk, sizes[-1])
+
+
+def test_exhaustive_sweep_of_a_two_security_horizon_two_grid_runs_in_27_chunks():
+    """Four groups of three columns at the default target, as a clean
+    two-security, horizon-2 table market: 3 points per column, 27 rows per
+    group, and one chunk per row of the first group."""
+    wealth = _additive_wealth(np.random.default_rng(0), 12, 4)
+    chunks = []
+    score = lambda v: chunks.append(v.shape[0]) or _score(v, 1e-9)
+    out = exhaustive_grid(wealth, [3, 3, 3, 3], SearchConfig(exhaustive=True), 2.0, score)
+    assert out.exhaustive_total == 27**4
+    assert chunks == [27**3] * 27 + [1]
+
+
+def test_score_matches_min_and_mean_exactly_on_special_values():
+    """Folded np.minimum and the mean of the non-losing rows give the bits
+    of np.where(np.min(v) < -tol, np.min(v), 1 + np.mean(v)), NaN, infinities
+    and signed zeros included."""
+    rng = np.random.default_rng(5)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-300, 1e-9, -1e-9, -1.0, 2.5])
+    for leaves in (1, 2, 4, 8, 9, 17):
+        v = rng.choice(special, size=(500, leaves), p=[0.02, 0.03, 0.03, 0.2, 0.2, 0.1, 0.1, 0.1, 0.1, 0.12])
+        v[:50] = rng.normal(0.0, 1.0, (50, leaves))
+        for tol in (0.0, 1e-9, 0.5):
+            with np.errstate(invalid="ignore"):
+                old = np.where(np.min(v, axis=-1) < -tol, np.min(v, axis=-1), 1.0 + np.mean(v, axis=-1))
+                new = _score(v, tol)
+            assert np.array_equal(new, old, equal_nan=True)
+            assert np.array_equal(np.signbit(new), np.signbit(old))
 
 
 @given(
