@@ -1,4 +1,4 @@
-"""Print the three size numbers tracked for the package as one JSON line.
+"""Print the four size numbers tracked for the package as one JSON line.
 
     python3 scripts/size_report.py [SRC]
 
@@ -8,7 +8,9 @@ numbers are:
 - exports: the names imported in SRC/__init__.py;
 - defaulted_params: the defaulted parameters of public functions and
   methods (names without a leading underscore, plus __init__), plus the
-  defaulted fields of dataclasses.
+  defaulted fields of dataclasses;
+- test_lines: the line count of tests/*.py two directories above SRC, so
+  that code moved from SRC into the tests shows up as moved, not removed.
 """
 
 import argparse
@@ -53,7 +55,13 @@ def main():
     exports = sum(
         len(node.names) for node in ast.walk(init) if isinstance(node, (ast.Import, ast.ImportFrom))
     )
-    print(json.dumps({"lines": lines, "exports": exports, "defaulted_params": defaulted}))
+    test_lines = 0
+    root = os.path.dirname(os.path.dirname(os.path.abspath(src)))
+    for path in glob.glob(os.path.join(root, "tests", "*.py")):
+        with open(path) as f:
+            test_lines += len(f.read().splitlines())
+    sizes = {"lines": lines, "exports": exports, "defaulted_params": defaulted, "test_lines": test_lines}
+    print(json.dumps(sizes))
 
 
 if __name__ == "__main__":

@@ -20,20 +20,15 @@ from .tree import (
     zero_process,
 )
 from .drivers import (
-    AssumptionAReport,
     Driver,
     DriverError,
     DriverFamily,
     FamilyReport,
-    NotRandomWalk,
     ParamOutOfRange,
     RegularityReport,
     builtin_driver,
     builtin_family,
-    driver_from_risk_measure,
     is_regular,
-    lipschitz_dominance_check,
-    validate_assumption_A,
     validate_family,
 )
 from .bsde import (
@@ -44,7 +39,6 @@ from .bsde import (
     PreconditionViolated,
     SolutionDiagnostics,
     compare_solutions,
-    detect_linear_driver,
     diagnose_solution,
     extract_linear_measure,
     g_expectation,
@@ -53,28 +47,21 @@ from .bsde import (
 from .risk import (
     AxiomReport,
     AxiomResult,
-    DualityReport,
-    RiskMeasure,
     acceptability_index,
     check_dai_axioms,
     check_dcrm_axioms,
-    level_set_duality,
     random_streams,
     risk,
 )
 from .pricing import (
-    AgreementReport,
     ConsistencyReport,
     CrossCompareReport,
-    ImpactReport,
     NegativeQuantity,
     PriceQuote,
-    agreement_diagnostic,
     ask,
     bid,
     cross_compare,
     cumulative_price,
-    market_impact_check,
     price,
     time_consistency_check,
 )
@@ -83,7 +70,6 @@ from .market import (
     DepthExceeded,
     DirectOperator,
     LevelNonpositive,
-    MarketAxiomReport,
     MarketError,
     MarketModel,
     NegativeLeg,
@@ -100,9 +86,7 @@ from .market import (
     liquidation_value,
     rebalancing_cost,
     stock_stream,
-    validate_market_axioms,
     validate_self_financing,
-    zero_strategy,
 )
 from .search import (
     InstanceTooLarge,
@@ -121,14 +105,10 @@ from .arbitrage import (
     validate_certificate,
 )
 from .hedging import (
-    HedgedConvexityReport,
-    HedgedLevelReport,
     HedgedQuote,
     NgdReport,
     SandwichReport,
     check_ngd,
-    hedged_convexity_check,
-    hedged_level_monotonicity,
     hedged_price,
     hedged_sandwich,
 )

@@ -29,8 +29,6 @@ from .tree import LevelMismatch, MartingaleSpec
 
 EQ_TOL = 1e-10
 COMPARISON_Z_GRID = np.linspace(-8.0, 8.0, 33)
-LINEAR_PROBES = np.array([-2.5, -1.0, 0.7, 1.0, 3.3])
-LINEAR_TOL = 1e-9
 
 
 class PreconditionViolated(ValueError):
@@ -270,31 +268,3 @@ def extract_linear_measure(g: Driver, walk: MartingaleSpec) -> LinearMeasure:
     tree_q = tr.with_probabilities(new_bp)
     density = tree_q.leaf_prob / tr.leaf_prob
     return LinearMeasure(tree_q=tree_q, leaf_density=density)
-
-
-def detect_linear_driver(g: Driver, walk: MartingaleSpec):
-    """Probe whether g acts linearly; returns per-level slopes or None.
-
-    The slope candidate is g(t, 1); the probes check proportionality in z,
-    and two payoff probes check additivity and odd symmetry of the induced
-    expectation. Returns [None, x_1, ..., x_T] on success.
-    """
-    tr = walk.tree
-    z = LINEAR_PROBES[:, None]
-    slopes = [None]
-    for t in range(1, tr.horizon + 1):
-        x_t = g.eval(t, np.ones(tr.n_nodes(t - 1)))
-        gap = np.abs(_on_grid(g, t, LINEAR_PROBES) - x_t * z)
-        if np.any(gap > LINEAR_TOL * np.maximum(1.0, np.abs(z))):
-            return None
-        slopes.append(np.asarray(x_t, dtype=float))
-    rng = np.random.default_rng(0)
-    x1 = rng.normal(size=tr.n_leaves)
-    x2 = rng.normal(size=tr.n_leaves)
-    e1 = solve_bsde(g, x1, walk).Y[0]
-    e2 = solve_bsde(g, x2, walk).Y[0]
-    e12 = solve_bsde(g, x1 + x2, walk).Y[0]
-    eneg = solve_bsde(g, -x1, walk).Y[0]
-    if np.max(np.abs(e12 - e1 - e2)) > LINEAR_TOL or np.max(np.abs(eneg + e1)) > LINEAR_TOL:
-        return None
-    return slopes

@@ -30,8 +30,6 @@ import numpy as np
 
 from .tree import MartingaleSpec
 
-LIPSCHITZ_TOL = 1e-9
-ZERO_TOL = 1e-12
 CERT_TOL = 1e-12
 
 
@@ -43,20 +41,17 @@ class ParamOutOfRange(DriverError):
     """A driver parameter violates its admissible range."""
 
 
-class NotRandomWalk(DriverError):
-    """Operation needs the symmetric walk with its generated filtration."""
-
-
 def _lncosh_half(a: np.ndarray) -> np.ndarray:
     """log(0.5*exp(-a) + 0.5*exp(a)), stable for large |a|."""
     m = np.abs(a)
-    return m - np.log(2.0) + np.log1p(np.exp(-2.0 * m))
+    # 2m overflows for m near the float maximum; past 1e300, exp(-2m) is 0 either way
+    return m - np.log(2.0) + np.log1p(np.exp(-2.0 * np.minimum(m, 1e300)))
 
 
 def _lse3(z: np.ndarray) -> np.ndarray:
     """log((1 + exp(-z) + exp(z)) / 3), stable for large |z|."""
     m = np.abs(z)
-    return m + np.log1p(np.exp(-m) + np.exp(-2.0 * m)) - np.log(3.0)
+    return m + np.log1p(np.exp(-m) + np.exp(-2.0 * np.minimum(m, 1e300))) - np.log(3.0)
 
 
 def _per_level(tree, value, name: str) -> list:
@@ -254,71 +249,6 @@ class EntropicDriver(Driver):
         return 1.0 / self.walk.dqv(t)
 
 
-class CallableDriver(Driver):
-    """Wrap a plain function g(t, z) with declared flags and constants.
-
-    Used for custom and deliberately ill-behaved drivers in validation
-    work; the declared Lipschitz constant is taken on faith and audited by
-    validate_assumption_A.
-    """
-
-    kind = "callable"
-
-    def __init__(self, walk, fn, lipschitz_const, convex=False,
-                 positive_homogeneous=False, comparison_certified=False):
-        super().__init__(walk)
-        self._fn = fn
-        self._c = float(lipschitz_const)
-        self.convex = convex
-        self.positive_homogeneous = positive_homogeneous
-        self.comparison_certified = comparison_certified
-
-    def eval(self, t, z):
-        return np.asarray(self._fn(t, np.asarray(z, dtype=float)), dtype=float)
-
-    def lipschitz(self, t):
-        return np.full(self._slots(t), self._c)
-
-
-class RiskInducedDriver(Driver):
-    """Driver read off a dynamic risk measure through walk-increment probes.
-
-    rho(t, X) must map a leaf-level payoff array (..., n_T) to its time-t
-    risk (..., n_t), vectorized over leading axes. The induced driver is
-    g(t, z) = rho(t-1, z dW_t) / dqv_t, which reproduces rho on the
-    symmetric walk with its generated filtration.
-    """
-
-    kind = "risk_induced"
-    convex = True
-
-    def __init__(self, walk, rho: Callable):
-        if not walk.predictable_representation:
-            raise NotRandomWalk(
-                "reading a driver off a risk measure needs the symmetric walk "
-                "with its generated filtration"
-            )
-        super().__init__(walk)
-        self._rho = rho
-        self._lip = None
-
-    def eval(self, t, z):
-        tr, w = self.tree, self.walk
-        z = np.asarray(z, dtype=float)
-        z_leaf = np.take(
-            np.broadcast_to(z, z.shape[:-1] + (tr.n_nodes(t - 1),)),
-            tr.ancestor_map(tr.horizon, t - 1),
-            axis=-1,
-        )
-        dw_leaf = tr.broadcast(w.dW(t), t, tr.horizon)
-        return self._rho(t - 1, z_leaf * dw_leaf) / w.dqv(t)
-
-    def lipschitz(self, t):
-        if self._lip is None:
-            self._lip = _max_divided_difference(self, np.linspace(-8.0, 8.0, 65))
-        return np.full(self._slots(t), self._lip)
-
-
 # ---- parametric families ---------------------------------------------------
 
 
@@ -417,16 +347,9 @@ def builtin_driver(kind: str, walk: MartingaleSpec, **params) -> Driver:
     return build(walk, params)
 
 
-def driver_from_risk_measure(rho, walk) -> RiskInducedDriver:
-    """Driver whose nonlinear expectation reproduces the risk measure rho."""
-    return RiskInducedDriver(walk, rho)
-
-
 # ---- validation reports -----------------------------------------------------
 
 
-DEFAULT_Z_GRID = np.linspace(-10.0, 10.0, 161)
-DOMINANCE_TOL = 1e-6
 FAMILY_LEVELS = (0.1, 0.5, 1.0, 2.0, 5.0, 20.0)
 FAMILY_Z_GRID = np.linspace(-6.0, 6.0, 49)
 MONOTONE_TOL = 1e-12
@@ -437,61 +360,6 @@ def _on_grid(g: Driver, t: int, grid) -> np.ndarray:
     (len(grid), slots)."""
     grid = np.asarray(grid, dtype=float)
     return g.eval(t, np.repeat(grid[:, None], g.tree.n_nodes(t - 1), axis=1))
-
-
-def _divided_differences(g: Driver, t: int, grid: np.ndarray) -> np.ndarray:
-    """|g(t, z_{k+1}) - g(t, z_k)| / (z_{k+1} - z_k) between neighboring grid
-    points, per level t-1 slot: shape (len(grid) - 1, slots)."""
-    return np.abs(np.diff(_on_grid(g, t, grid), axis=0)) / np.diff(grid)[:, None]
-
-
-def _max_divided_difference(g: Driver, grid: np.ndarray) -> float:
-    """Lipschitz estimate: the largest divided difference over all levels and slots."""
-    worst = 0.0
-    for t in range(1, g.tree.horizon + 1):
-        worst = max(worst, float(_divided_differences(g, t, grid).max()))
-    return worst
-
-
-@dataclass(frozen=True)
-class AssumptionAReport:
-    zero_at_zero: float
-    lipschitz_declared: float
-    lipschitz_estimate: float
-    lipschitz_ok: bool
-    passed: bool
-
-
-def validate_assumption_A(g: Driver) -> AssumptionAReport:
-    """Audit g(t,0)=0 and the declared Lipschitz constants on a z grid.
-
-    The estimate is the largest divided difference between neighboring grid
-    points, taken over all levels and slots; it must not exceed the declared
-    constant (plus 1e-9). A super-linear driver fails on any grid wide
-    enough to reveal the growth.
-    """
-    tr = g.tree
-    worst_zero = 0.0
-    worst_est = 0.0
-    declared = 0.0
-    ok = True
-    for t in range(1, tr.horizon + 1):
-        zero = np.abs(g.eval(t, np.zeros(tr.n_nodes(t - 1))))
-        worst_zero = max(worst_zero, float(zero.max()))
-        lip = g.lipschitz(t)
-        declared = max(declared, float(np.max(lip)))
-        diffs = _divided_differences(g, t, DEFAULT_Z_GRID)
-        worst_est = max(worst_est, float(diffs.max()))
-        # each slot's differences against its own constant
-        ok = ok and not np.any(diffs.max(axis=0) > lip + LIPSCHITZ_TOL)
-    passed = worst_zero <= ZERO_TOL and ok
-    return AssumptionAReport(
-        zero_at_zero=worst_zero,
-        lipschitz_declared=declared,
-        lipschitz_estimate=worst_est,
-        lipschitz_ok=ok,
-        passed=passed,
-    )
 
 
 @dataclass(frozen=True)
@@ -526,18 +394,6 @@ def is_regular(g: Driver) -> RegularityReport:
     if g.comparison_certified:
         return RegularityReport(True, max(margin, 0.0), "certified-comparison")
     return RegularityReport(False, margin, "not-regular")
-
-
-def lipschitz_dominance_check(g1: Driver, g2: Driver):
-    """Empirical check that g1's sharp constant is dominated by g2's.
-
-    For convex Lipschitz drivers with g(0) = 0 and g1 <= g2 pointwise the
-    dominance is automatic; this estimates both constants by divided
-    differences and reports (ok, c1_estimate, c2_estimate).
-    """
-    c1 = _max_divided_difference(g1, DEFAULT_Z_GRID)
-    c2 = _max_divided_difference(g2, DEFAULT_Z_GRID)
-    return c1 <= c2 + DOMINANCE_TOL, c1, c2
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
-"""Hedged bid/ask prices, good-deal checks, and their structure.
+"""Hedged bid/ask prices and good-deal checks.
 
 The hedged ask at time t lowers the plain conic ask by the best terminal
 wealth a zero-cost strategy entered at t can deliver against the payoff;
-the hedged bid mirrors it. The plain quote, the side and input checks and
-the level-gap test are pricing's own. Free consumption only ever raises
-the risk of a hedge, so the searches keep consumption at zero and sweep
-risky legs alone (the bank leg is reconstructed). Every objective is built by _node_values:
+the hedged bid mirrors it. The plain quote and the side and input checks
+are pricing's own. Free consumption only ever raises the risk of a hedge,
+so the searches keep consumption at zero and sweep risky legs alone (the
+bank leg is reconstructed). Every objective is built by _node_values:
 legs -> self-financing strategy -> time-t value of the payoff net of the
 strategy's terminal wealth.
 
@@ -23,7 +23,7 @@ produced strictly negative risk at any node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .arbitrage import ArbitrageSearchResult, find_arbitrage
 from .bsde import solve_bsde
 from .drivers import Driver, DriverFamily
 from .market import MarketModel, TradingStrategy, liquidation_value
-from .pricing import PRICE_TOL, _check_inputs, _level_gaps, price
+from .pricing import price
 from .search import LegLayout, SearchConfig, ascend, leg_layout
 from .tree import AdaptedProcess, tail_payoff
 
@@ -205,110 +205,4 @@ def hedged_sandwich(
         ask_ok=ask_gain >= -GOOD_DEAL_TOL,
         bid_ok=bid_gain >= -GOOD_DEAL_TOL,
         spread_ok=spread >= -GOOD_DEAL_TOL,
-    )
-
-
-@dataclass(frozen=True)
-class HedgedLevelReport:
-    gammas: tuple
-    ask_values: tuple
-    bid_values: tuple
-    ask_monotone_ok: bool
-    bid_antitone_ok: bool
-    worst_gap: float
-
-
-def hedged_level_monotonicity(
-    family: DriverFamily,
-    gammas: Sequence[float],
-    phi,
-    stream: AdaptedProcess,
-    market: MarketModel,
-    t: int = 0,
-    cfg: SearchConfig = SearchConfig(),
-) -> HedgedLevelReport:
-    """Tighter acceptability widens hedged quotes.
-
-    All levels are evaluated over one shared strategy pool (each level's
-    own search winner plus the zero strategy), so the reported values
-    inherit the driver family's monotonicity exactly instead of comparing
-    two independently noisy searches.
-    """
-    gs = sorted(float(x) for x in gammas)
-    layout = leg_layout(market, t)
-    phi_arr = _check_inputs(family, gs[0], phi, t)
-    payoff = tail_payoff(stream, phi_arr, t)
-    drivers = [family.make(gamma) for gamma in gs]
-    pool = [np.zeros(layout.dims)]
-    for sign in (1.0, -1.0):
-        for g in drivers:
-            values = _node_values(g, layout, sign * payoff)
-            pool.append(_per_node_search(values, layout, cfg)[0])
-    stack = np.stack(pool)
-    ask_vals = [_node_values(g, layout, payoff)(stack).min(axis=0) for g in drivers]
-    bid_vals = [-_node_values(g, layout, -payoff)(stack).min(axis=0) for g in drivers]
-    worst, ask_ok, bid_ok = _level_gaps(ask_vals, bid_vals, PRICE_TOL)
-    return HedgedLevelReport(
-        gammas=tuple(gs),
-        ask_values=tuple(ask_vals),
-        bid_values=tuple(bid_vals),
-        ask_monotone_ok=ask_ok,
-        bid_antitone_ok=bid_ok,
-        worst_gap=worst,
-    )
-
-
-@dataclass(frozen=True)
-class HedgedConvexityReport:
-    mixed_value: np.ndarray
-    split_value: np.ndarray
-    worst_gap: float
-    passed: bool
-
-
-def hedged_convexity_check(
-    family: DriverFamily,
-    gamma: float,
-    phi,
-    stream1: AdaptedProcess,
-    stream2: AdaptedProcess,
-    lam: float,
-    market: MarketModel,
-    t: int = 0,
-    cfg: SearchConfig = SearchConfig(),
-) -> HedgedConvexityReport:
-    """Convexity of the hedged ask in the stream.
-
-    The mixed stream's value is bounded by the better of its own search and
-    the convex combination of the two winners (a feasible hedge for the
-    mixture); that witness is what makes the reported inequality robust to
-    search noise."""
-    tr = market.tree
-    q1 = hedged_price("ask", family, gamma, phi, stream1, market, t, cfg)
-    q2 = hedged_price("ask", family, gamma, phi, stream2, market, t, cfg)
-    mixed = stream1.scale_from(np.full(tr.n_nodes(t), lam), t).add(
-        stream2.scale_from(np.full(tr.n_nodes(t), 1.0 - lam), t)
-    )
-    q3 = hedged_price("ask", family, gamma, phi, mixed, market, t, cfg)
-    layout = leg_layout(market, t)
-    g = family.make(gamma)
-    payoff = tail_payoff(mixed, _check_inputs(family, gamma, phi, t), t)
-
-    def legs_to_params(strategy: TradingStrategy) -> np.ndarray:
-        out = np.zeros(layout.dims)
-        for b in layout.blocks:
-            legs = strategy.long if b.kind == "long" else strategy.short
-            out[b.col_start : b.col_start + b.n_slots] = np.asarray(legs[b.security][b.time])
-        return out
-
-    witness_params = lam * legs_to_params(q1.strategy) + (1.0 - lam) * legs_to_params(q2.strategy)
-    witness_vals = _node_values(g, layout, payoff)(witness_params[None, :])[0]
-    mixed_value = np.minimum(q3.value, witness_vals)
-    split_value = lam * q1.value + (1.0 - lam) * q2.value
-    worst = float(np.max(mixed_value - split_value))
-    return HedgedConvexityReport(
-        mixed_value=mixed_value,
-        split_value=split_value,
-        worst_gap=worst,
-        passed=worst <= GOOD_DEAL_TOL,
     )

@@ -29,8 +29,6 @@ from .drivers import DriverFamily
 from .tree import AdaptedProcess, FiltrationTree, MartingaleSpec, tail_payment
 
 SELF_FIN_TOL = 1e-9
-MARKET_AXIOM_SAMPLES = 8
-MARKET_AXIOM_TOL = 1e-9
 
 
 class MarketError(ValueError):
@@ -318,18 +316,6 @@ class TradingStrategy:
         return np.zeros(leg.shape[:-1] + (n,))
 
 
-def zero_strategy(market: MarketModel, batch: tuple = ()) -> TradingStrategy:
-    tr = market.tree
-    K = len(market.securities)
-    mk = lambda t: np.zeros(batch + (tr.n_nodes(t - 1),))
-    return TradingStrategy(
-        tree=tr,
-        bank=[None] + [mk(t) for t in range(1, tr.horizon + 1)],
-        long=[[None] + [mk(t) for t in range(1, tr.horizon + 1)] for _ in range(K)],
-        short=[[None] + [mk(t) for t in range(1, tr.horizon + 1)] for _ in range(K)],
-    )
-
-
 def _num(leg) -> np.ndarray:
     """A leg as a float array, or as it is when it holds objects (Fractions)."""
     leg = np.asarray(leg)
@@ -453,66 +439,6 @@ def complete_bank_leg(
         d_bank = dividends_collected(strat, market, t) - rebalancing_cost(strat, market, t)
         strat.bank[t + 1] = _held_into(strat, strat.bank, t) + d_bank
     return strat
-
-
-# ---- market axiom checks ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MarketAxiomReport:
-    zero_at_zero: float
-    convexity_worst: float
-    netting_worst: float
-    passed: bool
-
-
-def validate_market_axioms(market: MarketModel, seed: int = 0) -> MarketAxiomReport:
-    """Sampled audit of operator axioms: zero orders cost nothing, asks are
-    convex and bids concave in the order size, and netting a long against a
-    short through the operators never beats trading the net quantity."""
-    tr = market.tree
-    rng = np.random.default_rng(seed)
-    worst_zero, worst_cvx, worst_net = 0.0, 0.0, 0.0
-    for sec in market.securities:
-        cap = min(
-            getattr(sec.op_ask, "depth", np.inf), getattr(sec.op_bid, "depth", np.inf), 4.0
-        )
-        for t in range(tr.horizon):
-            n = tr.n_nodes(t)
-            zero = np.zeros(n)
-            worst_zero = max(
-                worst_zero,
-                float(np.max(np.abs(sec.op_ask.price(t, zero)))),
-                float(np.max(np.abs(sec.op_bid.price(t, zero)))),
-            )
-            for _ in range(MARKET_AXIOM_SAMPLES):
-                p1 = cap * rng.random(n)
-                p2 = cap * rng.random(n)
-                lam = rng.choice(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), size=n)
-                mix = lam * p1 + (1.0 - lam) * p2
-                ask_gap = sec.op_ask.price(t, mix) - (
-                    lam * sec.op_ask.price(t, p1) + (1 - lam) * sec.op_ask.price(t, p2)
-                )
-                bid_gap = (
-                    lam * sec.op_bid.price(t, p1) + (1 - lam) * sec.op_bid.price(t, p2)
-                ) - sec.op_bid.price(t, mix)
-                worst_cvx = max(worst_cvx, float(np.max(ask_gap)), float(np.max(bid_gap)))
-                pos = cap * rng.random(n)
-                neg = -cap * rng.random(n)
-                theta = lam * pos + (1.0 - lam) * neg
-                lhs = lam * sec.op_ask.price(t, pos) - (1.0 - lam) * sec.op_bid.price(t, -neg)
-                rhs = np.where(
-                    theta >= 0.0,
-                    sec.op_ask.price(t, np.maximum(theta, 0.0)),
-                    -sec.op_bid.price(t, np.maximum(-theta, 0.0)),
-                )
-                worst_net = max(worst_net, float(np.max(rhs - lhs)))
-    return MarketAxiomReport(
-        zero_at_zero=worst_zero,
-        convexity_worst=worst_cvx,
-        netting_worst=worst_net,
-        passed=max(worst_zero, worst_cvx, worst_net) <= MARKET_AXIOM_TOL,
-    )
 
 
 # ---- stream constructors ----------------------------------------------------

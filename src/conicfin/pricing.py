@@ -18,16 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bsde import g_expectation, solve_bsde
-from .drivers import DriverFamily, LinearDriver
-from .market import ConicOperator, LevelNonpositive, _check_level  # noqa: F401 (re-exported)
-from .risk import random_streams
-from .tree import AdaptedProcess, single_payment, tail_payment, tail_payoff
+from .drivers import DriverFamily
+from .market import ConicOperator, _check_level
+from .tree import AdaptedProcess, single_payment
 
 PRICE_TOL = 1e-10
-IMPACT_LAMS = (0.25, 0.5, 0.75, 1.5, 2.0)
-AGREEMENT_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
-AGREEMENT_TOL = 1e-9
 
 
 class NegativeQuantity(ValueError):
@@ -168,127 +163,4 @@ def cross_compare(
         ask_monotone_ok=mono_ok,
         bid_antitone_ok=anti_ok,
         worst_level_gap=worst_level,
-    )
-
-
-@dataclass(frozen=True)
-class ImpactReport:
-    subscale_ok: bool
-    superscale_ok: bool
-    shares_identity_ok: bool
-    convexity_ok: bool
-    worst: float
-    passed: bool
-
-
-def market_impact_check(
-    family: DriverFamily,
-    gamma: float,
-    stream: AdaptedProcess,
-    t: int,
-    phi=1.0,
-) -> ImpactReport:
-    """Scaling and convexity behavior of the ask (mirrored for the bid).
-
-    Shrinking an order can only improve the per-share ask (ask(lam*phi) <=
-    lam*ask(phi) for lam <= 1, the reverse for lam >= 1); pricing phi shares
-    equals pricing one share of the phi-scaled stream; and the ask is convex
-    in the stream while the bid is concave.
-    """
-    tr = family.tree
-    phi = _check_inputs(family, gamma, phi, t)
-    base = ask(family, gamma, phi, stream, t).value
-    worst_sub, worst_super = 0.0, 0.0
-    for lam in IMPACT_LAMS:
-        scaled = ask(family, gamma, lam * phi, stream, t).value
-        if lam <= 1.0:
-            worst_sub = max(worst_sub, float(np.max(scaled - lam * base)))
-        if lam >= 1.0:
-            worst_super = max(worst_super, float(np.max(lam * base - scaled)))
-    one_share = ask(family, gamma, 1.0, stream.scale_from(phi, t), t).value
-    ident = float(np.max(np.abs(one_share - base)))
-    others = random_streams(tr, np.random.default_rng(0), 2)
-    worst_cvx = 0.0
-    for other in others:
-        for lam in (0.25, 0.5, 0.75):
-            mix = stream.combine(other, np.full(tr.n_nodes(t), lam), t)
-            a_mix = ask(family, gamma, 1.0, mix, t).value
-            a_split = lam * ask(family, gamma, 1.0, stream, t).value + (1 - lam) * ask(
-                family, gamma, 1.0, other, t
-            ).value
-            worst_cvx = max(worst_cvx, float(np.max(a_mix - a_split)))
-            b_mix = bid(family, gamma, 1.0, mix, t).value
-            b_split = lam * bid(family, gamma, 1.0, stream, t).value + (1 - lam) * bid(
-                family, gamma, 1.0, other, t
-            ).value
-            worst_cvx = max(worst_cvx, float(np.max(b_split - b_mix)))
-    worst = max(worst_sub, worst_super, ident, worst_cvx)
-    return ImpactReport(
-        subscale_ok=worst_sub <= PRICE_TOL,
-        superscale_ok=worst_super <= PRICE_TOL,
-        shares_identity_ok=ident <= PRICE_TOL,
-        convexity_ok=worst_cvx <= PRICE_TOL,
-        worst=worst,
-        passed=worst <= PRICE_TOL,
-    )
-
-
-@dataclass(frozen=True)
-class AgreementReport:
-    holds: bool
-    worst_residual: float
-    slope_sup: float
-    slopes_admissible: bool
-
-
-def agreement_diagnostic(
-    family1: DriverFamily,
-    gamma1: float,
-    family2: DriverFamily,
-    gamma2: float,
-    phi,
-    stream: AdaptedProcess,
-    t: int,
-    indicator=None,
-) -> AgreementReport:
-    """Certify bid-ask agreement on a level-t event through a linear driver.
-
-    The candidate slope at each slot is the dominating driver's chord along
-    its own solution of the localized full-size payoff; agreement holds on
-    the event exactly when, for every order size between 0 and phi, both
-    quotes coincide with the linear expectation under that driver.
-    """
-    tr = family1.tree
-    walk = family1.walk
-    phi = _check_inputs(family1, gamma1, phi, t)
-    ind = np.ones(tr.n_nodes(t)) if indicator is None else tr.check_level_array(indicator, t)
-    g1 = family1.make(gamma1)
-    sol = solve_bsde(g1, tail_payoff(stream, ind * phi, t), walk)
-    slopes = [None]
-    sup_slope = 0.0
-    admissible = True
-    for s in range(1, tr.horizon + 1):
-        z = sol.Z[s]
-        safe = np.where(np.abs(z) > 1e-14, z, 1.0)
-        x = np.where(np.abs(z) > 1e-14, g1.eval(s, z) / safe, 0.0)
-        slopes.append(x)
-        if x.size:
-            sup_slope = max(sup_slope, float(np.max(np.abs(x))))
-        if np.any(np.abs(x) > g1.lipschitz(s) + 1e-9):
-            admissible = False
-    linear = LinearDriver(walk, slopes)
-    worst = 0.0
-    for frac in AGREEMENT_FRACTIONS:
-        lam = frac * phi
-        a_val = ask(family1, gamma1, lam, stream, t).value
-        b_val = bid(family2, gamma2, lam, stream, t).value
-        s, payoff = tail_payment(stream, ind * lam, t)
-        lin_val = g_expectation(linear, payoff, s, t, walk)
-        worst = max(worst, float(np.max(np.abs(ind * a_val - lin_val))))
-        worst = max(worst, float(np.max(np.abs(ind * b_val - lin_val))))
-    return AgreementReport(
-        holds=worst <= AGREEMENT_TOL and admissible,
-        worst_residual=worst,
-        slope_sup=sup_slope,
-        slopes_admissible=admissible,
     )

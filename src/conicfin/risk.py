@@ -28,21 +28,6 @@ AXIOM_TOL = 1e-10
 INDEX_TOL = 1e-8
 X_MIN = 1e-6
 X_MAX = 1e6
-DUALITY_MARGIN = 1e-6
-
-
-@dataclass(frozen=True)
-class RiskMeasure:
-    """Stream risk induced by a convex regular driver."""
-
-    driver: Driver
-
-    @property
-    def coherent(self) -> bool:
-        return self.driver.convex and self.driver.positive_homogeneous
-
-    def __call__(self, stream: AdaptedProcess, t: int) -> np.ndarray:
-        return risk(self.driver, stream, t)
 
 
 def risk(driver: Driver, stream: AdaptedProcess, t: int) -> np.ndarray:
@@ -316,38 +301,3 @@ def check_dai_axioms(family: DriverFamily, seed: int = 0) -> AxiomReport:
     )
     core = [r for r in results if r.name != "scale_invariance"]
     return AxiomReport(results=results, passed=all(r.passed for r in core))
-
-
-@dataclass(frozen=True)
-class DualityReport:
-    consistent: bool
-    decisive_nodes: int
-    mismatches: int
-    worst_alpha_gap: float
-
-
-def level_set_duality(
-    family: DriverFamily,
-    stream: AdaptedProcess,
-    t: int,
-    gamma: float,
-) -> DualityReport:
-    """Check that {index >= gamma} coincides with {level-gamma risk <= 0}.
-
-    Nodes whose index sits within DUALITY_MARGIN of gamma, or whose risk sits at
-    round-off of zero, are boundary cases and excluded from the comparison.
-    """
-    alpha = acceptability_index(family, stream, t)
-    val = risk(family.make(gamma), stream, t)
-    alpha_side = alpha >= gamma
-    val_side = val <= 0.0
-    decisive = (np.abs(np.where(np.isinf(alpha), np.inf, alpha - gamma)) > DUALITY_MARGIN) & (
-        np.abs(val) > 1e-10
-    )
-    mismatch = decisive & (alpha_side != val_side)
-    return DualityReport(
-        consistent=not bool(mismatch.any()),
-        decisive_nodes=int(np.count_nonzero(decisive)),
-        mismatches=int(np.count_nonzero(mismatch)),
-        worst_alpha_gap=float(np.min(np.abs(alpha - gamma))) if alpha.size else 0.0,
-    )

@@ -98,12 +98,7 @@ def write_json(path: str, obj):
 
 def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
-        x = float(v)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.12g}"
+        return f"{float(v):.12g}"
     return str(v)
 
 

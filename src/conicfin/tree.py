@@ -273,14 +273,14 @@ class MartingaleSpec:
     increments[t] (level-t array, t = 1..T; index 0 is None) holds the
     realized jump of W into each level-t node. qv[t] is the predictable
     one-step quadratic variation E[(dW_t)^2 | F_{t-1}] on the level t-1
-    slots. predictable_representation marks the generated-filtration binary
-    case in which every martingale is a stochastic integral against W.
+    slots. Whether every martingale is a stochastic integral against W is
+    not recorded: where it fails, a backward solution carries a nonzero
+    orthogonal remainder M (see bsde.diagnose_solution).
     """
 
     tree: FiltrationTree
     increments: tuple
     qv: tuple
-    predictable_representation: bool = False
 
     def dW(self, t: int) -> np.ndarray:
         return self.increments[t]
@@ -300,11 +300,7 @@ class MartingaleSpec:
         return self.tree.path_sums((np.zeros(1),) + self.increments[1:], 0, self.tree.horizon)
 
 
-def martingale_from_increments(
-    tree: FiltrationTree,
-    increments: Sequence,
-    predictable_representation: bool = False,
-) -> MartingaleSpec:
+def martingale_from_increments(tree: FiltrationTree, increments: Sequence) -> MartingaleSpec:
     """Validate increments and package them with their quadratic variation.
 
     Rejects non-finite increments, increments whose conditional mean exceeds
@@ -329,20 +325,15 @@ def martingale_from_increments(
             raise DegenerateIncrement(f"level {t}: conditional variance collapses")
         inc.append(_readonly(d))
         qv.append(_readonly(q))
-    return MartingaleSpec(
-        tree=tree,
-        increments=tuple(inc),
-        qv=tuple(qv),
-        predictable_representation=predictable_representation,
-    )
+    return MartingaleSpec(tree=tree, increments=tuple(inc), qv=tuple(qv))
 
 
 def symmetric_random_walk(tree: FiltrationTree) -> MartingaleSpec:
     """The +/-1 symmetric walk on a binary half-half tree.
 
     The first child of every node carries +1, the second -1. Requires a
-    binary tree with one-half branch probabilities; the result is flagged
-    with the predictable representation property.
+    binary tree with one-half branch probabilities. With its generated
+    filtration every martingale is a stochastic integral against it.
     """
     for t in range(1, tree.horizon + 1):
         sizes = np.diff(tree.offsets[t])
@@ -353,7 +344,7 @@ def symmetric_random_walk(tree: FiltrationTree) -> MartingaleSpec:
     increments = [None] + [
         np.tile([1.0, -1.0], tree.n_nodes(t - 1)) for t in range(1, tree.horizon + 1)
     ]
-    return martingale_from_increments(tree, increments, predictable_representation=True)
+    return martingale_from_increments(tree, increments)
 
 
 # ---- processes ------------------------------------------------------------

@@ -12,7 +12,6 @@ from conicfin import (
     builtin_family,
     build_tree,
     compare_solutions,
-    detect_linear_driver,
     diagnose_solution,
     extract_linear_measure,
     g_expectation,
@@ -236,12 +235,14 @@ def test_comparison_rejects_undominated_driver_pair():
 
 
 def test_comparison_rejects_irregular_dominating_driver():
-    from conicfin.drivers import CallableDriver
-
-    walk = make_walk(2)
-    steep = CallableDriver(walk, lambda t, z: 1.5 * np.abs(z), lipschitz_const=1.5, convex=True)
+    """0.5|z| dominates the zero driver, but on increments 3, -1 its margin
+    1 - 0.5 * 3 is negative and no certificate applies."""
+    tree = build_tree([[0.25, 0.75], [0.5, 0.5]])
+    inc = [None, np.array([3.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0])]
+    walk = martingale_from_increments(tree, inc)
+    steep = builtin_driver("coherent_abs", walk, c=0.5)
     zero = builtin_driver("zero", walk)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(PreconditionViolated, match="not regular"):
         compare_solutions(steep, zero, np.ones(4), np.zeros(4), walk)
 
 
@@ -269,12 +270,3 @@ def test_linear_measure_requires_equivalent_weights():
     with pytest.raises(MeasureNotEquivalent):
         extract_linear_measure(g, walk)
 
-
-def test_detect_linear_driver_roundtrip():
-    walk = make_walk(3)
-    g = builtin_driver("linear", walk, slopes=[0.4, -0.2, 0.1])
-    found = detect_linear_driver(g, walk)
-    assert found is not None
-    for t, want in ((1, 0.4), (2, -0.2), (3, 0.1)):
-        assert np.max(np.abs(found[t] - want)) < 1e-9
-    assert detect_linear_driver(builtin_driver("entropic", walk, gamma=1.0), walk) is None

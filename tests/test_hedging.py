@@ -1,4 +1,4 @@
-"""Hedged quotes: improvement, sandwich, good-deal checks, structure."""
+"""Hedged quotes: improvement, sandwich, good-deal checks."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from conicfin import (
     SearchConfig,
     builtin_family,
     check_ngd,
-    hedged_convexity_check,
-    hedged_level_monotonicity,
     hedged_price,
     hedged_sandwich,
 )
@@ -57,6 +55,9 @@ def test_hedged_quotes_at_interior_times():
     for gamma in (0.0, np.nan, np.inf):
         with pytest.raises(LevelNonpositive):
             hedged_price("bid", fam, gamma, 1.0, stream, market, cfg=LIGHT_CFG)
+    for side in ("ask", "bid"):
+        with pytest.raises(NegativeQuantity):
+            hedged_price(side, fam, 2.0, -1.0, stream, market, cfg=LIGHT_CFG)
 
 
 def test_hedged_sandwich_holds_on_a_conic_market():
@@ -91,36 +92,3 @@ def test_good_deal_found_when_tables_are_off():
     assert rep.consistent
     assert rep.arbitrage.found
 
-
-def test_tighter_levels_widen_hedged_quotes():
-    market = conic_market()
-    fam = builtin_family("entropic", market.walk)
-    stream = payoff_stream(market.tree)
-    rep = hedged_level_monotonicity(fam, [1.0, 2.0, 4.0], 1.0, stream, market, cfg=LIGHT_CFG)
-    assert rep.gammas == (1.0, 2.0, 4.0)
-    assert rep.ask_monotone_ok and rep.bid_antitone_ok
-    assert rep.worst_gap <= 1e-10
-    for lo, hi in zip(rep.ask_values, rep.ask_values[1:]):
-        assert np.all(hi >= lo - 1e-10)
-    for lo, hi in zip(rep.bid_values, rep.bid_values[1:]):
-        assert np.all(hi <= lo + 1e-10)
-    with pytest.raises(NegativeQuantity):
-        hedged_level_monotonicity(fam, [1.0, 2.0], -1.0, stream, market, cfg=LIGHT_CFG)
-
-
-def test_hedged_ask_is_convex_in_the_stream():
-    market = conic_market()
-    tree = market.tree
-    fam = builtin_family("entropic", market.walk)
-    stream1 = payoff_stream(tree)
-    stream2 = AdaptedProcess(
-        tree,
-        (
-            np.array([0.0]),
-            np.array([-0.2, 0.4]),
-            np.array([0.1, -0.5, 0.6, 0.2]),
-        ),
-    )
-    rep = hedged_convexity_check(fam, 2.0, 1.0, stream1, stream2, 0.4, market, cfg=LIGHT_CFG)
-    assert rep.passed
-    assert rep.worst_gap <= HEDGE_ATOL

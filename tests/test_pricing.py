@@ -11,7 +11,6 @@ from conicfin import (
     LevelNonpositive,
     NegativeQuantity,
     acceptability_index,
-    agreement_diagnostic,
     ask,
     bid,
     builtin_driver,
@@ -19,7 +18,6 @@ from conicfin import (
     cross_compare,
     cumulative_price,
     g_expectation,
-    market_impact_check,
     price,
     risk,
     single_payment,
@@ -105,7 +103,7 @@ def test_price_rejects_bad_inputs():
 
 def test_share_counts_of_the_wrong_length_raise_level_mismatch():
     """Only a scalar phi is spread over the level; an array must have one
-    entry per level-t node (ask, bid and the impact check share the check)."""
+    entry per level-t node (ask and bid share the check)."""
     walk = make_walk(2)
     fam = builtin_family("coherent", walk)
     D = random_stream(walk.tree, 4)
@@ -113,8 +111,6 @@ def test_share_counts_of_the_wrong_length_raise_level_mismatch():
         for call in (ask, bid):
             with pytest.raises(LevelMismatch):
                 call(fam, 1.0, phi, D, t)
-        with pytest.raises(LevelMismatch):
-            market_impact_check(fam, 1.0, D, t, phi)
     quote = ask(fam, 1.0, 2.0, D, 1)
     assert quote.phi.shape == (2,) and np.all(quote.phi == 2.0)
     assert np.array_equal(ask(fam, 1.0, [2.0, 2.0], D, 1).value, quote.value)
@@ -167,11 +163,32 @@ def test_level_monotonicity_and_cross_family_ordering():
 
 
 def test_market_impact_and_shares_identity():
+    """A smaller order never costs more per share and a larger one never
+    less: ask(lam phi) <= lam ask(phi) for lam <= 1 and >= for lam >= 1,
+    mirrored for the bid. phi shares of a stream quote as one share of the
+    phi-scaled stream. The ask is convex and the bid concave in the stream."""
     walk = make_walk(2)
-    D = random_stream(walk.tree, 7)
-    for kind in ("coherent", "entropic"):
-        rep = market_impact_check(builtin_family(kind, walk), 1.0, D, 0)
-        assert rep.passed, (kind, rep)
+    tree = walk.tree
+    D, other = random_stream(tree, 7), random_stream(tree, 17)
+    for kind in ("coherent", "entropic", "quasiconcave_lse"):
+        fam = builtin_family(kind, walk)
+        for t in (0, 1):
+            phi = np.linspace(0.5, 2.0, tree.n_nodes(t))
+            a, b = ask(fam, 1.0, phi, D, t).value, bid(fam, 1.0, phi, D, t).value
+            for lam in (0.25, 0.5, 1.5, 2.0):
+                sign = 1.0 if lam < 1.0 else -1.0
+                a_lam = ask(fam, 1.0, lam * phi, D, t).value
+                b_lam = bid(fam, 1.0, lam * phi, D, t).value
+                assert np.all(sign * (a_lam - lam * a) <= PRICE_ATOL), (kind, t, lam)
+                assert np.all(sign * (lam * b - b_lam) <= PRICE_ATOL), (kind, t, lam)
+            scaled = D.scale_from(phi, t)
+            assert np.max(np.abs(ask(fam, 1.0, 1.0, scaled, t).value - a)) <= PRICE_ATOL
+            assert np.max(np.abs(bid(fam, 1.0, 1.0, scaled, t).value - b)) <= PRICE_ATOL
+            mix = D.combine(other, np.full(tree.n_nodes(t), 0.25), t)
+            for quote, sign in ((ask, 1.0), (bid, -1.0)):
+                split = 0.25 * quote(fam, 1.0, 1.0, D, t).value
+                split += 0.75 * quote(fam, 1.0, 1.0, other, t).value
+                assert np.all(sign * (quote(fam, 1.0, 1.0, mix, t).value - split) <= PRICE_ATOL)
 
 
 def test_coherent_prices_are_positively_homogeneous():
@@ -201,28 +218,27 @@ def test_cumulative_price_adds_collected_dividends():
     assert np.max(np.abs(got - want)) < PRICE_ATOL
 
 
-def test_agreement_diagnostic_positive_and_negative():
+def test_bid_equals_ask_where_the_future_is_known():
+    """Bid and ask agree, across families and levels and for every order
+    size, on a deterministic stream and at a node whose future payments are
+    known; a risky future keeps ask above bid."""
     walk = make_walk(3)
     tree = walk.tree
     fam_e = builtin_family("entropic", walk)
     fam_c = builtin_family("coherent", walk)
     flat = AdaptedProcess(tree, tuple(np.full(tree.n_nodes(t), 0.2 * t) for t in range(4)))
-    rep = agreement_diagnostic(fam_e, 1.0, fam_c, 2.0, 1.0, flat, 0)
-    assert rep.holds
-    assert rep.slope_sup < PRICE_ATOL
-    assert rep.slopes_admissible
+    for phi in (0.0, 0.25, 0.5, 1.0):
+        a = ask(fam_e, 1.0, phi, flat, 0).value
+        b = bid(fam_c, 2.0, phi, flat, 0).value
+        assert np.max(np.abs(a - 1.2 * phi)) < PRICE_ATOL
+        assert np.max(np.abs(b - 1.2 * phi)) < PRICE_ATOL
     risky = random_stream(tree, 10)
-    rep2 = agreement_diagnostic(fam_e, 1.0, fam_c, 2.0, 1.0, risky, 0)
-    assert not rep2.holds
-    assert rep2.worst_residual > 1e-3
+    assert np.all(ask(fam_e, 1.0, 1.0, risky, 0).value > bid(fam_c, 2.0, 1.0, risky, 0).value + 1e-3)
 
-
-def test_agreement_diagnostic_on_locally_deterministic_event():
     walk = make_walk(2)
-    tree = walk.tree
     fam = builtin_family("entropic", walk)
     vals = [np.zeros(1), np.array([0.5, -0.2]), np.array([0.3, 0.3, 0.4, -0.3])]
-    D = AdaptedProcess(tree, tuple(vals))
-    ind = np.array([1.0, 0.0])
-    rep = agreement_diagnostic(fam, 1.0, fam, 1.0, 1.0, D, 1, indicator=ind)
-    assert rep.holds
+    D = AdaptedProcess(walk.tree, tuple(vals))
+    a, b = ask(fam, 1.0, 1.0, D, 1).value, bid(fam, 1.0, 1.0, D, 1).value
+    assert abs(a[0] - 0.3) < PRICE_ATOL and abs(b[0] - 0.3) < PRICE_ATOL
+    assert a[1] > b[1] + 1e-3

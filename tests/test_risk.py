@@ -5,13 +5,11 @@ import pytest
 
 from conicfin import (
     AdaptedProcess,
-    RiskMeasure,
     acceptability_index,
     builtin_driver,
     builtin_family,
     check_dai_axioms,
     check_dcrm_axioms,
-    level_set_duality,
     risk,
     single_payment,
     symmetric_random_walk,
@@ -55,15 +53,6 @@ def test_risk_of_zero_stream_is_zero():
     walk = make_walk(2)
     g = builtin_driver("coherent_abs", walk, c=0.5)
     assert np.max(np.abs(risk(g, zero_process(walk.tree), 0))) < RISK_ATOL
-
-
-def test_risk_measure_wrapper_flags_coherence():
-    walk = make_walk(2)
-    rho_coh = RiskMeasure(builtin_driver("coherent_abs", walk, c=0.5))
-    rho_ent = RiskMeasure(builtin_driver("entropic", walk, gamma=1.0))
-    assert rho_coh.coherent and not rho_ent.coherent
-    D = interior_stream(walk.tree)
-    assert np.allclose(rho_coh(D, 0), risk(rho_coh.driver, D, 0))
 
 
 def test_dcrm_axioms_entropic_and_logsumexp():
@@ -155,11 +144,15 @@ def test_scale_invariance_separates_homogeneous_families():
 
 
 def test_level_set_duality_on_interior_stream():
+    """{index >= gamma} is {level-gamma risk <= 0} at every node that sits
+    away from the boundary: the index at t = 0 is 1/18, at t = 1 it is
+    +inf (or past 1e5) and 0."""
     walk = make_walk(2)
     fam = builtin_family("coherent", walk)
     D = interior_stream(walk.tree)
-    for gamma in (1.0 / 36.0, 1.0 / 18.0 * 2.0):
-        rep = level_set_duality(fam, D, 0, gamma)
-        assert rep.consistent, (gamma, rep)
-        assert rep.mismatches == 0
-    assert level_set_duality(fam, D, 0, 1.0 / 36.0).decisive_nodes == 1
+    for t in (0, 1):
+        alpha = acceptability_index(fam, D, t)
+        for gamma in (1.0 / 36.0, 1.0 / 9.0):
+            val = risk(fam.make(gamma), D, t)
+            assert np.all(np.abs(alpha - gamma) > 1e-6) and np.all(np.abs(val) > 1e-10)
+            assert np.array_equal(alpha >= gamma, val <= 0.0), (t, gamma, alpha, val)

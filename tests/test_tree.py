@@ -189,7 +189,6 @@ def test_symmetric_random_walk_properties():
         cm = walk.tree.condexp_step(dw, t)
         assert np.max(np.abs(cm)) < ATOL
         assert np.max(np.abs(walk.dqv(t) - 1.0)) < ATOL
-    assert walk.predictable_representation
 
 
 def test_symmetric_walk_requires_binary_half_half():
