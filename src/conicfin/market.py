@@ -104,6 +104,10 @@ class ConicOperator(PricingOperator):
         s, payoff = tail_payment(stream, phi, t)
         if t == s:
             return payoff
+        return self._roll_back(payoff, s, t)
+
+    def _roll_back(self, payoff: np.ndarray, s: int, t: int) -> np.ndarray:
+        """This side's value at level t < s of the level-s payoff."""
         if self.side == "ask":
             return g_expectation(self._g, payoff, s, t, self.family.walk)
         return -g_expectation(self._g, -payoff, s, t, self.family.walk)

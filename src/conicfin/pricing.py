@@ -20,7 +20,7 @@ import numpy as np
 
 from .drivers import DriverFamily
 from .market import ConicOperator, _check_level
-from .tree import AdaptedProcess, single_payment
+from .tree import AdaptedProcess
 
 PRICE_TOL = 1e-10
 
@@ -100,15 +100,18 @@ def time_consistency_check(
     stream: AdaptedProcess,
     tol: float = PRICE_TOL,
 ) -> ConsistencyReport:
-    """One-step nesting: the time-t quote equals the quote of a single payment
-    at t+1 worth the next dividend plus the time-(t+1) quote."""
+    """One-step nesting: the time-t quote of one share equals the quote of a
+    single payment at t+1 worth the next dividend plus the time-(t+1) quote.
+    The operator rolls that payment back one level; this gives its quote up
+    to the sign of zero, which the residual, a maximum of absolute values,
+    ignores."""
     tr = family.tree
+    op = ConicOperator(side, family, gamma, stream)
     worst = 0.0
-    lhs = price(side, family, gamma, 1.0, stream, 0).value
+    lhs = op.price(0, np.ones(1))
     for t in range(tr.horizon):
-        inner = price(side, family, gamma, 1.0, stream, t + 1).value
-        nested_stream = single_payment(tr, t + 1, stream.at(t + 1) + inner)
-        rhs = price(side, family, gamma, 1.0, nested_stream, t).value
+        inner = op.price(t + 1, np.ones(tr.n_nodes(t + 1)))
+        rhs = op._roll_back(stream.at(t + 1) + inner, t + 1, t)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         lhs = inner
     return ConsistencyReport(worst_residual=worst, passed=worst <= tol)

@@ -21,6 +21,7 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -102,10 +103,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: str, header, rows):
+# f"{x:.12g}" for a Python float x as one bound method: mapped over a
+# level's .tolist(), it gives _fmt's bytes with no Python frame per cell.
+_FMT_FLOAT = "{:.12g}".format
+
+
+def _write_rows(path: str, header, rows):
+    """Write a CSV table whose rows hold cells that are already strings."""
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(map(",".join, rows))
     _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def write_csv(path: str, header, rows):
+    _write_rows(path, header, ([_fmt(v) for v in row] for row in rows))
 
 
 # ---- scenario parsing ---------------------------------------------------------
@@ -407,10 +418,16 @@ def _job_solve(scn: Scenario, job: dict, path: str):
     diag = diagnose_solution(sol, g, scn.walk)
     rows = []
     for t in range(tr.horizon + 1):
-        for v in range(tr.n_nodes(t)):
-            z = "" if t == 0 else _fmt(float(sol.Z[t][int(tr.parent[t][v])]))
-            rows.append((t, v, _fmt(float(sol.Y[t][v])), z, _fmt(float(sol.M[t][v]))))
-    write_csv(path, ("t", "node", "Y", "Z", "M"), rows)
+        n = tr.n_nodes(t)
+        if t == 0:
+            z = repeat("", n)
+        else:
+            # Z[t] sits on the parents' slots: format it once per parent.
+            z = map([_FMT_FLOAT(x) for x in sol.Z[t].tolist()].__getitem__, tr.parent[t].tolist())
+        y = map(_FMT_FLOAT, sol.Y[t].tolist())
+        m = map(_FMT_FLOAT, sol.M[t].tolist())
+        rows.extend(zip(repeat(str(t)), map(str, range(n)), y, z, m))
+    _write_rows(path, ("t", "node", "Y", "Z", "M"), rows)
     ok = diag.bsde_residual <= 1e-10 and diag.orthogonality_residual <= 1e-10
     return ("pass" if ok else "fail"), {
         "residual": diag.bsde_residual,
@@ -437,25 +454,30 @@ def _job_price_table(scn: Scenario, job: dict, path: str):
     if not sides:
         raise ScenarioError("sides must list 'ask' and/or 'bid'")
     rows = []
+    table = {}  # (t, gamma, side) -> quote value
     worst_cross = 0.0
     for t in times:
         for gamma in gammas:
-            quotes = {}
             for side in sides:
-                q = price(side, fam, gamma, phi, stream, t)
-                quotes[side] = q.value
-                for v in range(tr.n_nodes(t)):
-                    rows.append((t, v, side, _fmt(gamma), fam.kind, _fmt(phi), _fmt(float(q.value[v]))))
-            if "ask" in quotes and "bid" in quotes:
-                worst_cross = max(worst_cross, float(np.max(quotes["bid"] - quotes["ask"])))
-    write_csv(path, ("t", "node", "side", "gamma", "family", "phi", "value"), rows)
+                value = table[t, gamma, side] = price(side, fam, gamma, phi, stream, t).value
+                cells = (side, _FMT_FLOAT(gamma), fam.kind, _FMT_FLOAT(phi))
+                for v, x in enumerate(map(_FMT_FLOAT, value.tolist())):
+                    rows.append((str(t), str(v), *cells, x))
+            if "ask" in sides and "bid" in sides:
+                worst_cross = max(worst_cross, float(np.max(table[t, gamma, "bid"] - table[t, gamma, "ask"])))
+    _write_rows(path, ("t", "node", "side", "gamma", "family", "phi", "value"), rows)
     nested = [time_consistency_check(s, fam, g, stream) for s in sides for g in gammas]
     worst_nest = max(n.worst_residual for n in nested)
+
+    def unit_quote(side, g):
+        """The time-times[0] quote of one share, from the table when phi is 1."""
+        if phi == 1.0 and (times[0], g, side) in table:
+            return table[times[0], g, side]
+        return price(side, fam, g, 1.0, stream, times[0]).value
+
     levels = sorted(gammas)
     _, ask_ok, bid_ok = _level_gaps(
-        [price("ask", fam, g, 1.0, stream, times[0]).value for g in levels],
-        [price("bid", fam, g, 1.0, stream, times[0]).value for g in levels],
-        PRICE_TOL,
+        [unit_quote("ask", g) for g in levels], [unit_quote("bid", g) for g in levels], PRICE_TOL
     )
     level_monotone = ask_ok and bid_ok
     ok = worst_cross <= 1e-9 and worst_nest <= 1e-9 and level_monotone
@@ -627,8 +649,8 @@ def _job_book_quotes(scn: Scenario, job: dict, path: str):
     for phi in phis:
         v = float(op.price(t, np.full(n, phi))[0])
         values.append(v)
-        rows.append((t, 0, side, _fmt(phi), _fmt(v)))
-    write_csv(path, ("t", "node", "side", "phi", "value"), rows)
+        rows.append((str(t), "0", side, _FMT_FLOAT(phi), _FMT_FLOAT(v)))
+    _write_rows(path, ("t", "node", "side", "phi", "value"), rows)
     ok = True
     if "expect" in job:
         ok = all(abs(a - b) <= 1e-9 for a, b in zip(values, want)) and len(want) == len(values)

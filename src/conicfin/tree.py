@@ -5,8 +5,10 @@ A tree with horizon T has levels 0..T. Level t holds n_t nodes indexed
 level t-1 and the probability of the branch leading to it. A parent may
 have any number of children, which occupy a contiguous index range, so the
 per-parent probability check and conditional expectations run as segmented
-reductions over the last axis. Sums along paths run forward one level at a
-time (FiltrationTree.path_sums).
+reductions over the last axis. On a binary level, where every parent has
+exactly two children, the one-step expectation is instead one strided add
+of the even and odd children, the same floats as the segmented sum. Sums
+along paths run forward one level at a time (FiltrationTree.path_sums).
 
 Random variables measurable at time t are float arrays of shape (..., n_t);
 leading axes are batch axes. Quantities predictable at time t (known at
@@ -86,6 +88,9 @@ class FiltrationTree:
         # ancestor_map's read-only index arrays, keyed by (u, t); the tree
         # never changes, so each map is built once.
         object.__setattr__(self, "_ancestors", {})
+        # Whether every parent at level t has exactly two children.
+        binary = [False] + [bool(np.all(np.diff(o) == 2)) for o in self.offsets[1:]]
+        object.__setattr__(self, "_binary", tuple(binary))
 
     def n_nodes(self, t: int) -> int:
         if not 0 <= t <= self.horizon:
@@ -112,11 +117,16 @@ class FiltrationTree:
     # ---- measurability moves -------------------------------------------
 
     def condexp_step(self, x: np.ndarray, t: int) -> np.ndarray:
-        """E[x | F_{t-1}] for a level-t array x."""
+        """E[x | F_{t-1}] for a level-t array x: per parent, the sum of
+        x * branch_prob over its children. On a binary level that sum is one
+        strided add, w[2k] + w[2k+1], the float np.add.reduceat gives, sign
+        of zero included; other levels run the segmented reduction."""
         if t < 1 or t > self.horizon:
             raise LevelMismatch(f"no one-step expectation into level {t - 1}")
         x = self.check_level_array(x, t)
         w = x * self.branch_prob[t]
+        if self._binary[t]:
+            return w[..., 0::2] + w[..., 1::2]
         return np.add.reduceat(w, self.offsets[t][:-1], axis=-1)
 
     def conditional_expectation(self, x: np.ndarray, s: int, t: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conicfin import (
     AdaptedProcess,
@@ -56,6 +56,56 @@ def test_ask_dominates_bid_everywhere(kind, gamma, seed):
         a = ask(fam, gamma, 1.0, D, t).value
         b = bid(fam, gamma, 1.0, D, t).value
         assert np.min(a - b) > -PRICE_ATOL
+
+
+# Family levels within a factor of ten of 1e-6 and of 1e6.
+_EXTREME_LEVELS = st.one_of(
+    st.sampled_from([1e-6, 1e6]),
+    st.floats(min_value=1e-7, max_value=1e-5),
+    st.floats(min_value=1e5, max_value=1e7),
+)
+_EXTREME_CASES = (
+    st.sampled_from(["coherent", "quasiconcave_lse", "entropic"]),
+    st.lists(_EXTREME_LEVELS, min_size=2, max_size=4),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+
+
+def extreme_level_quotes(kind, levels, seed):
+    """(asks, bids) at t = 0, 1, 2 of a random stream, by rising level."""
+    walk = make_walk(2)
+    fam = builtin_family(kind, walk)
+    D = random_stream(walk.tree, seed)
+    return [
+        ([ask(fam, g, 1.0, D, t).value for g in sorted(levels)],
+         [bid(fam, g, 1.0, D, t).value for g in sorted(levels)])
+        for t in range(3)
+    ]
+
+
+@given(*_EXTREME_CASES)
+@settings(max_examples=60, deadline=None)
+def test_quotes_are_finite_and_ask_covers_bid_at_extreme_family_levels(kind, levels, seed):
+    for asks, bids in extreme_level_quotes(kind, levels, seed):
+        assert np.all(np.isfinite(asks)) and np.all(np.isfinite(bids))
+        for a, b in zip(asks, bids):
+            assert np.min(a - b) > -PRICE_ATOL
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="_lncosh_half computes log cosh(a) for small |a| as a difference of "
+    "terms near log 2, so an entropic quote at level x carries errors near "
+    "2e-16 / x; at x = 2.7e-7 the ask falls by 1.2e-10 as the level rises",
+)
+@given(*_EXTREME_CASES)
+@example("entropic", [2.654856592274946e-07, 2.6943977987150283e-07, 3.6436918511421263e-07], 62829803)
+@settings(max_examples=60, deadline=None)
+def test_asks_do_not_fall_as_extreme_family_levels_rise(kind, levels, seed):
+    for asks, _ in extreme_level_quotes(kind, levels, seed):
+        for lower, higher in zip(asks, asks[1:]):
+            assert np.min(higher - lower) > -PRICE_ATOL
 
 
 def test_entropic_prices_match_exponential_oracle():

@@ -6,7 +6,15 @@ import os
 import numpy as np
 import pytest
 
-from conicfin import ScenarioError, load_scenario, render_summary, run_scenario, write_csv, write_json
+from conicfin import (
+    ScenarioError,
+    load_scenario,
+    render_summary,
+    run_scenario,
+    solve_bsde,
+    write_csv,
+    write_json,
+)
 from conicfin.cli import main
 
 from test_market import AAPL_ASK, AAPL_BID
@@ -124,6 +132,28 @@ def test_csv_formatting_is_stable(tmp_path):
     path = str(tmp_path / "table.csv")
     write_csv(path, ("a", "b"), [(1, 0.25), ("x", np.float64(1e-13)), (np.nan, -np.inf)])
     assert open(path).read() == "a,b\n1,0.25\nx,1e-13\nnan,-inf\n"
+
+
+def test_solve_table_matches_cell_by_cell_formatting(tmp_path):
+    terminal = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
+    cfg = {
+        "name": "solve-bytes",
+        "tree": {"horizon": 2},
+        "drivers": {"gx": {"kind": "entropic", "gamma": 1.0}},
+        "jobs": [{"type": "solve", "driver": "gx", "terminal": terminal}],
+    }
+    summary = run_scenario(cfg, str(tmp_path / "out"))
+    scn = load_scenario(cfg)
+    tree = scn.walk.tree
+    sol = solve_bsde(scn.drivers["gx"], np.array(terminal), scn.walk)
+    lines = ["t,node,Y,Z,M"]
+    for t in range(tree.horizon + 1):
+        for v in range(tree.n_nodes(t)):
+            z = "" if t == 0 else f"{float(sol.Z[t][tree.parent[t][v]]):.12g}"
+            lines.append(f"{t},{v},{float(sol.Y[t][v]):.12g},{z},{float(sol.M[t][v]):.12g}")
+    got = open(tmp_path / "out" / summary["jobs"][0]["artifact"]).read()
+    assert got == "\n".join(lines) + "\n"
+    assert "\n2,0,-0,-0,0\n2,1,4.94065645841e-324," in got
 
 
 def test_every_job_type_passes_on_the_tables_scenario(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conicfin import (
     AdaptedProcess,
@@ -134,6 +135,32 @@ def test_conditional_expectation_matches_leaf_oracle(horizon, seed):
         got = tree.conditional_expectation(x, horizon, t)
         want = oracles.conditional_expectation(tree, x, t)
         assert np.max(np.abs(got - want)) < ATOL * 10
+
+
+# Finite values up to 1e308 in magnitude, with the signed zeros, the
+# smallest subnormal and the extremes drawn often.
+_LEVEL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.floats(min_value=-1e308, max_value=1e308),
+)
+
+
+@given(st.floats(min_value=0.05, max_value=0.95), st.data())
+@settings(max_examples=60, deadline=None)
+def test_condexp_step_is_the_segmented_sum_bit_for_bit(p, data):
+    """Levels 1 and 2 are binary and take the strided add; level 3 is
+    ternary and level 4 ragged. Every level must give np.add.reduceat's
+    floats, signs of zero included, on flat and batched inputs."""
+    ragged = [[1.0], [0.5, 0.5], [0.2, 0.3, 0.5], [0.1, 0.2, 0.3, 0.4]] * 3
+    tree = build_tree([[p, 1.0 - p], [[0.5, 0.5], [1.0 - p, p]], [0.2, 0.3, 0.5], ragged])
+    assert tree._binary == (False, True, True, False, False)
+    batch = data.draw(st.sampled_from([(), (3,), (2, 3)]))
+    for t in range(1, tree.horizon + 1):
+        x = data.draw(arrays(np.float64, batch + (tree.n_nodes(t),), elements=_LEVEL_VALUES))
+        want = np.add.reduceat(x * tree.branch_prob[t], tree.offsets[t][:-1], axis=-1)
+        got = tree.condexp_step(x, t)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_conditional_expectation_on_nonuniform_tree():
