@@ -23,9 +23,7 @@ from .drivers import (
     Driver,
     DriverError,
     DriverFamily,
-    FamilyReport,
     ParamOutOfRange,
-    RegularityReport,
     builtin_driver,
     builtin_family,
     is_regular,
@@ -33,11 +31,8 @@ from .drivers import (
 )
 from .bsde import (
     BsdeSolution,
-    ComparisonReport,
-    LinearMeasure,
     MeasureNotEquivalent,
     PreconditionViolated,
-    SolutionDiagnostics,
     compare_solutions,
     diagnose_solution,
     extract_linear_measure,
@@ -45,19 +40,13 @@ from .bsde import (
     solve_bsde,
 )
 from .risk import (
-    AxiomReport,
-    AxiomResult,
     acceptability_index,
     check_dai_axioms,
     check_dcrm_axioms,
-    random_streams,
     risk,
 )
 from .pricing import (
-    ConsistencyReport,
-    CrossCompareReport,
     NegativeQuantity,
-    PriceQuote,
     ask,
     bid,
     cross_compare,
@@ -75,39 +64,28 @@ from .market import (
     NegativeLeg,
     NotStoppingTime,
     OrderBookOperator,
-    PricingOperator,
     Security,
-    SelfFinancingReport,
     TradingStrategy,
     cds_streams,
     complete_bank_leg,
     conic_security,
-    dividends_collected,
     liquidation_value,
-    rebalancing_cost,
     stock_stream,
-    validate_self_financing,
 )
 from .search import (
     InstanceTooLarge,
     LegLayout,
     SearchConfig,
-    SearchOutcome,
     auto_bound,
     exhaustive_grid,
     leg_layout,
     maximize,
 )
 from .arbitrage import (
-    ArbitrageSearchResult,
-    CertificateReport,
     find_arbitrage,
     validate_certificate,
 )
 from .hedging import (
-    HedgedQuote,
-    NgdReport,
-    SandwichReport,
     check_ngd,
     hedged_price,
     hedged_sandwich,

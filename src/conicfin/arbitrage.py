@@ -15,12 +15,15 @@ Sums taken group by group differ from the full ledger by rounding only (at
 most 1.5e-11 on the benchmark's clean tables); the chosen row's score is
 recomputed through the full ledger.
 
-A found candidate is only reported after re-validation. When every
-operator supports exact arithmetic (price tables, order books), the market
-ledger reruns over the exact rationals of the legs, dividends and quotes
-and decides loss and gain with no tolerance; otherwise the float ledger is
-checked within tight margins. A NONE_FOUND answer is a statement about the
-strategies visited, not a proof.
+A found candidate is only reported after re-validation, which takes one
+path on every market: the ledger (complete_bank_leg) runs again on the
+candidate's risky legs, the candidate's own bank must match the completed
+bank, and terminal wealth is the completed strategy's. Exactness picks only
+the number type: when every operator supports exact arithmetic (price
+tables, order books), the ledger runs over the exact rationals of the legs,
+dividends and quotes and decides loss and gain with no tolerance; otherwise
+it runs in floats and decides them within tight margins. A NONE_FOUND
+answer is a statement about the strategies visited, not a proof.
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ from .market import (
     TradingStrategy,
     complete_bank_leg,
     liquidation_value,
-    validate_self_financing,
 )
 from .search import SearchConfig, exhaustive_grid, leg_layout, maximize
 
 FLOAT_GAIN_TOL = 1e-7
 FLOAT_LOSS_TOL = 1e-10
+SELF_FIN_TOL = 1e-9
 
 # The exact rationals of a float array's entries, as an object array.
 _fractions = np.vectorize(Fraction, otypes=[object])
@@ -90,37 +93,25 @@ def find_arbitrage(
 ) -> ArbitrageSearchResult:
     """Search for an arbitrage entered at `entry`; certificates are re-validated."""
     layout = leg_layout(market, entry)
-    T = market.tree.horizon
-    wealth = lambda P: liquidation_value(layout.strategy(P), market, T)
     score = lambda v: _score(v, cfg.tol)
     if cfg.exhaustive:
-        widths = {}  # the layout lays out each leg group's blocks side by side
-        for b in layout.blocks:
-            widths[b.security, b.kind] = widths.get((b.security, b.kind), 0) + b.n_slots
-        outcome = exhaustive_grid(wealth, tuple(widths.values()), cfg, layout.bound(cfg), score)
+        outcome = exhaustive_grid(layout.wealth, layout.group_widths, cfg, layout.bound(cfg), score)
     else:
-        outcome = maximize(lambda P: score(wealth(P)), layout.dims, cfg, layout.bound(cfg))
+        outcome = maximize(lambda P: score(layout.wealth(P)), layout.dims, cfg, layout.bound(cfg))
     strat = layout.strategy(outcome.params)
     report = validate_certificate(strat, market, entry)
     if report.valid:
-        return ArbitrageSearchResult(
-            found=True,
-            strategy=strat,
-            certificate=report,
-            best_score=outcome.score,
-            evaluations=outcome.evaluations,
-            exhaustive_total=outcome.exhaustive_total,
-            note="certificate re-validated"
-            + (" with exact arithmetic" if report.exact else " in floats"),
-        )
+        note = "certificate re-validated " + ("with exact arithmetic" if report.exact else "in floats")
+    else:
+        note = "no certificate among visited strategies (heuristic unless exhaustive)"
     return ArbitrageSearchResult(
-        found=False,
-        strategy=None,
-        certificate=None,
+        found=report.valid,
+        strategy=strat if report.valid else None,
+        certificate=report if report.valid else None,
         best_score=outcome.score,
         evaluations=outcome.evaluations,
         exhaustive_total=outcome.exhaustive_total,
-        note="no certificate among visited strategies (heuristic unless exhaustive)",
+        note=note,
     )
 
 
@@ -130,33 +121,40 @@ def validate_certificate(
     """Re-validate a candidate: self-financing from entry, no leaf loses,
     some leaf gains.
 
-    When every operator quotes exactly, the market ledger runs again over
-    the exact rationals of the risky legs' floats, with dividends and
-    quotes in rationals too: it rebuilds the bank leg and the terminal
-    wealth, and the verdict takes no tolerance. Otherwise the strategy's
-    own bank is valued in floats within FLOAT_LOSS_TOL/FLOAT_GAIN_TOL.
+    The ledger runs again on the candidate's risky legs (complete_bank_leg).
+    The candidate is self-financing when its own bank stays within
+    SELF_FIN_TOL of the completed bank at levels 1..T and its risky legs
+    vanish through the entry; self_financing_residual is the largest gap
+    between the two banks. Terminal wealth is the completed strategy's.
+    When every operator quotes exactly, the ledger runs over the exact
+    rationals of the risky legs' floats, with dividends and quotes in
+    rationals too, and gain and loss take no tolerance; otherwise they are
+    decided in floats within FLOAT_LOSS_TOL/FLOAT_GAIN_TOL.
     """
-    tr = market.tree
-    fin = validate_self_financing(strategy, market, entry)
+    T = market.tree.horizon
     exact = market.supports_exact
+    long, short = strategy.long, strategy.short
     if exact:
         market = _exact_view(market)
         exact_legs = lambda legs: [[None] + [_fractions(x) for x in leg[1:]] for leg in legs]
-        strategy = complete_bank_leg(
-            exact_legs(strategy.long), exact_legs(strategy.short), market, entry
-        )
+        long, short = exact_legs(long), exact_legs(short)
+    completed = complete_bank_leg(long, short, market, entry)
+    gap = lambda a, b: np.max(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+    residual = float(np.max([gap(strategy.bank[t], completed.bank[t]) for t in range(1, T + 1)]))
+    held = [gap(leg[u], 0.0) for leg in [*strategy.long, *strategy.short] for u in range(1, entry + 1)]
+    vanish = np.max(held, initial=0.0) <= SELF_FIN_TOL
     gain_tol, loss_tol = (0, 0) if exact else (FLOAT_GAIN_TOL, FLOAT_LOSS_TOL)
-    v = liquidation_value(strategy, market, tr.horizon)
+    v = liquidation_value(completed, market, T)
     lo, hi = np.min(v), np.max(v)
     prob_pos = 0.0  # leaf by leaf, not numpy's pairwise grouping of a sum
-    for p in tr.leaf_prob[v > gain_tol].tolist():
+    for p in completed.tree.leaf_prob[v > gain_tol].tolist():
         prob_pos += p
     return CertificateReport(
-        valid=bool(fin.passed and lo >= -loss_tol and hi > gain_tol),
+        valid=bool(residual <= SELF_FIN_TOL and vanish and lo >= -loss_tol and hi > gain_tol),
         min_terminal=float(lo),
         max_terminal=float(hi),
         prob_positive=prob_pos,
-        self_financing_residual=fin.max_residual,
+        self_financing_residual=residual,
         exact=exact,
     )
 

@@ -49,9 +49,15 @@ def _lncosh_half(a: np.ndarray) -> np.ndarray:
 
 
 def _lse3(z: np.ndarray) -> np.ndarray:
-    """log((1 + exp(-z) + exp(z)) / 3), stable for large |z|."""
+    """log((1 + exp(-z) + exp(z)) / 3), stable for large |z|.
+
+    The formula is >= 0, since exp(-z) + exp(z) >= 2, but for |z| between
+    about 5e-17 and 2e-8 subtracting log(3) lands one rounding step below
+    zero; the clamp keeps the float >= 0 too, and lets NaN through.
+    """
     m = np.abs(z)
-    return m + np.log1p(np.exp(-m) + np.exp(-2.0 * np.minimum(m, 1e300))) - np.log(3.0)
+    v = m + np.log1p(np.exp(-m) + np.exp(-2.0 * np.minimum(m, 1e300))) - np.log(3.0)
+    return np.maximum(v, 0.0)
 
 
 def _per_level(tree, value, name: str) -> list:

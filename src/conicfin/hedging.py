@@ -30,7 +30,7 @@ import numpy as np
 from .arbitrage import ArbitrageSearchResult, find_arbitrage
 from .bsde import solve_bsde
 from .drivers import Driver, DriverFamily
-from .market import MarketModel, TradingStrategy, liquidation_value
+from .market import MarketModel, TradingStrategy
 from .pricing import price
 from .search import LegLayout, SearchConfig, ascend, leg_layout
 from .tree import AdaptedProcess, tail_payoff
@@ -88,11 +88,7 @@ def _per_node_search(
 def _node_values(g: Driver, layout: LegLayout, payoff: np.ndarray):
     """(B, dims) legs -> (B, n_t) time-t values, under g, of the leaf payoff
     minus the terminal wealth of the strategy entered at layout.entry."""
-    market, t = layout.market, layout.entry
-    T = market.tree.horizon
-    return lambda P: solve_bsde(
-        g, payoff - liquidation_value(layout.strategy(P), market, T), market.walk
-    ).Y[t]
+    return lambda P: solve_bsde(g, payoff - layout.wealth(P), layout.market.walk).Y[layout.entry]
 
 
 def hedged_price(

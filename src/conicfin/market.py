@@ -28,8 +28,6 @@ from .bsde import g_expectation
 from .drivers import DriverFamily
 from .tree import AdaptedProcess, FiltrationTree, MartingaleSpec, tail_payment
 
-SELF_FIN_TOL = 1e-9
-
 
 class MarketError(ValueError):
     """Base class for market construction and validation failures."""
@@ -224,10 +222,6 @@ class Security:
     op_ask: PricingOperator
     op_bid: PricingOperator
 
-    @property
-    def frictionless(self) -> bool:
-        return self.op_ask is self.op_bid and self.stream_ask is self.stream_bid
-
 
 @dataclass(frozen=True)
 class MarketModel:
@@ -289,17 +283,6 @@ class TradingStrategy:
     bank: list
     long: list
     short: list
-
-    @property
-    def n_securities(self) -> int:
-        return len(self.long)
-
-    def leg(self, kind: str, i: int, t: int) -> np.ndarray:
-        if t < 1:
-            raise MarketError("positions are indexed from t = 1")
-        if kind == "bank":
-            return self.bank[t]
-        return (self.long if kind == "long" else self.short)[i][t]
 
     def _first_leg(self) -> np.ndarray:
         for legs in [self.bank] + list(self.long) + list(self.short):
@@ -382,41 +365,6 @@ def dividends_collected(strategy: TradingStrategy, market: MarketModel, t: int) 
         sht = _held_into(strategy, strategy.short[i], t)
         total = total + lng * sec.stream_ask.at(t) - sht * sec.stream_bid.at(t)
     return total
-
-
-@dataclass(frozen=True)
-class SelfFinancingReport:
-    max_residual: float
-    passed: bool
-    zero_before_ok: bool
-
-
-def validate_self_financing(
-    strategy: TradingStrategy, market: MarketModel, entry: int = 0
-) -> SelfFinancingReport:
-    """Audit the rebalancing identity at every date and, for strategies
-    entering at a later time, that all positions through the entry vanish.
-
-    At each t the bank change plus the risky rebalancing cash must equal
-    the dividends just collected; at t = 0 this says the setup is fully
-    financed (zero initial cost).
-    """
-    tr = market.tree
-    worst = 0.0
-    for t in range(tr.horizon):
-        d_bank = _leg_at(strategy, strategy.bank, t) - _held_into(strategy, strategy.bank, t)
-        resid = d_bank + rebalancing_cost(strategy, market, t) - dividends_collected(
-            strategy, market, t
-        )
-        worst = max(worst, float(np.max(np.abs(resid))))
-    zero_ok = True
-    for u in range(1, entry + 1):
-        for legs in [strategy.bank] + [l for l in strategy.long] + [s for s in strategy.short]:
-            if float(np.max(np.abs(np.asarray(legs[u], dtype=float)))) > SELF_FIN_TOL:
-                zero_ok = False
-    return SelfFinancingReport(
-        max_residual=worst, passed=worst <= SELF_FIN_TOL and zero_ok, zero_before_ok=zero_ok
-    )
 
 
 def complete_bank_leg(

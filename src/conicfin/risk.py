@@ -92,7 +92,7 @@ class AxiomReport:
         raise KeyError(name)
 
 
-def random_streams(tree: FiltrationTree, rng: np.random.Generator, count: int) -> list:
+def _random_streams(tree: FiltrationTree, rng: np.random.Generator, count: int) -> list:
     out = []
     for _ in range(count):
         vals = [rng.normal(size=tree.n_nodes(s)) for s in range(tree.horizon + 1)]
@@ -140,7 +140,7 @@ def check_dcrm_axioms(driver: Driver, seed: int = 0) -> AxiomReport:
     """
     tr = driver.tree
     rng = np.random.default_rng(seed)
-    streams = random_streams(tr, rng, 6)
+    streams = _random_streams(tr, rng, 6)
     times = range(tr.horizon + 1)
     rho = lambda D, t: risk(driver, D, t)
 
@@ -205,7 +205,7 @@ def check_dai_axioms(family: DriverFamily, seed: int = 0) -> AxiomReport:
     """
     tr = family.tree
     rng = np.random.default_rng(seed)
-    streams = _tilted_streams(family.walk) + random_streams(tr, rng, 3)
+    streams = _tilted_streams(family.walk) + _random_streams(tr, rng, 3)
     times = range(tr.horizon + 1)
     tol = 200.0 * INDEX_TOL
     alpha = lambda D, t: acceptability_index(family, D, t)

@@ -3,7 +3,8 @@
 Strategy search spaces are flattened to nonnegative parameter vectors: one
 dimension per (security, long/short, rebalance date, slot). LegLayout maps
 a batch of parameter vectors to self-financing strategies, filling in the
-bank leg, so every objective is built as legs -> strategy -> value.
+bank leg, and to their terminal wealth, so every objective is built as
+legs -> strategy -> value.
 
 ascend is the one seeded multi-start coordinate ascent over shrinking
 grids that arbitrage and hedging share. Its starts move in lockstep, so
@@ -26,11 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .market import MarketModel, TradingStrategy, complete_bank_leg
+from .market import MarketModel, TradingStrategy, complete_bank_leg, liquidation_value
 
 
 EXHAUSTIVE_MAX_DIMS = 24
@@ -90,6 +92,16 @@ class LegLayout:
         """Self-financing strategy entered at the layout's entry with these risky legs."""
         long, short = self.to_legs(params)
         return complete_bank_leg(long, short, self.market, self.entry)
+
+    def wealth(self, params: np.ndarray) -> np.ndarray:
+        """Terminal wealth, (..., leaves), of the strategy built from these legs."""
+        return liquidation_value(self.strategy(params), self.market, self.market.tree.horizon)
+
+    @property
+    def group_widths(self) -> tuple:
+        """Column count of each (security, long/short) leg group, in column order."""
+        groups = groupby(self.blocks, key=lambda b: (b.security, b.kind))
+        return tuple(sum(b.n_slots for b in blocks) for _, blocks in groups)
 
     def bound(self, cfg: SearchConfig) -> float:
         """The configured position cap, or auto_bound when none is set."""

@@ -420,7 +420,7 @@ class AdaptedProcess:
             tuple(a + b for a, b in zip(self.values, other.values)),
         )
 
-    def combine(self, other: "AdaptedProcess", lam, t: int = 0) -> "AdaptedProcess":
+    def combine(self, other: "AdaptedProcess", lam, t: int) -> "AdaptedProcess":
         """lam *_t self + (1 - lam) *_t other for level-t measurable lam."""
         lam = self.tree.check_level_array(np.asarray(lam, dtype=float), t)
         return self.scale_from(lam, t).add(other.scale_from(1.0 - lam, t))

@@ -80,14 +80,39 @@ def test_entropic_divided_differences_within_declared_constant(driver, z1, z2):
 @settings(max_examples=200, deadline=None)
 def test_log_cosh_and_log_sum_exp_stay_finite_up_to_the_float_maximum(z):
     """_lncosh_half and _lse3 are finite and nonnegative up to |z| = 1.7e308
-    and raise no floating-point warning on the way. Near z = 0, _lse3
-    subtracts log(3) from log1p(e^-|z| + e^-2|z|) and can land one rounding
-    step of log(3) below zero, so it gets that much slack."""
+    and raise no floating-point warning on the way."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for f, floor in ((_lncosh_half, 0.0), (_lse3, -np.spacing(np.log(3.0)))):
+        for f in (_lncosh_half, _lse3):
             v = f(np.array([z, -z]))
-            assert np.all(np.isfinite(v)) and np.all(v >= floor), (f.__name__, z, v)
+            assert np.all(np.isfinite(v)) and np.all(v >= 0.0), (f.__name__, z, v)
+
+
+@given(
+    kind=st.sampled_from(["coherent", "quasiconcave_lse", "entropic", "logsumexp"]),
+    level=st.floats(min_value=1e-6, max_value=1e6),
+    z=st.one_of(
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.floats(min_value=5e-17, max_value=2e-8),
+        st.floats(min_value=-2e-8, max_value=-5e-17),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_builtin_drivers_are_nonnegative_and_vanish_at_zero(kind, level, z):
+    """g(t, z) >= 0 = g(t, +-0.0) in floats for every builtin family at
+    levels in [1e-6, 1e6] and for the logsumexp driver, also in the band
+    near z = 0 where the lse formula subtracts log(3) from a value that
+    rounds to it."""
+    walk = make_walk(2)
+    if kind == "logsumexp":
+        g = builtin_driver("logsumexp", walk, K=level)
+    else:
+        g = builtin_family(kind, walk).make(level)
+    for t in range(1, walk.tree.horizon + 1):
+        n = walk.tree.n_nodes(t - 1)
+        assert np.all(g.eval(t, np.full(n, z)) >= 0.0), (kind, level, z, t)
+        for zero in (0.0, -0.0):
+            assert np.all(g.eval(t, np.full(n, zero)) == 0.0), (kind, level, zero, t)
 
 
 def test_param_range_errors():

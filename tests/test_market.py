@@ -37,10 +37,10 @@ from conicfin import (
     symmetric_random_walk,
     uniform_binary_tree,
     validate_certificate,
-    validate_self_financing,
     zero_process,
 )
-from conicfin.arbitrage import FLOAT_GAIN_TOL, FLOAT_LOSS_TOL, _exact_view, _fractions
+from conicfin.arbitrage import FLOAT_GAIN_TOL, FLOAT_LOSS_TOL, SELF_FIN_TOL, _exact_view, _fractions
+from conicfin.market import dividends_collected, rebalancing_cost
 from conicfin.pricing import ask, bid, price
 from conicfin.search import SearchConfig
 from conicfin.tree import tail_payoff
@@ -284,42 +284,54 @@ def test_conic_operator_rejects_bad_levels_as_market_errors():
                 ConicOperator(side, fam, gamma, stream)
 
 
-def test_market_lookup_and_frictionless_flag():
+def test_market_lookup_by_sid():
     market = direct_two_period_market()
     assert market.security("stk").sid == "stk"
     with pytest.raises(MarketError):
         market.security("missing")
-    assert not market.security("stk").frictionless
-    walk = market.walk
-    stream = zero_process(walk.tree)
-    op = DirectOperator(walk.tree, [[1.0], [1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
-    flat = Security(sid="flat", stream_ask=stream, stream_bid=stream, op_ask=op, op_bid=op)
-    assert flat.frictionless
+
+
+def ledger_gaps(strat, market, entry):
+    """bank[t+1] - bank held into t - (dividends_collected - rebalancing_cost)
+    at every t >= entry, from the public ledger terms."""
+    tr = market.tree
+    gaps = []
+    for t in range(entry, tr.horizon):
+        held = strat.bank[t][..., tr.parent[t]] if t > 0 else 0
+        cash = dividends_collected(strat, market, t) - rebalancing_cost(strat, market, t)
+        gaps.append(strat.bank[t + 1] - held - cash)
+    return gaps
 
 
 def test_zero_strategy_costs_and_delivers_nothing():
     market = direct_two_period_market()
     layout = leg_layout(market)
     strat = layout.strategy(np.zeros(layout.dims))
-    assert np.allclose(liquidation_value(strat, market, 2), 0.0)
-    rep = validate_self_financing(strat, market)
-    assert rep.passed and rep.max_residual == 0.0
+    assert np.array_equal(liquidation_value(strat, market, 2), np.zeros(4))
+    assert all(np.array_equal(strat.bank[t], np.zeros(2 ** (t - 1))) for t in (1, 2))
+    assert all(not np.any(gap) for gap in ledger_gaps(strat, market, 0))
 
 
 def test_completed_bank_leg_is_self_financing_for_random_legs():
+    """The completed bank moves by the dividends collected less the
+    rebalancing cost at every t >= entry and holds nothing through the
+    entry: within SELF_FIN_TOL on float legs of table and conic markets,
+    and exactly on Fraction legs over the exact view of the table market."""
+    to_fractions = lambda legs: [[None] + [_fractions(x) for x in leg[1:]] for leg in legs]
     for market in (direct_two_period_market(), conic_market()):
         tr = market.tree
         rng = np.random.default_rng(31)
         for entry in range(tr.horizon):
-            long = [[None] + [rng.random(tr.n_nodes(t - 1)) for t in range(1, 3)]]
-            short = [[None] + [rng.random(tr.n_nodes(t - 1)) for t in range(1, 3)]]
-            for u in range(1, entry + 1):
-                long[0][u] = np.zeros(tr.n_nodes(u - 1))
-                short[0][u] = np.zeros(tr.n_nodes(u - 1))
+            long = [[None] + [rng.random(tr.n_nodes(t - 1)) * (t > entry) for t in range(1, 3)]]
+            short = [[None] + [rng.random(tr.n_nodes(t - 1)) * (t > entry) for t in range(1, 3)]]
             strat = complete_bank_leg(long, short, market, entry)
-            rep = validate_self_financing(strat, market, entry)
-            assert rep.passed, f"residual {rep.max_residual} (entry {entry})"
-            assert rep.zero_before_ok
+            assert all(not np.any(strat.bank[u]) for u in range(1, entry + 1))
+            for gap in ledger_gaps(strat, market, entry):
+                assert np.max(np.abs(gap)) <= SELF_FIN_TOL, (market.name, entry)
+            if market.supports_exact:
+                exact = _exact_view(market)
+                strat = complete_bank_leg(to_fractions(long), to_fractions(short), exact, entry)
+                assert all(np.all(gap == 0) for gap in ledger_gaps(strat, exact, entry))
 
 
 def test_completed_bank_leg_rejects_bad_entry_times():
@@ -426,6 +438,42 @@ def test_exact_certificates_decide_gains_and_losses_below_float_tolerances():
         assert -FLOAT_LOSS_TOL < rep.min_terminal <= 0.0
 
 
+def stock_and_conic_market():
+    """The hand-table stock beside a conic security: a float-ledger market
+    that holds the stock's certificate."""
+    direct = direct_two_period_market()
+    walk = direct.walk
+    pays = (np.zeros(1), np.array([0.3, -0.2]), np.array([0.1, -0.4, 0.2, 0.0]))
+    stream = AdaptedProcess(walk.tree, pays)
+    cds = conic_security("cds", builtin_family("entropic", walk), stream, 2.0)
+    return MarketModel(walk, direct.securities + (cds,), "mixed")
+
+
+def test_certificates_need_the_completed_bank_and_empty_legs_through_entry():
+    """validate_certificate refuses the hand-table certificate once its bank
+    is nudged by 1e-6 at one node, on the exact table market and on a float
+    market with a conic security, and reports that gap as the residual;
+    it also refuses a candidate that holds a long leg through its entry,
+    though the completed strategy never loses."""
+    for market in (direct_two_period_market(), stock_and_conic_market()):
+        n = len(market.securities)
+        zeros = lambda: [[None, np.zeros(1), np.zeros(2)] for _ in range(n)]
+        long, short = zeros(), zeros()
+        long[0][1] = np.array([1.0])
+        strat = complete_bank_leg(long, short, market, 0)
+        rep = validate_certificate(strat, market, 0)
+        assert rep.valid and rep.self_financing_residual == 0.0
+        assert rep.exact == market.supports_exact
+        strat.bank[2] = strat.bank[2] + np.array([0.0, 1e-6])
+        rep = validate_certificate(strat, market, 0)
+        assert not rep.valid and rep.min_terminal == 0.0 and rep.max_terminal == 1.0
+        assert rep.self_financing_residual == pytest.approx(1e-6, rel=1e-9)
+        early = complete_bank_leg(long, short, market, 1)
+        rep = validate_certificate(early, market, 1)
+        assert not rep.valid and rep.self_financing_residual == 0.0
+        assert rep.min_terminal > 0.0
+
+
 def test_completed_bank_leg_keeps_fraction_legs_exact():
     market = direct_two_period_market()
     exact = _exact_view(market)
@@ -504,16 +552,12 @@ def test_stock_stream_adds_terminal_value_at_the_horizon():
     assert np.allclose(stk.at(2), [4.25, 2.25, 2.25, 1.25])
 
 
-def test_strategy_leg_accessor_and_batch_shape():
+def test_strategy_batch_shape():
     market = direct_two_period_market()
-    tr = market.tree
     long = [[None, np.array([1.0]), np.zeros(2)]]
     short = [[None, np.zeros(1), np.zeros(2)]]
     strat = complete_bank_leg(long, short, market, 0)
     assert strat.batch_shape() == ()
-    assert strat.n_securities == 1
-    assert np.allclose(strat.leg("long", 0, 1), [1.0])
-    assert np.allclose(strat.leg("bank", 0, 1), [-10.0])
     layout = leg_layout(market)
     batched = layout.strategy(np.zeros((3, layout.dims)))
     assert batched.batch_shape() == (3,)

@@ -17,7 +17,6 @@ from conicfin import (
     auto_bound,
     exhaustive_grid,
     leg_layout,
-    liquidation_value,
     maximize,
     symmetric_random_walk,
     uniform_binary_tree,
@@ -187,24 +186,13 @@ def test_lockstep_ascend_scores_several_starts_in_one_call():
     assert sum(lockstep) == sum(calls)
 
 
-def _wealth(layout):
-    """Terminal wealth of a (B, dims) batch through the full ledger."""
-    market = layout.market
-    return lambda P: liquidation_value(layout.strategy(P), market, market.tree.horizon)
-
-
 def _group_wealths(layout, rows):
-    """Terminal wealth of each (security, long/short) leg group alone,
-    stacked as (groups, B, leaves)."""
-    out = []
-    for i in range(len(layout.market.securities)):
-        for kind in ("long", "short"):
-            mask = np.zeros(layout.dims)
-            for b in layout.blocks:
-                if (b.security, b.kind) == (i, kind):
-                    mask[b.col_start : b.col_start + b.n_slots] = 1.0
-            out.append(_wealth(layout)(rows * mask))
-    return np.stack(out)
+    """Terminal wealth of each of the layout's leg groups alone, stacked as
+    (groups, B, leaves)."""
+    ends = np.cumsum(layout.group_widths)
+    cols = np.arange(layout.dims)
+    masks = [(lo <= cols) & (cols < hi) for lo, hi in zip(ends - layout.group_widths, ends)]
+    return np.stack([layout.wealth(rows * mask) for mask in masks])
 
 
 def _within_grouping_tolerance(summed, full, gross):
@@ -237,11 +225,12 @@ def test_exhaustive_grid_visits_the_whole_product_grid():
         layout = leg_layout(market, entry)
         K = len(market.securities)
         widths = [layout.dims // (2 * K)] * (2 * K)
+        assert layout.group_widths == tuple(widths)
         cfg = SearchConfig(exhaustive=True, exhaustive_target=4000)
         bound = layout.bound(cfg)
         scored, wealth_rows = [], []
         score = lambda v: scored.append(_score(v, cfg.tol)) or scored[-1]
-        wealth = lambda P: wealth_rows.append(P.shape[0]) or _wealth(layout)(P)
+        wealth = lambda P: wealth_rows.append(P.shape[0]) or layout.wealth(P)
         out = exhaustive_grid(wealth, widths, cfg, bound, score)
 
         points = round(out.exhaustive_total ** (1.0 / layout.dims))
@@ -250,7 +239,7 @@ def test_exhaustive_grid_visits_the_whole_product_grid():
         grid = np.linspace(0.0, bound, points)
         flat = np.arange(out.exhaustive_total)
         rows = grid[np.stack(np.unravel_index(flat, (points,) * layout.dims), axis=-1)]
-        full = _score(_wealth(layout)(rows), cfg.tol)
+        full = _score(layout.wealth(rows), cfg.tol)
         summed = np.concatenate(scored[:-1])
         k = int(np.argmax(full))
         assert int(np.argmax(summed)) == k, market.name
@@ -381,7 +370,7 @@ def test_ledger_wealth_is_the_sum_of_its_leg_groups(seed, n_sec, horizon, data):
     rows = rng.uniform(0.0, 20.0, (16, layout.dims)) * (rng.random((16, layout.dims)) < 0.7)
     parts = _group_wealths(layout, rows)
     gross = 1.0 + np.sum(np.max(np.abs(parts), axis=-1), axis=0)
-    assert np.all(_within_grouping_tolerance(np.sum(parts, axis=0), _wealth(layout)(rows), gross[:, None]))
+    assert np.all(_within_grouping_tolerance(np.sum(parts, axis=0), layout.wealth(rows), gross[:, None]))
 
 
 def test_zero_dimension_search_scores_the_empty_strategy():
