@@ -5,8 +5,9 @@ nothing through t whose terminal liquidation value is nonnegative
 everywhere and positive with positive probability. The search sweeps
 risky legs only: the bank leg that makes any risky plan self-financing
 with zero entry cost is unique, so it is reconstructed rather than
-searched. Candidates are ranked by worst leaf first and mean leaf second,
-because certificates may legitimately sit at a worst leaf of exactly zero.
+searched. Candidates are ranked by worst leaf first and mean leaf second
+once the worst leaf loses at most SCORE_TOL, because certificates may
+legitimately sit at a worst leaf of exactly zero.
 
 The exhaustive sweep rests on the ledger never netting long against short:
 each ledger term prices one (security, long/short) leg alone and the bank
@@ -47,6 +48,7 @@ from .search import SearchConfig, exhaustive_grid, leg_layout, maximize
 FLOAT_GAIN_TOL = 1e-7
 FLOAT_LOSS_TOL = 1e-10
 SELF_FIN_TOL = 1e-9
+SCORE_TOL = 1e-9
 
 # The exact rationals of a float array's entries, as an object array.
 _fractions = np.vectorize(Fraction, otypes=[object])
@@ -93,7 +95,7 @@ def find_arbitrage(
 ) -> ArbitrageSearchResult:
     """Search for an arbitrage entered at `entry`; certificates are re-validated."""
     layout = leg_layout(market, entry)
-    score = lambda v: _score(v, cfg.tol)
+    score = lambda v: _score(v, SCORE_TOL)
     if cfg.exhaustive:
         outcome = exhaustive_grid(layout.wealth, layout.group_widths, cfg, layout.bound(cfg), score)
     else:

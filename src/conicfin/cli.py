@@ -32,11 +32,13 @@ def main(argv=None) -> int:
     if args.command == "render":
         try:
             with open(args.summary) as f:
-                summary = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read summary: {exc}", file=sys.stderr)
+                text = render_summary(json.load(f))
+        # malformed JSON is a ValueError; JSON that is not a summary object
+        # fails its lookups and formats
+        except (OSError, ValueError, LookupError, AttributeError, TypeError) as exc:
+            print(f"cannot read summary: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
-        print(render_summary(summary))
+        print(text)
         return 0
 
     try:

@@ -68,18 +68,15 @@ def _per_node_search(
     The ledger and solve_bsde treat each row on its own, so each row gets
     the values it would get alone.
     """
-    dims, t = layout.dims, layout.entry
+    dims = layout.dims
     finals, evals = ascend(
         lambda P: -np.sum(evaluate_values(P), axis=-1), dims, cfg, layout.bound(cfg)
     )
-    params = [p for p, _ in finals]
-    stacked = evaluate_values(np.stack(params))
+    params = np.stack([p for p, _ in finals])
     evals += len(params)
-    node_dim = layout.dim_subtree_map(t) if dims else np.zeros(0, dtype=np.int64)
-    winner = np.argmin(stacked, axis=0)
-    merged = np.zeros(dims)
-    for d in range(dims):
-        merged[d] = params[int(winner[node_dim[d]])][d]
+    # dimension d takes the start that wins the node of its subtree
+    winner = np.argmin(evaluate_values(params), axis=0)
+    merged = params[winner[layout.dim_subtree_map(layout.entry)], np.arange(dims)]
     merged_vals = evaluate_values(merged[None, :])[0]
     evals += 1
     return merged, merged_vals, evals

@@ -76,12 +76,12 @@ class ConicOperator(PricingOperator):
     stream's strictly-future payments; the bid negates the expectation of
     the negated payoff. The payoff is tail_payment, placed at the stream's
     last paying level s, and Y rolls back from s to t only (g_expectation),
-    not from the leaves. Two quotes skip the roll-back and return what a
-    full solve would: an all-zero phi, or a stream that pays nothing after
-    t, quotes +0.0 on the ask side and -0.0 on the bid side before the
-    horizon (drivers are normalized, and every builtin family has
-    g(t, +-0) = +0.0), and a quote at the horizon is tail_payment itself,
-    phi times no future payments.
+    not from the leaves. Before the horizon, an all-zero phi, or a stream
+    that pays nothing after t, skips the roll-back and quotes what a full
+    solve would: +0.0 on the ask side and -0.0 on the bid side (drivers are
+    normalized, and every builtin family has g(t, +-0) = +0.0). At the
+    horizon there is nothing to roll back: g_expectation returns
+    tail_payment itself, phi times no future payments.
     """
 
     def __init__(self, side: str, family: DriverFamily, gamma: float, stream: AdaptedProcess):
@@ -100,12 +100,10 @@ class ConicOperator(PricingOperator):
         if t < stream.tree.horizon and (stream.last_paying <= t or not np.any(phi)):
             return np.zeros(phi.shape) if self.side == "ask" else np.full(phi.shape, -0.0)
         s, payoff = tail_payment(stream, phi, t)
-        if t == s:
-            return payoff
         return self._roll_back(payoff, s, t)
 
     def _roll_back(self, payoff: np.ndarray, s: int, t: int) -> np.ndarray:
-        """This side's value at level t < s of the level-s payoff."""
+        """This side's value at level t <= s of the level-s payoff."""
         if self.side == "ask":
             return g_expectation(self._g, payoff, s, t, self.family.walk)
         return -g_expectation(self._g, -payoff, s, t, self.family.walk)

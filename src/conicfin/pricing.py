@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .drivers import DriverFamily
-from .market import ConicOperator, _check_level
+from .market import ConicOperator
 from .tree import AdaptedProcess
 
 PRICE_TOL = 1e-10
@@ -39,8 +39,7 @@ class PriceQuote:
     value: np.ndarray
 
 
-def _check_inputs(family: DriverFamily, gamma: float, phi, t: int):
-    _check_level(gamma)
+def _check_inputs(family: DriverFamily, phi, t: int):
     tr = family.tree
     phi = np.array(phi, dtype=float)
     if phi.ndim == 0:
@@ -57,7 +56,7 @@ def ask(
     family: DriverFamily, gamma: float, phi, stream: AdaptedProcess, t: int
 ) -> PriceQuote:
     """Time-t ask price of phi shares of the stream's strictly future payments."""
-    phi = _check_inputs(family, gamma, phi, t)
+    phi = _check_inputs(family, phi, t)
     value = ConicOperator("ask", family, gamma, stream).price(t, phi)
     return PriceQuote("ask", family.kind, float(gamma), t, phi, value)
 
@@ -66,7 +65,7 @@ def bid(
     family: DriverFamily, gamma: float, phi, stream: AdaptedProcess, t: int
 ) -> PriceQuote:
     """Time-t bid price; minus the nonlinear expectation of the negated payoff."""
-    phi = _check_inputs(family, gamma, phi, t)
+    phi = _check_inputs(family, phi, t)
     value = ConicOperator("bid", family, gamma, stream).price(t, phi)
     return PriceQuote("bid", family.kind, float(gamma), t, phi, value)
 

@@ -257,8 +257,9 @@ def _build_security(scn: Scenario, spec) -> Security:
     if flavor == "conic":
         fam = _resolve_family(scn, _required(spec, "family", where))
         stream = _resolve_stream(scn, _required(spec, "stream", where))
-        gamma_ask = float(_required(spec, "gamma_ask", where))
-        return conic_security(sid, fam, stream, gamma_ask, float(spec.get("gamma_bid", gamma_ask)))
+        gamma_ask = _family_level(fam, "gamma_ask", _required(spec, "gamma_ask", where))
+        gamma_bid = _family_level(fam, "gamma_bid", spec["gamma_bid"]) if "gamma_bid" in spec else None
+        return conic_security(sid, fam, stream, gamma_ask, gamma_bid)
     if flavor == "direct":
         sa = _resolve_stream(scn, spec.get("stream_ask", spec.get("stream")))
         sb = _resolve_stream(scn, spec.get("stream_bid", spec.get("stream")))
@@ -283,11 +284,23 @@ def _build_security(scn: Scenario, spec) -> Security:
     raise ScenarioError(f"unknown security flavor {flavor!r}")
 
 
-def _job(job) -> dict:
-    """A job object of a known type."""
+def _known_keys(where: str, spec: dict, keys) -> dict:
+    """spec, which takes no key outside keys."""
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ScenarioError(f"{where} takes no key {unknown}; it takes {list(keys)}")
+    return spec
+
+
+def _job(job, market: Optional[MarketModel]) -> dict:
+    """A job object of a known type with known keys; a market job needs a market."""
     job = _typed("job", job, dict)
-    if job.get("type") not in _JOB_RUNNERS:
-        raise ScenarioError(f"unknown job type {job.get('type')!r}")
+    jtype = job.get("type")
+    if jtype not in _JOB_RUNNERS:
+        raise ScenarioError(f"unknown job type {jtype!r}")
+    _known_keys(f"{jtype} job", job, ("type", "out", *_JOB_RUNNERS[jtype][2]))
+    if market is None and jtype in _MARKET_JOBS:
+        raise ScenarioError(f"{jtype} job needs securities")
     return job
 
 
@@ -316,19 +329,20 @@ def _build_scenario(cfg: dict, seed_override: Optional[int]) -> Scenario:
         families={},
         streams={"zero": _build_stream(walk.tree, "zero")},
         market=None,
-        jobs=[_job(j) for j in _typed("jobs", cfg.get("jobs", []), list)],
+        jobs=[],
     )
     for name, d in _typed("drivers", cfg.get("drivers", {}), dict).items():
-        d = _typed(f"driver {name!r}", d, dict)
-        params = {k: v for k, v in d.items() if k != "kind"}
-        scn.drivers[name] = builtin_driver(_required(d, "kind", f"driver {name!r}"), walk, **params)
+        scn.drivers[name] = _build_driver(walk, d)
     for name, f in _typed("families", cfg.get("families", {}), dict).items():
-        scn.families[name] = builtin_family(_family_kind(f), walk)
+        scn.families[name] = _build_family(walk, f)
     for name, s in _typed("streams", cfg.get("streams", {}), dict).items():
         scn.streams[name] = _build_stream(walk.tree, s)
     secs = [_build_security(scn, s) for s in _typed("securities", cfg.get("securities", []), list)]
+    if len({sec.sid for sec in secs}) < len(secs):
+        raise ScenarioError(f"security ids must be unique, got {[sec.sid for sec in secs]}")
     if secs:
         scn.market = MarketModel(walk=walk, securities=tuple(secs), name=scn.name)
+    scn.jobs = [_job(j, scn.market) for j in _typed("jobs", cfg.get("jobs", []), list)]
     return scn
 
 
@@ -342,57 +356,52 @@ _SEARCH_FIELDS = {
     "multi_starts": _integer,
     "sweeps": _integer,
     "refine_rounds": _integer,
-    "seed": _integer,
     "exhaustive": _boolean,
     "exhaustive_target": lambda k, v: _integer(k, v, 1),
-    "tol": _number,
 }
 
 
-def _search_config(job: dict, seed: int) -> SearchConfig:
-    s = _typed("search", job.get("search", {}), dict)
-    unknown = sorted(set(s) - set(_SEARCH_FIELDS))
-    if unknown:
-        raise ScenarioError(f"search takes no key {unknown}; it takes {list(_SEARCH_FIELDS)}")
-    return SearchConfig(**{"seed": seed, **{k: _SEARCH_FIELDS[k](k, v) for k, v in s.items()}})
+def _search(scn: Scenario, job: dict):
+    """A searching job's SearchConfig, seeded by the scenario, and its entry level."""
+    s = _known_keys("search", _typed("search", job.get("search", {}), dict), _SEARCH_FIELDS)
+    cfg = SearchConfig(seed=scn.seed, **{k: _SEARCH_FIELDS[k](k, v) for k, v in s.items()})
+    return cfg, _integer("entry", job.get("entry", 0), 0, scn.walk.tree.horizon - 1)
 
 
-def _family_kind(spec) -> str:
-    """The kind of a family spec {"kind": ...}, which takes no other key."""
+def _build_driver(walk, spec):
+    """A driver from its {"kind": ..., <params>} spec."""
+    spec = _typed("a driver spec", spec, dict)
+    kind = _required(spec, "kind", "a driver spec")
+    try:
+        return builtin_driver(kind, walk, **{k: v for k, v in spec.items() if k != "kind"})
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ScenarioError(f"cannot build driver {spec!r}: {exc}") from exc
+
+
+def _build_family(walk, spec):
+    """A family from its {"kind": ...} spec, which takes no other key."""
     if not isinstance(spec, dict) or set(spec) != {"kind"}:
         raise ScenarioError(f"a family spec is {{'kind': ...}} and nothing else, got {spec!r}")
-    return spec["kind"]
+    try:
+        return builtin_family(spec["kind"], walk)
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"cannot build family {spec!r}: {exc}") from exc
 
 
 def _resolve_driver(scn: Scenario, spec):
     """Driver reference: a name declared in the scenario, a builtin kind
     name, or an inline {"kind": ..., <params>} object."""
-    try:
-        if isinstance(spec, str):
-            if spec in scn.drivers:
-                return scn.drivers[spec]
-            return builtin_driver(spec, scn.walk)
-        if isinstance(spec, dict):
-            params = {k: v for k, v in spec.items() if k != "kind"}
-            return builtin_driver(spec["kind"], scn.walk, **params)
-    except (DriverError, KeyError, TypeError) as exc:
-        raise ScenarioError(f"cannot resolve driver reference {spec!r}: {exc}") from exc
-    raise ScenarioError(f"cannot resolve driver reference {spec!r}")
+    if isinstance(spec, str) and spec in scn.drivers:
+        return scn.drivers[spec]
+    return _build_driver(scn.walk, {"kind": spec} if isinstance(spec, str) else spec)
 
 
 def _resolve_family(scn: Scenario, spec):
     """Family reference: a declared name, a builtin kind name, or an inline
     {"kind": ...} object."""
-    try:
-        if isinstance(spec, str):
-            if spec in scn.families:
-                return scn.families[spec]
-            return builtin_family(spec, scn.walk)
-        if isinstance(spec, dict):
-            return builtin_family(_family_kind(spec), scn.walk)
-    except (DriverError, KeyError, TypeError) as exc:
-        raise ScenarioError(f"cannot resolve family reference {spec!r}: {exc}") from exc
-    raise ScenarioError(f"cannot resolve family reference {spec!r}")
+    if isinstance(spec, str) and spec in scn.families:
+        return scn.families[spec]
+    return _build_family(scn.walk, {"kind": spec} if isinstance(spec, str) else spec)
 
 
 def _resolve_stream(scn: Scenario, name) -> AdaptedProcess:
@@ -490,17 +499,16 @@ def _job_price_table(scn: Scenario, job: dict, path: str):
 
 def _job_axioms(scn: Scenario, job: dict, path: str):
     target = job.get("target")
-    seed = _integer("seed", job.get("seed", scn.seed))
     if target == "dcrm":
         g = _resolve_driver(scn, _required(job, "driver", "dcrm job"))
-        rep = check_dcrm_axioms(g, seed=seed)
+        rep = check_dcrm_axioms(g, seed=scn.seed)
         payload = {r.name: {"passed": r.passed, "worst": r.worst} for r in rep.results}
         ok = rep.passed
     elif target == "dai":
         fam = _resolve_family(scn, _required(job, "family", "dai job"))
         expect_si = job.get("expect_scale_invariance", fam.positive_homogeneous)
         expect_si = _boolean("expect_scale_invariance", expect_si)
-        rep = check_dai_axioms(fam, seed=seed)
+        rep = check_dai_axioms(fam, seed=scn.seed)
         payload = {r.name: {"passed": r.passed, "worst": r.worst} for r in rep.results}
         ok = rep.passed and rep["scale_invariance"].passed == expect_si
     elif target == "family":
@@ -549,10 +557,7 @@ def _job_index(scn: Scenario, job: dict, path: str):
 
 
 def _job_arbitrage(scn: Scenario, job: dict, path: str):
-    if scn.market is None:
-        raise ScenarioError("arbitrage job needs securities")
-    cfg = _search_config(job, scn.seed)
-    entry = _integer("entry", job.get("entry", 0), 0, scn.walk.tree.horizon - 1)
+    cfg, entry = _search(scn, job)
     expect = _choice("expect", job.get("expect"), (None, "found", "none"))
     res = find_arbitrage(scn.market, entry, cfg)
     payload = {
@@ -582,11 +587,8 @@ def _job_arbitrage(scn: Scenario, job: dict, path: str):
 
 
 def _job_ngd(scn: Scenario, job: dict, path: str):
-    if scn.market is None:
-        raise ScenarioError("ngd job needs securities")
     fam = _resolve_family(scn, _required(job, "family", "ngd job"))
-    cfg = _search_config(job, scn.seed)
-    entry = _integer("entry", job.get("entry", 0), 0, scn.walk.tree.horizon - 1)
+    cfg, entry = _search(scn, job)
     gamma = _family_level(fam, "gamma", _required(job, "gamma", "ngd job"))
     expect = _choice("expect", job.get("expect"), (None, "GOOD_DEAL_FOUND", "NONE_FOUND"))
     rep = check_ngd(fam, gamma, scn.market, entry, cfg)
@@ -609,12 +611,9 @@ def _job_ngd(scn: Scenario, job: dict, path: str):
 
 
 def _job_hedged(scn: Scenario, job: dict, path: str):
-    if scn.market is None:
-        raise ScenarioError("hedged job needs securities")
     fam = _resolve_family(scn, _required(job, "family", "hedged job"))
     stream = _resolve_stream(scn, _required(job, "stream", "hedged job"))
-    cfg = _search_config(job, scn.seed)
-    entry = _integer("entry", job.get("entry", 0), 0, scn.walk.tree.horizon - 1)
+    cfg, entry = _search(scn, job)
     gamma = _family_level(fam, "gamma", _required(job, "gamma", "hedged job"))
     phi = _number("phi", job.get("phi", 1.0))
     rep = hedged_sandwich(fam, gamma, phi, stream, scn.market, entry, cfg)
@@ -631,8 +630,6 @@ def _job_hedged(scn: Scenario, job: dict, path: str):
 
 
 def _job_book_quotes(scn: Scenario, job: dict, path: str):
-    if scn.market is None:
-        raise ScenarioError("book_quotes job needs securities")
     try:
         sec = scn.market.security(_required(job, "security", "book_quotes job"))
     except MarketError as exc:
@@ -657,17 +654,22 @@ def _job_book_quotes(scn: Scenario, job: dict, path: str):
     return ("pass" if ok else "fail"), {"values": values}
 
 
-# job type -> (runner, suffix of the default artifact name job<idx>_<suffix>)
+# job type -> (runner, suffix of the default artifact name job<idx>_<suffix>,
+# the keys the job takes besides "type" and "out")
 _JOB_RUNNERS = {
-    "solve": (_job_solve, "solve.csv"),
-    "price_table": (_job_price_table, "prices.csv"),
-    "axioms": (_job_axioms, "axioms.json"),
-    "index": (_job_index, "index.json"),
-    "arbitrage": (_job_arbitrage, "arbitrage.json"),
-    "ngd": (_job_ngd, "ngd.json"),
-    "hedged": (_job_hedged, "hedged.json"),
-    "book_quotes": (_job_book_quotes, "book.csv"),
+    "solve": (_job_solve, "solve.csv", ("driver", "terminal")),
+    "price_table": (_job_price_table, "prices.csv", ("family", "stream", "gammas", "phi", "times", "sides")),
+    "axioms": (
+        _job_axioms, "axioms.json", ("target", "driver", "family", "expect_scale_invariance", "expect_regular")
+    ),
+    "index": (_job_index, "index.json", ("family", "stream", "time", "expect", "tol")),
+    "arbitrage": (_job_arbitrage, "arbitrage.json", ("search", "entry", "expect")),
+    "ngd": (_job_ngd, "ngd.json", ("family", "gamma", "search", "entry", "expect")),
+    "hedged": (_job_hedged, "hedged.json", ("family", "gamma", "stream", "phi", "search", "entry")),
+    "book_quotes": (_job_book_quotes, "book.csv", ("security", "side", "time", "phis", "expect")),
 }
+# the job types that trade in the scenario market, refused at load without one
+_MARKET_JOBS = ("arbitrage", "ngd", "hedged", "book_quotes")
 
 
 def _artifact_names(jobs: list) -> list:

@@ -53,7 +53,6 @@ class SearchConfig:
     seed: int = 0
     exhaustive: bool = False
     exhaustive_target: int = 200_000
-    tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -238,8 +237,6 @@ def maximize(
 ) -> SearchOutcome:
     """Best final point of ascend; ties resolve to the earlier start so
     reruns with one seed are bit-identical."""
-    if dims == 0:
-        return SearchOutcome(np.zeros(0), float(evaluate(np.zeros((1, 0)))[0]), 1)
     finals, evals = ascend(evaluate, dims, cfg, bound)
     best_p, best_s = None, -np.inf
     for p, s in finals:

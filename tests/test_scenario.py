@@ -349,9 +349,10 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
     huge_level["securities"][0]["gamma_ask"] = 10**400
     huge_ladder = tables_cfg()
     huge_ladder["securities"][1]["ask_ladder"] = [[10**400, 1]]
-    for bad in (huge_level, huge_ladder):
-        with pytest.raises(ScenarioError, match="OverflowError"):
-            load_scenario(bad)
+    with pytest.raises(ScenarioError, match="gamma_ask must be a finite number"):
+        load_scenario(huge_level)
+    with pytest.raises(ScenarioError, match="OverflowError"):
+        load_scenario(huge_ladder)
     assert not (tmp_path / "escaped.json").exists()
     nan_table = tables_cfg()
     nan_table["securities"][0]["unit_ask"][1] = [float("nan"), 11]
@@ -429,12 +430,66 @@ def test_cli_exit_code_two_for_unusable_input(tmp_path, capsys):
     huge_ladder = tables_cfg()
     huge_ladder["securities"][1]["ask_ladder"] = [[10**400, 1]]
     malformed += [huge_phi, huge_bound, huge_level, huge_ladder]
+    # conic levels are numbers, not strings or booleans
+    for key, level in (("gamma_ask", "2"), ("gamma_ask", True), ("gamma_bid", "2"), ("gamma_bid", True)):
+        cfg = conic_cfg()
+        cfg["securities"][0][key] = level
+        malformed.append(cfg)
+    twins = conic_cfg()
+    twins["securities"] *= 2
+    malformed.append(twins)
+    # a declared driver goes through the inline drivers' builder: a missing parameter
+    malformed.append({**conic_cfg(), "drivers": {"c": {"kind": "coherent_abs"}}})
+    # keys no job takes: the removed search tol and seed and axioms seed, and a typo
+    for job in (
+        {"type": "arbitrage", "search": {**LIGHT_SEARCH, "tol": 1e-9}},
+        {"type": "arbitrage", "search": {**LIGHT_SEARCH, "seed": 1}},
+        {"type": "axioms", "target": "dcrm", "driver": "zero", "seed": 1},
+        {"type": "hedged", "family": "ent", "gamma": 2.0, "stream": "payout", "phy": 1.0},
+    ):
+        malformed.append({**conic_cfg(), "jobs": [job]})
     for k, cfg in enumerate(malformed):
         path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert main(["render", str(tmp_path / "missing_summary.json")]) == 2
+    not_summaries = ([], {"jobs": [{}]}, {"jobs": 5}, {"jobs": [{"status": 1, "job": 0, "type": "x"}]})
+    for k, not_summary in enumerate(not_summaries):
+        path = tmp_path / f"not_summary{k}.json"
+        path.write_text(json.dumps(not_summary))
+        assert main(["render", str(path)]) == 2
+        assert "cannot read summary" in capsys.readouterr().err
     capsys.readouterr()
+
+
+def test_market_jobs_without_securities_are_refused_before_any_artifact(tmp_path, capsys):
+    """A scenario without securities refuses each market job at load, so a
+    solve job ahead of it writes nothing."""
+    cfg = tables_cfg()
+    cfg.pop("securities")
+    solve = {"type": "solve", "driver": "gx", "terminal": {"stream": "payout"}}
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    for job in (
+        {"type": "arbitrage", "search": LIGHT_SEARCH},
+        {"type": "ngd", "family": "ent", "gamma": 2.0, "search": LIGHT_SEARCH},
+        {"type": "hedged", "family": "ent", "gamma": 2.0, "stream": "payout", "search": LIGHT_SEARCH},
+        {"type": "book_quotes", "security": "aapl", "phis": [200]},
+    ):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps({**cfg, "jobs": [solve, job]}))
+        assert main(["run", str(path), "--out", str(out_dir)]) == 2
+        assert f"{job['type']} job needs securities" in capsys.readouterr().err
+        assert os.listdir(out_dir) == []
+
+
+def test_conic_bid_level_defaults_to_the_ask_level():
+    market = load_scenario(conic_cfg()).market
+    assert market.securities[0].op_ask.gamma == market.securities[0].op_bid.gamma == 2.0
+    cfg = conic_cfg()
+    cfg["securities"][0]["gamma_bid"] = 3
+    sec = load_scenario(cfg).market.securities[0]
+    assert (sec.op_ask.gamma, sec.op_bid.gamma) == (2.0, 3.0)
 
 
 def test_cli_seed_and_parallel_flags(tmp_path, capsys):

@@ -23,7 +23,7 @@ from conicfin import (
     zero_process,
 )
 from conicfin import search
-from conicfin.arbitrage import _score
+from conicfin.arbitrage import SCORE_TOL, _score
 from conicfin.search import ascend
 
 import oracles
@@ -229,7 +229,7 @@ def test_exhaustive_grid_visits_the_whole_product_grid():
         cfg = SearchConfig(exhaustive=True, exhaustive_target=4000)
         bound = layout.bound(cfg)
         scored, wealth_rows = [], []
-        score = lambda v: scored.append(_score(v, cfg.tol)) or scored[-1]
+        score = lambda v: scored.append(_score(v, SCORE_TOL)) or scored[-1]
         wealth = lambda P: wealth_rows.append(P.shape[0]) or layout.wealth(P)
         out = exhaustive_grid(wealth, widths, cfg, bound, score)
 
@@ -239,7 +239,7 @@ def test_exhaustive_grid_visits_the_whole_product_grid():
         grid = np.linspace(0.0, bound, points)
         flat = np.arange(out.exhaustive_total)
         rows = grid[np.stack(np.unravel_index(flat, (points,) * layout.dims), axis=-1)]
-        full = _score(layout.wealth(rows), cfg.tol)
+        full = _score(layout.wealth(rows), SCORE_TOL)
         summed = np.concatenate(scored[:-1])
         k = int(np.argmax(full))
         assert int(np.argmax(summed)) == k, market.name
@@ -295,7 +295,7 @@ def test_exhaustive_chunks_match_the_brute_force_grid_exactly(widths, leaves, ch
 
     def score(v):
         seen.append(v.copy())
-        scored.append(_score(v, cfg.tol))
+        scored.append(_score(v, SCORE_TOL))
         return scored[-1]
 
     out = exhaustive_grid(lambda P: sub_grid.append(P) or wealth(P), widths, cfg, bound, score)
@@ -304,7 +304,7 @@ def test_exhaustive_chunks_match_the_brute_force_grid_exactly(widths, leaves, ch
     terms = np.split(wealth(sub_grid[0]), np.cumsum(sizes)[:-1])
     brute = oracles.product_grid_sums(terms)
     worst = np.min(brute, axis=-1)
-    brute_scores = np.where(worst < -cfg.tol, worst, 1.0 + np.mean(brute, axis=-1))
+    brute_scores = np.where(worst < -SCORE_TOL, worst, 1.0 + np.mean(brute, axis=-1))
     assert np.array_equal(np.concatenate(seen[:-1]), brute)
     assert np.array_equal(np.signbit(np.concatenate(seen[:-1])), np.signbit(brute))
     assert np.array_equal(np.concatenate(scored[:-1]), brute_scores)
@@ -312,7 +312,7 @@ def test_exhaustive_chunks_match_the_brute_force_grid_exactly(widths, leaves, ch
     points = round(out.exhaustive_total ** (1.0 / dims))
     grid = np.linspace(0.0, bound, points)
     assert np.array_equal(out.params, grid[np.array(np.unravel_index(k, (points,) * dims))])
-    assert out.score == _score(wealth(out.params[None, :]), cfg.tol)[0]
+    assert out.score == _score(wealth(out.params[None, :]), SCORE_TOL)[0]
     assert 0.0 < np.mean(brute_scores < 0.0) < 1.0  # rows that lose and rows that do not
     rows = {v.shape[0] for v in seen[:-1]}
     assert len(rows) == 1 and rows.pop() <= max(chunk, sizes[-1])
