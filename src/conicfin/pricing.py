@@ -9,6 +9,13 @@ its value in a PriceQuote. Ask dominates bid, prices are time consistent
 one step at a time, convex/concave in the stream, and market impact moves
 the per-share price against large orders. When the driver is linear both
 sides collapse to the discounted expectation under the reweighted measure.
+
+Prices are also cash additive: drivers see z only and E[dW | F_t] = 0, so a
+level-t amount added to the payoff passes through the g-expectation to
+level t unchanged. time_consistency_check uses this to read every level's
+quote off one roll-back of the cumulated stream, minus the dividends paid
+so far; the subtraction adds rounding of a few ulp of the larger of the
+two.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bsde import _step
 from .drivers import DriverFamily
 from .market import ConicOperator
 from .tree import AdaptedProcess
@@ -92,6 +100,30 @@ class ConsistencyReport:
     passed: bool
 
 
+def _unit_quotes(op: ConicOperator) -> list:
+    """The operator's one-share quote at every level 0..T, from one roll-back.
+
+    With C_t = D_1 + ... + D_t along each path, s the stream's last paying
+    level and sign +1 for the ask and -1 for the bid, every level t < s of
+    the roll-back Y of sign * C_s gives the quote sign * Y_t - C_t. This is
+    cash additivity: drivers see z only and E[dW | F_t] = 0, so the
+    F_t-measurable C_t passes through the g-expectation unchanged. D_0 is
+    left out of C because no quote includes it. At t >= s the quotes are
+    the operator's own signed zeros. The subtraction adds rounding of a few
+    ulp of max(|C_t|, |Y_t|), so the quotes match op.price to rounding."""
+    stream, walk = op.stream, op.family.walk
+    tr, s = walk.tree, stream.last_paying
+    sign = 1.0 if op.side == "ask" else -1.0
+    quotes = [None] * s + [op.price(t, np.ones(tr.n_nodes(t))) for t in range(s, tr.horizon + 1)]
+    if s > 0:
+        cum = [np.zeros(1)] + tr.path_sums(stream.values, 1, s)
+        y = sign * cum[s]
+        for t in range(s, 0, -1):
+            y = _step(op._g, y, t, walk)[0]
+            quotes[t - 1] = sign * y - cum[t - 1]
+    return quotes
+
+
 def time_consistency_check(
     side: str,
     family: DriverFamily,
@@ -101,18 +133,20 @@ def time_consistency_check(
 ) -> ConsistencyReport:
     """One-step nesting: the time-t quote of one share equals the quote of a
     single payment at t+1 worth the next dividend plus the time-(t+1) quote.
-    The operator rolls that payment back one level; this gives its quote up
-    to the sign of zero, which the residual, a maximum of absolute values,
-    ignores."""
-    tr = family.tree
+
+    The quotes of every level come from one roll-back of the cumulated
+    stream (_unit_quotes, which relies on cash additivity and adds rounding
+    of a few ulp of max(|C_t|, |Y_t|)). Each is checked against the
+    operator rolling D_{t+1} + quote_{t+1} back one level, and the level-0
+    quote against the operator's own quote, so two separate computations
+    meet at every level. They agree up to rounding and the sign of zero,
+    which the residual, a maximum of absolute values, ignores."""
     op = ConicOperator(side, family, gamma, stream)
-    worst = 0.0
-    lhs = op.price(0, np.ones(1))
-    for t in range(tr.horizon):
-        inner = op.price(t + 1, np.ones(tr.n_nodes(t + 1)))
-        rhs = op._roll_back(stream.at(t + 1) + inner, t + 1, t)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        lhs = inner
+    quotes = _unit_quotes(op)
+    worst = float(np.max(np.abs(quotes[0] - op.price(0, np.ones(1)))))
+    for t in range(family.tree.horizon):
+        rhs = op._roll_back(stream.at(t + 1) + quotes[t + 1], t + 1, t)
+        worst = max(worst, float(np.max(np.abs(quotes[t] - rhs))))
     return ConsistencyReport(worst_residual=worst, passed=worst <= tol)
 
 

@@ -167,6 +167,17 @@ def _finite(key: str, value) -> float:
     return float(value)
 
 
+def _numbers(key: str, value):
+    """value, a JSON number or an array of JSON numbers. An array costs one
+    scan of its element types, so strings, booleans and nested arrays are
+    refused at the price of one pass over a level."""
+    kinds = set(map(type, value)) if isinstance(value, (list, tuple)) else {type(value)}
+    bad = sorted(k.__name__ for k in kinds if k is bool or not issubclass(k, numbers.Real))
+    if bad:
+        raise ScenarioError(f"{key} must hold only numbers, got {' and '.join(bad)}")
+    return value
+
+
 def _number(key: str, value, positive: bool = False) -> float:
     """A finite number, nonnegative or positive."""
     x = _finite(key, value)
@@ -219,12 +230,15 @@ def _build_walk(cfg: dict):
     raise ScenarioError("martingale must be 'symmetric_walk' or {'increments': [...]}")
 
 
-def _level_values(tree, values) -> list:
-    """One array per level; a scalar entry fills its level."""
-    return [
-        np.full(tree.n_nodes(t), float(v)) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
-        for t, v in enumerate(values)
-    ]
+def _level_values(tree, key: str, values) -> list:
+    """One array per level; a number fills its level."""
+    levels = []
+    for t, v in enumerate(_typed(key, values, list)):
+        if isinstance(_numbers(f"{key} level {t}", v), (list, tuple)):
+            levels.append(np.asarray(v, dtype=float))
+        else:
+            levels.append(np.full(tree.n_nodes(t), float(v)))
+    return levels
 
 
 def _build_stream(tree, spec) -> AdaptedProcess:
@@ -233,7 +247,7 @@ def _build_stream(tree, spec) -> AdaptedProcess:
     if not isinstance(spec, dict):
         raise ScenarioError(f"a stream spec is 'zero' or an object, got {spec!r}")
     if "values" in spec:
-        return AdaptedProcess(tree, tuple(_level_values(tree, spec["values"])))
+        return AdaptedProcess(tree, tuple(_level_values(tree, "values", spec["values"])))
     if "cds" in spec:
         c = _typed("cds", spec["cds"], dict)
         side = _choice("cds side", c.get("side", "ask"), ("ask", "bid"))
@@ -242,10 +256,16 @@ def _build_stream(tree, spec) -> AdaptedProcess:
         return a if side == "ask" else b
     if "stock" in spec:
         s = _typed("stock", spec["stock"], dict)
-        divs = _level_values(tree, _required(s, "dividends", "stock stream"))
-        terminal = np.asarray(_required(s, "terminal", "stock stream"), dtype=float)
+        divs = _level_values(tree, "dividends", _required(s, "dividends", "stock stream"))
+        terminal = _numbers("terminal", _required(s, "terminal", "stock stream"))
         return stock_stream(tree, divs, terminal)
     raise ScenarioError(f"cannot build stream from {spec!r}")
+
+
+def _ladder(spec: dict, key: str, where: str) -> list:
+    """A depth ladder: an array of (price, size) rows of numbers."""
+    ladder = _typed(key, _required(spec, key, where), list)
+    return [_numbers(f"{key} row {k}", row) for k, row in enumerate(ladder)]
 
 
 def _build_security(scn: Scenario, spec) -> Security:
@@ -263,14 +283,11 @@ def _build_security(scn: Scenario, spec) -> Security:
     if flavor == "direct":
         sa = _resolve_stream(scn, spec.get("stream_ask", spec.get("stream")))
         sb = _resolve_stream(scn, spec.get("stream_bid", spec.get("stream")))
-        ask, bid = (_required(spec, k, where) for k in ("unit_ask", "unit_bid"))
-        return Security(
-            sid=sid,
-            stream_ask=sa,
-            stream_bid=sb,
-            op_ask=DirectOperator(tree, [np.asarray(v, float) for v in ask]),
-            op_bid=DirectOperator(tree, [np.asarray(v, float) for v in bid]),
-        )
+        ops = []
+        for k in ("unit_ask", "unit_bid"):
+            levels = enumerate(_typed(k, _required(spec, k, where), list))
+            ops.append(DirectOperator(tree, [_numbers(f"{k} level {t}", v) for t, v in levels]))
+        return Security(sid=sid, stream_ask=sa, stream_bid=sb, op_ask=ops[0], op_bid=ops[1])
     if flavor == "book":
         stream = _resolve_stream(scn, spec.get("stream", "zero"))
         scale = spec.get("tick_scale", 100)
@@ -278,8 +295,8 @@ def _build_security(scn: Scenario, spec) -> Security:
             sid=sid,
             stream_ask=stream,
             stream_bid=stream,
-            op_ask=OrderBookOperator("ask", _required(spec, "ask_ladder", where), tick_scale=scale),
-            op_bid=OrderBookOperator("bid", _required(spec, "bid_ladder", where), tick_scale=scale),
+            op_ask=OrderBookOperator("ask", _ladder(spec, "ask_ladder", where), tick_scale=scale),
+            op_bid=OrderBookOperator("bid", _ladder(spec, "bid_ladder", where), tick_scale=scale),
         )
     raise ScenarioError(f"unknown security flavor {flavor!r}")
 
@@ -372,8 +389,15 @@ def _build_driver(walk, spec):
     """A driver from its {"kind": ..., <params>} spec."""
     spec = _typed("a driver spec", spec, dict)
     kind = _required(spec, "kind", "a driver spec")
+    params = {k: v for k, v in spec.items() if k != "kind"}
+    for k, v in params.items():
+        # a number, or one entry per period, each a number or one number
+        # per slot, after an optional leading null
+        for t, entry in enumerate(v if isinstance(v, (list, tuple)) else [v]):
+            if not (t == 0 and entry is None):
+                _numbers(f"driver {k}", entry)
     try:
-        return builtin_driver(kind, walk, **{k: v for k, v in spec.items() if k != "kind"})
+        return builtin_driver(kind, walk, **params)
     except (ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"cannot build driver {spec!r}: {exc}") from exc
 
@@ -417,10 +441,7 @@ def _job_solve(scn: Scenario, job: dict, path: str):
     if isinstance(term, dict):
         terminal = _resolve_stream(scn, _required(term, "stream", "terminal")).future_sum(0)
     else:
-        try:
-            terminal = np.asarray(term, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"terminal must be a list of numbers: {exc}") from exc
+        terminal = np.asarray(_numbers("terminal", term), dtype=float)
         if terminal.shape != (tr.n_leaves,) or not np.all(np.isfinite(terminal)):
             raise ScenarioError(f"terminal must hold {tr.n_leaves} finite numbers, one per leaf")
     sol = solve_bsde(g, terminal, scn.walk)
@@ -731,8 +752,13 @@ def run_scenario(
 
 
 def render_summary(summary: dict) -> str:
+    """One line per job of a summary; a summary without a jobs array raises
+    LookupError or TypeError."""
+    jobs = summary["jobs"]
+    if not isinstance(jobs, list):
+        raise TypeError(f"summary jobs must be an array, got {jobs!r}")
     lines = [f"scenario {summary.get('scenario')} (seed {summary.get('seed')})"]
-    for e in summary.get("jobs", []):
+    for e in jobs:
         extra = e.get("error", e.get("artifact", ""))
         lines.append(f"  [{e['status']:5s}] job {e['job']} {e['type']} {extra}")
     lines.append("PASSED" if summary.get("passed") else "FAILED")

@@ -25,10 +25,16 @@ from conicfin import (
     time_consistency_check,
     uniform_binary_tree,
 )
+from conicfin import pricing
+from conicfin.tree import build_tree, martingale_from_increments
 
 import oracles
 
 PRICE_ATOL = 1e-10
+# The nesting check's quotes subtract the dividends paid so far from one
+# roll-back, which adds a few ulp of max(|C_t|, |Y_t|). The streams below
+# pay unit-normal dividends over at most four levels, so that is near 1e-15.
+CASH_SHIFT_ATOL = 1e-13
 
 
 def make_walk(horizon=2):
@@ -198,6 +204,77 @@ def test_time_consistency_nesting():
     for side in ("ask", "bid"):
         rep = time_consistency_check(side, fam, 0.8, D)
         assert rep.passed, (side, rep.worst_residual)
+
+
+def _nesting_walks():
+    """A binary, a ternary and a ragged walk with mean-zero increments."""
+    ternary = build_tree([[1 / 3] * 3] * 2)
+    ragged = build_tree([[1 / 3] * 3, [[0.5, 0.5], [0.25, 0.75], [0.5, 0.5]], [0.5, 0.5]])
+    return {
+        "binary": make_walk(4),
+        "ternary": martingale_from_increments(
+            ternary, [None, np.array([1.5, 0.0, -1.5]), np.tile([1.5, 0.0, -1.5], 3)]
+        ),
+        "ragged": martingale_from_increments(
+            ragged,
+            [None, np.array([1.5, 0.0, -1.5]), np.array([1.0, -1.0, 1.5, -0.5, 2.0, -2.0]),
+             np.tile([1.0, -1.0], 6)],
+        ),
+    }
+
+
+@pytest.mark.parametrize("shape", ["binary", "ternary", "ragged"])
+@pytest.mark.parametrize("kind", ["coherent", "entropic", "quasiconcave_lse"])
+def test_cash_shifted_quotes_equal_the_operator_at_every_level(shape, kind):
+    """The check's quotes, read off one roll-back of the cumulated stream,
+    equal ConicOperator.price(t, 1) at every level on both sides, with the
+    operator's signed zeros from the last paying level on. The stream pays
+    1e9 at level 0, which no quote includes and the shift leaves out."""
+    walk = _nesting_walks()[shape]
+    tr = walk.tree
+    fam = builtin_family(kind, walk)
+    rng = np.random.default_rng(11)
+    for last in (tr.horizon, tr.horizon - 1):
+        vals = [rng.normal(size=tr.n_nodes(t)) * (t <= last) for t in range(tr.horizon + 1)]
+        vals[0] = np.array([1e9])
+        D = AdaptedProcess(tr, tuple(vals))
+        assert D.last_paying == last
+        for side in ("ask", "bid"):
+            op = ConicOperator(side, fam, 0.8, D)
+            for t, quote in enumerate(pricing._unit_quotes(op)):
+                want = op.price(t, np.ones(tr.n_nodes(t)))
+                assert np.max(np.abs(quote - want)) <= CASH_SHIFT_ATOL, (side, t)
+                if t >= last:
+                    assert np.array_equal(np.signbit(quote), np.signbit(want)), (side, t)
+            assert time_consistency_check(side, fam, 0.8, D).passed
+
+
+class _LaggedStream(AdaptedProcess):
+    """at(t) reads the level-(t-1) dividends, lifted to level t."""
+
+    def at(self, t):
+        return self.tree.broadcast(self.values[t - 1], t - 1, t)
+
+
+@pytest.mark.parametrize("fault", ["quotes_off_at_level_0", "operator_off_at_level_0", "lagged_stream"])
+def test_nesting_check_reports_planted_faults(fault, monkeypatch):
+    """Quotes or an operator quote off by 1e-6 at level 0, or a stream
+    whose at(t) is a level late, each put the residual above tol."""
+    walk = make_walk(3)
+    fam = builtin_family("entropic", walk)
+    D = random_stream(walk.tree, 5)
+    unit_quotes, op_price = pricing._unit_quotes, ConicOperator.price
+    if fault == "quotes_off_at_level_0":
+        off = lambda op: [q + 1e-6 * (t == 0) for t, q in enumerate(unit_quotes(op))]
+        monkeypatch.setattr(pricing, "_unit_quotes", off)
+    elif fault == "operator_off_at_level_0":
+        off = lambda op, t, phi: op_price(op, t, phi) + 1e-6 * (t == 0)
+        monkeypatch.setattr(ConicOperator, "price", off)
+    else:
+        D = _LaggedStream(D.tree, D.values)
+    for side in ("ask", "bid"):
+        rep = time_consistency_check(side, fam, 0.8, D, tol=PRICE_ATOL)
+        assert not rep.passed and rep.worst_residual > PRICE_ATOL, (side, rep)
 
 
 def test_level_monotonicity_and_cross_family_ordering():

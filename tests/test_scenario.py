@@ -453,13 +453,57 @@ def test_cli_exit_code_two_for_unusable_input(tmp_path, capsys):
         path.write_text(json.dumps(cfg))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert main(["render", str(tmp_path / "missing_summary.json")]) == 2
-    not_summaries = ([], {"jobs": [{}]}, {"jobs": 5}, {"jobs": [{"status": 1, "job": 0, "type": "x"}]})
+    not_summaries = (
+        [], {}, {"jobs": {}}, {"jobs": [{}]}, {"jobs": 5}, {"jobs": [{"status": 1, "job": 0, "type": "x"}]}
+    )
     for k, not_summary in enumerate(not_summaries):
         path = tmp_path / f"not_summary{k}.json"
         path.write_text(json.dumps(not_summary))
         assert main(["render", str(path)]) == 2
         assert "cannot read summary" in capsys.readouterr().err
     capsys.readouterr()
+
+
+def numeric_cfg():
+    """tables_cfg as a JSON file gives it, plus a stock stream, a driver with
+    per-slot levels and a solve job with a leaf terminal."""
+    cfg = json.loads(json.dumps(tables_cfg()))
+    cfg["streams"]["stock"] = {"stock": {"dividends": [0.0, [0.1, 0.2], 0.0], "terminal": [1.0, 2.0, 3.0, 4.0]}}
+    cfg["drivers"]["slots"] = {"kind": "entropic", "gamma": [None, 1.0, [1.0, 2.0]]}
+    cfg["jobs"][0]["terminal"] = [1.0, 2.0, 3.0, 0.0]
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        pytest.param(("streams", "payout", "values", 1, 0), id="stream-value"),
+        pytest.param(("streams", "payout", "values", 2), id="stream-level"),
+        pytest.param(("streams", "stock", "stock", "dividends", 1, 1), id="stock-dividend"),
+        pytest.param(("streams", "stock", "stock", "terminal", 3), id="stock-terminal"),
+        pytest.param(("securities", 0, "unit_ask", 1, 0), id="unit-ask"),
+        pytest.param(("securities", 0, "unit_bid", 2, 3), id="unit-bid"),
+        pytest.param(("drivers", "gx", "gamma"), id="driver-gamma"),
+        pytest.param(("drivers", "slots", "gamma", 2, 1), id="driver-gamma-slot"),
+        pytest.param(("securities", 1, "ask_ladder", 0, 0), id="ladder-price"),
+        pytest.param(("securities", 1, "bid_ladder", 2, 1), id="ladder-size"),
+        pytest.param(("jobs", 0, "terminal", 2), id="solve-terminal"),
+    ],
+)
+def test_numeric_config_fields_refuse_strings_and_booleans(path, tmp_path):
+    """Each numeric field takes JSON numbers only: a number given as a
+    string, or a boolean, is a config error and never becomes a float. The
+    solve job's terminal is read when the job runs."""
+    load_scenario(numeric_cfg())
+    for bad in ("1.0", True):
+        cfg = numeric_cfg()
+        *keys, last = path
+        node = cfg
+        for key in keys:
+            node = node[key]
+        node[last] = bad
+        with pytest.raises(ScenarioError, match="must hold only numbers"):
+            run_scenario(cfg, str(tmp_path / "out"))
 
 
 def test_market_jobs_without_securities_are_refused_before_any_artifact(tmp_path, capsys):
