@@ -8,10 +8,18 @@ homogeneous drivers make it coherent.
 
 An acceptability index is built from an increasing family of drivers: the
 index is the largest family level at which the risk of the stream stays
-nonpositive. Values are found by per-node bisection, vectorized through the
-family's own make(x) with per-slot levels: each slot takes the level of its
-level-t ancestor, and locality makes the per-node values equal their
-scalar-level counterparts.
+nonpositive. Values are per-node bisections on [X_MIN, X_MAX] to INDEX_TOL,
+vectorized through the family's own make(x) with per-slot levels: each slot
+takes the level of its level-t ancestor, and locality makes the per-node
+values equal their scalar-level counterparts.
+
+The family is increasing, so risk does not fall as a node's level rises:
+once a node has a feasible level a (risk <= 0) and an infeasible level b,
+every bisection midpoint <= a is feasible and every one >= b is infeasible,
+with no solve. Each node replays its bisection as far as its bracket (a, b)
+decides it, and solves go only to the nodes whose next midpoint lies inside
+it (`_index_levels`). Wherever float risk is monotone in the level, the
+result is bisection's, bit for bit, and never costs more solves.
 """
 
 from __future__ import annotations
@@ -46,27 +54,96 @@ def _risk_at_levels(family: DriverFamily, terminal: np.ndarray, t: int, x_nodes:
 
 
 def acceptability_index(family: DriverFamily, stream: AdaptedProcess, t: int) -> np.ndarray:
-    """Per-node acceptability level of the stream at time t."""
-    tr = family.tree
+    """Per-node acceptability level of the stream at time t: 0 where X_MIN
+    is unacceptable, +inf where X_MAX is acceptable, else bisection's `lo`."""
     terminal = -stream.future_sum(t)
-    n = tr.n_nodes(t)
+    return _index_levels(lambda x: _risk_at_levels(family, terminal, t, x), family.tree.n_nodes(t))
+
+
+def _replay(lo, hi, steps, a, b, active):
+    """Step each active node's bisection while mid <= a (feasible) or
+    mid >= b (infeasible) decides it, up to bisection's stopping rule: every
+    node takes as many steps as the one that needs the most to bring
+    hi - lo to INDEX_TOL. Returns the new state, the nodes still short of
+    that, each stuck at a midpoint strictly inside (a, b), and the midpoints."""
+    while True:
+        narrow = hi - lo <= INDEX_TOL
+        short = active & (~narrow | (steps < steps[active & narrow].max(initial=0)))
+        # nodes not short get an empty bracket, so that nothing decides them
+        a_short, b_short = np.where(short, a, -np.inf), np.where(short, b, np.inf)
+        while True:
+            mid = 0.5 * (lo + hi)
+            up = mid <= a_short
+            down = mid >= b_short
+            moved = up | down
+            if not moved.any():
+                return lo, hi, steps, short, mid
+            lo = np.where(up, mid, lo)
+            hi = np.where(down, mid, hi)
+            steps = steps + moved
+            if (moved & (hi - lo <= INDEX_TOL)).any():
+                break
+
+
+def _index_levels(risk_at, n: int) -> np.ndarray:
+    """Bisection's per-node levels from fewer calls of risk_at, which maps
+    one level per node to one risk per node, nondecreasing in each node's
+    own level.
+
+    Bisection calls X_MIN, X_MAX and then each midpoint: after c calls it
+    has taken c - 2 steps, 47 in all. Here the first call is the first
+    midpoint and the second X_MIN or X_MAX, whichever it leaves open: both
+    sentinels and one step in two calls. Each further call probes every
+    node stuck after `_replay`. A node s = steps - (c - 2) >= 1 steps ahead
+    of bisection may spend a call that decides nothing; one with s = 0
+    probes its midpoint, which decides a step. So no node falls behind
+    bisection. The off-midpoint probe is the Illinois step in log-level
+    between (a, b) (non-finite: the midpoint), kept within s levels of the
+    midpoint; while a is still X_MIN, whose risk says little, it is the
+    point 1 + s // 2 levels below the midpoint instead, which gains that
+    many steps when it is infeasible; and it lies strictly inside (a, b).
+    A node whose index is within a few halvings below the first midpoint
+    loses its lead to that first probe and takes bisection's count.
+    """
     lo = np.full(n, X_MIN)
     hi = np.full(n, X_MAX)
-    feas_lo = _risk_at_levels(family, terminal, t, lo) <= 0.0
-    feas_hi = _risk_at_levels(family, terminal, t, hi) <= 0.0
-    alpha = np.empty(n)
-    alpha[~feas_lo] = 0.0
-    alpha[feas_hi] = np.inf
-    active = feas_lo & ~feas_hi
-    while np.any(active & (hi - lo > INDEX_TOL)):
-        mid = np.where(active, 0.5 * (lo + hi), lo)
-        feas = _risk_at_levels(family, terminal, t, mid) <= 0.0
-        take_lo = active & feas
-        take_hi = active & ~feas
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_hi, mid, hi)
-    alpha[active] = lo[active]
-    return alpha
+    mid = 0.5 * (lo + hi)
+    f_mid = risk_at(mid)
+    up = f_mid <= 0.0
+    f_far = risk_at(np.where(up, X_MAX, X_MIN))
+    calls = 2
+    alpha = np.where(up, np.inf, 0.0)
+    active = up != (f_far <= 0.0)
+    # bracket ends and their Illinois weights: risk, halved at an end kept twice
+    a = np.where(up, mid, X_MIN)
+    fa = np.where(up, f_mid, f_far)
+    b = np.where(up, X_MAX, mid)
+    fb = np.where(up, f_far, f_mid)
+    last = np.zeros(n)  # +1 after a moved, -1 after b moved
+    steps = np.zeros(n, dtype=int)
+    while True:
+        lo, hi, steps, stuck, mid = _replay(lo, hi, steps, a, b, active)
+        if not stuck.any():
+            break
+        lead = np.maximum(steps + 2 - calls, 0)
+        with np.errstate(all="ignore"):
+            ua, ub = np.log(a), np.log(b)
+            x = np.exp(ub - fb * (ub - ua) / (fb - fa))
+        reach = np.ldexp(hi - lo, -1 - lead)
+        x = np.clip(np.where(np.isfinite(x), x, mid), lo + reach, hi - reach)
+        x = np.where(a == X_MIN, lo + np.ldexp(hi - lo, -2 - lead // 2), x)
+        x = np.clip(x, np.nextafter(a, np.inf), np.nextafter(b, -np.inf))
+        x = np.where(stuck & (lead > 0), x, np.where(stuck, mid, lo))
+        f = risk_at(x)
+        calls += 1
+        ok = stuck & (f <= 0.0)
+        bad = stuck & ~(f <= 0.0)
+        fb = np.where(ok & (last > 0), 0.5 * fb, fb)
+        fa = np.where(bad & (last < 0), 0.5 * fa, fa)
+        a, fa = np.where(ok, x, a), np.where(ok, f, fa)
+        b, fb = np.where(bad, x, b), np.where(bad, f, fb)
+        last = np.where(ok, 1.0, np.where(bad, -1.0, last))
+    return np.where(active, lo, alpha)
 
 
 # ---- axiom batteries --------------------------------------------------------

@@ -218,16 +218,27 @@ def _build_walk(cfg: dict):
     if "horizon" in tree_cfg:
         tree = uniform_binary_tree(_integer("horizon", tree_cfg["horizon"], 1))
     elif "levels" in tree_cfg:
-        tree = build_tree(tree_cfg["levels"])
+        tree = build_tree(_tree_levels(tree_cfg["levels"]))
     else:
         raise ScenarioError("tree section needs 'horizon' or 'levels'")
     mart = cfg.get("martingale", "symmetric_walk")
     if mart == "symmetric_walk":
         return symmetric_random_walk(tree)
     if isinstance(mart, dict) and "increments" in mart:
-        inc = [None] + [np.asarray(v, dtype=float) for v in mart["increments"]]
+        levels = enumerate(_typed("increments", mart["increments"], list), start=1)
+        inc = [None] + [np.asarray(_numbers(f"increments level {t}", v), float) for t, v in levels]
         return martingale_from_increments(tree, inc)
     raise ScenarioError("martingale must be 'symmetric_walk' or {'increments': [...]}")
+
+
+def _tree_levels(levels) -> list:
+    """Tree levels of JSON numbers: each level one probability vector, or
+    one per parent."""
+    for t, spec in enumerate(_typed("levels", levels, list), start=1):
+        nested = isinstance(spec, list) and len(spec) > 0 and isinstance(spec[0], list)
+        for vec in spec if nested else [spec]:
+            _numbers(f"levels level {t}", vec)
+    return levels
 
 
 def _level_values(tree, key: str, values) -> list:
@@ -251,8 +262,9 @@ def _build_stream(tree, spec) -> AdaptedProcess:
     if "cds" in spec:
         c = _typed("cds", spec["cds"], dict)
         side = _choice("cds side", c.get("side", "ask"), ("ask", "bid"))
-        keys = ("tau", "delta", "kappa_ask", "kappa_bid")
-        a, b = cds_streams(tree, *(_required(c, k, "cds stream") for k in keys))
+        keys = ("delta", "kappa_ask", "kappa_bid")
+        tau = _numbers("tau", _required(c, "tau", "cds stream"))
+        a, b = cds_streams(tree, tau, *(_finite(k, _required(c, k, "cds stream")) for k in keys))
         return a if side == "ask" else b
     if "stock" in spec:
         s = _typed("stock", spec["stock"], dict)

@@ -1,5 +1,8 @@
 """Dynamic risk measures and acceptability indices on dividend streams."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,9 +21,17 @@ from conicfin import (
 )
 
 import oracles
+from conicfin.scenario import load_scenario
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+import workloads  # noqa: E402
+
+# `conicfin.risk` the attribute is the function; the module holds the helpers
+risk_module = sys.modules["conicfin.risk"]
 
 RISK_ATOL = 1e-10
 INDEX_ATOL = 1e-7
+BISECTION_CALLS = 2 + 47
 
 
 def make_walk(horizon=2):
@@ -156,3 +167,161 @@ def test_level_set_duality_on_interior_stream():
             val = risk(fam.make(gamma), D, t)
             assert np.all(np.abs(alpha - gamma) > 1e-6) and np.all(np.abs(val) > 1e-10)
             assert np.array_equal(alpha >= gamma, val <= 0.0), (t, gamma, alpha, val)
+
+
+# ---- bracket replay against bisection ----------------------------------------
+
+
+def reference_bisection(risk_at, n):
+    """The per-node bisection acceptability_index ran before its bracket
+    replay, kept verbatim but for the risk call: risk_at(x) is
+    `_risk_at_levels(family, terminal, t, x)` there."""
+    INDEX_TOL, X_MIN, X_MAX = risk_module.INDEX_TOL, risk_module.X_MIN, risk_module.X_MAX
+    lo = np.full(n, X_MIN)
+    hi = np.full(n, X_MAX)
+    feas_lo = risk_at(lo) <= 0.0
+    feas_hi = risk_at(hi) <= 0.0
+    alpha = np.empty(n)
+    alpha[~feas_lo] = 0.0
+    alpha[feas_hi] = np.inf
+    active = feas_lo & ~feas_hi
+    while np.any(active & (hi - lo > INDEX_TOL)):
+        mid = np.where(active, 0.5 * (lo + hi), lo)
+        feas = risk_at(mid) <= 0.0
+        take_lo = active & feas
+        take_hi = active & ~feas
+        lo = np.where(take_lo, mid, lo)
+        hi = np.where(take_hi, mid, hi)
+    alpha[active] = lo[active]
+    return alpha
+
+
+def bisection_index(family, stream, t):
+    """reference_bisection on the risk acceptability_index bisects."""
+    terminal = -stream.future_sum(t)
+    risk_at = lambda x: risk_module._risk_at_levels(family, terminal, t, x)  # noqa: E731
+    return reference_bisection(risk_at, family.tree.n_nodes(t))
+
+
+class Calls:
+    """A risk oracle that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.count = fn, 0
+
+    def __call__(self, *args):
+        self.count += 1
+        return self.fn(*args)
+
+
+FAMILIES = ("coherent", "quasiconcave_lse", "entropic")
+
+
+def test_index_equals_bisection_bit_for_bit_on_the_small_walk():
+    walk = make_walk(2)
+    tree = walk.tree
+    streams = risk_module._tilted_streams(walk)
+    streams += risk_module._random_streams(tree, np.random.default_rng(3), 4)
+    streams += [
+        single_payment(tree, 2, np.ones(4)),
+        single_payment(tree, 2, -np.ones(4)),
+        interior_stream(tree),
+    ]
+    for kind in FAMILIES:
+        fam = builtin_family(kind, walk)
+        for D in streams:
+            for t in range(tree.horizon + 1):
+                want = bisection_index(fam, D, t)
+                got = acceptability_index(fam, D, t)
+                assert np.array_equal(got, want), (kind, t, got, want)
+
+
+@pytest.mark.parametrize("seed", [1, 100])
+def test_index_equals_bisection_bit_for_bit_on_lattice_streams(seed, monkeypatch):
+    """Every level of the lattice_quotes dividend stream at horizon 8: most
+    nodes carry a finite index there, so the replay does real work, and it
+    takes well under half of bisection's solves."""
+    scn = load_scenario(workloads.lattice_quotes(seed, horizon=8)[0].config)
+    D = scn.streams["div"]
+    finite = 0
+    solves = []
+    for kind in FAMILIES:
+        fam = scn.families[kind]
+        for t in range(scn.walk.tree.horizon + 1):
+            want = bisection_index(fam, D, t)
+            with monkeypatch.context() as m:
+                counted = Calls(risk_module._risk_at_levels)
+                m.setattr(risk_module, "_risk_at_levels", counted)
+                got = acceptability_index(fam, D, t)
+            assert np.array_equal(got, want), (kind, t)
+            assert counted.count <= BISECTION_CALLS
+            if np.any(np.isfinite(want) & (want > 0)):
+                solves.append(counted.count)
+            finite += int(np.sum(np.isfinite(want) & (want > 0)))
+    assert finite > 100
+    assert np.median(solves) <= 20, solves
+
+
+def test_benchmark_sized_index_takes_under_half_of_bisections_solves(monkeypatch):
+    """The index jobs of lattice_quotes as the benchmark runs them: 128
+    nodes at t = 7 of a 16,384-leaf tree, most with a finite index. Every
+    node has to leave X_MIN's far end behind before interpolation pays."""
+    scn = load_scenario(workloads.lattice_quotes(100)[0].config)
+    D = scn.streams["div"]
+    for kind in ("coherent", "entropic"):
+        fam = scn.families[kind]
+        want = bisection_index(fam, D, 7)
+        counted = Calls(risk_module._risk_at_levels)
+        monkeypatch.setattr(risk_module, "_risk_at_levels", counted)
+        assert np.array_equal(acceptability_index(fam, D, 7), want), kind
+        monkeypatch.undo()
+        assert np.sum(np.isfinite(want) & (want > 0)) > 100
+        assert counted.count <= 24, (kind, counted.count)
+
+
+def test_bracket_replay_never_calls_more_than_bisection_on_a_step():
+    """A step in the level gives interpolation nothing to work with: the
+    count may not pass bisection's, and the levels must be bisection's.
+    The steps sit log-uniformly over the whole bracket, on bisection
+    midpoints, next to them, and at the sentinels' ends."""
+    rng = np.random.default_rng(7)
+    first = 0.5 * (risk_module.X_MIN + risk_module.X_MAX)
+    edges = np.concatenate(
+        [
+            np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 200)),
+            [first, np.nextafter(first, 0.0), 0.5 * first, 0.75 * first, 1.5 * first],
+            [1e-6, 2e-6, 1e6, 0.5, 3.0, 1e-7, 2e6],
+        ]
+    )
+    for values in ((-1.0, 1.0), (0.0, 1.0), (-1.0, 1e-300)):
+        step = Calls(lambda x: np.where(x <= edges, *values))
+        got = risk_module._index_levels(step, edges.size)
+        assert step.count <= BISECTION_CALLS
+        assert np.array_equal(got, reference_bisection(step.fn, edges.size)), values
+        for k in rng.integers(0, edges.size, 20):
+            one = Calls(lambda x: np.where(x <= edges[k], *values))
+            assert np.array_equal(risk_module._index_levels(one, 1), got[k : k + 1])
+            assert one.count <= BISECTION_CALLS
+
+
+def test_bracket_replay_takes_few_calls_on_a_smooth_sigmoid():
+    """Risk a smooth sigmoid in log-level, with roots spread over eight
+    decades: the Illinois steps settle every node within 25 calls, and the
+    levels are still bisection's.
+
+    Roots within about three halvings below the first midpoint (above 6e4)
+    are where the first probes, which drop below the midpoint while the
+    feasible end is still X_MIN, land on the feasible side: those nodes use
+    up their one call of lead and take bisection's count, no more."""
+    rng = np.random.default_rng(11)
+    roots = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), 256))
+    high = np.array([6.3e4, 1.3e5, 2.6e5, 4.9e5])
+    for width in (0.5, 1.0, 3.0):
+        sigmoid = Calls(lambda x: np.tanh((np.log(x) - np.log(roots)) / width))
+        got = risk_module._index_levels(sigmoid, roots.size)
+        assert sigmoid.count <= 25, (width, sigmoid.count)
+        assert np.array_equal(got, reference_bisection(sigmoid.fn, roots.size))
+        top = Calls(lambda x: np.tanh((np.log(x) - np.log(high)) / width))
+        got = risk_module._index_levels(top, high.size)
+        assert top.count <= BISECTION_CALLS
+        assert np.array_equal(got, reference_bisection(top.fn, high.size))

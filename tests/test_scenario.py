@@ -506,6 +506,49 @@ def test_numeric_config_fields_refuse_strings_and_booleans(path, tmp_path):
             run_scenario(cfg, str(tmp_path / "out"))
 
 
+def walk_cfg():
+    """A tree given by its levels, increments of a symmetric walk and a cds
+    stream: the fields _build_walk and the cds builder read."""
+    cfg = json.loads(json.dumps(tables_cfg()))
+    cfg["tree"] = {"levels": [[0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]]}
+    cfg["martingale"] = {"increments": [[1, -1], [1, -1, 1, -1]]}
+    cds = {"tau": [3, 3, 1, 1], "delta": 0.6, "kappa_ask": 0.02, "kappa_bid": 0.01}
+    cfg["streams"]["protection"] = {"cds": cds}
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        pytest.param(("tree", "levels", 0, 1), id="tree-level"),
+        pytest.param(("tree", "levels", 1, 1, 0), id="tree-level-per-parent"),
+        pytest.param(("martingale", "increments", 0, 0), id="increment"),
+        pytest.param(("martingale", "increments", 1, 3), id="increment-level-2"),
+        pytest.param(("streams", "protection", "cds", "tau", 2), id="cds-tau"),
+        pytest.param(("streams", "protection", "cds", "delta"), id="cds-delta"),
+        pytest.param(("streams", "protection", "cds", "kappa_ask"), id="cds-kappa-ask"),
+        pytest.param(("streams", "protection", "cds", "kappa_bid"), id="cds-kappa-bid"),
+    ],
+)
+def test_tree_martingale_and_cds_numbers_refuse_strings_and_booleans(path, tmp_path, capsys):
+    """Tree levels, walk increments and cds terms take JSON numbers only: a
+    string or a boolean is a config error, exit 2."""
+    load_scenario(walk_cfg())
+    for bad in ("1", True):
+        cfg = walk_cfg()
+        *keys, last = path
+        node = cfg
+        for key in keys:
+            node = node[key]
+        node[last] = bad
+        with pytest.raises(ScenarioError, match="must hold only numbers|must be a finite number"):
+            load_scenario(cfg)
+        cfg_path = tmp_path / "scn.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    capsys.readouterr()
+
+
 def test_market_jobs_without_securities_are_refused_before_any_artifact(tmp_path, capsys):
     """A scenario without securities refuses each market job at load, so a
     solve job ahead of it writes nothing."""
