@@ -78,7 +78,6 @@ from .search import (
     SearchConfig,
     auto_bound,
     exhaustive_grid,
-    leg_layout,
     maximize,
 )
 from .arbitrage import (

@@ -43,7 +43,7 @@ from .market import (
     complete_bank_leg,
     liquidation_value,
 )
-from .search import SearchConfig, exhaustive_grid, leg_layout, maximize
+from .search import LegLayout, SearchConfig, exhaustive_grid, maximize
 
 FLOAT_GAIN_TOL = 1e-7
 FLOAT_LOSS_TOL = 1e-10
@@ -91,10 +91,10 @@ def _score(v_terminal: np.ndarray, tol: float) -> np.ndarray:
 
 
 def find_arbitrage(
-    market: MarketModel, entry: int = 0, cfg: SearchConfig = SearchConfig()
+    market: MarketModel, entry: int, cfg: SearchConfig = SearchConfig()
 ) -> ArbitrageSearchResult:
     """Search for an arbitrage entered at `entry`; certificates are re-validated."""
-    layout = leg_layout(market, entry)
+    layout = LegLayout(market, entry)
     score = lambda v: _score(v, SCORE_TOL)
     if cfg.exhaustive:
         outcome = exhaustive_grid(layout.wealth, layout.group_widths, cfg, layout.bound(cfg), score)
@@ -112,13 +112,13 @@ def find_arbitrage(
         certificate=report if report.valid else None,
         best_score=outcome.score,
         evaluations=outcome.evaluations,
-        exhaustive_total=outcome.exhaustive_total,
+        exhaustive_total=outcome.evaluations if cfg.exhaustive else 0,
         note=note,
     )
 
 
 def validate_certificate(
-    strategy: TradingStrategy, market: MarketModel, entry: int = 0
+    strategy: TradingStrategy, market: MarketModel, entry: int
 ) -> CertificateReport:
     """Re-validate a candidate: self-financing from entry, no leaf loses,
     some leaf gains.

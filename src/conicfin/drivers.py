@@ -331,10 +331,7 @@ def builtin_family(kind: str, walk: MartingaleSpec) -> DriverFamily:
 # kind -> (parameter names, constructor from the walk and the parameters)
 _DRIVER_KINDS = {
     "zero": ((), lambda walk, p: ZeroDriver(walk)),
-    "linear": (
-        ("slope", "slopes"),
-        lambda walk, p: LinearDriver(walk, p.get("slope", p.get("slopes", 0.0))),
-    ),
+    "linear": (("slope",), lambda walk, p: LinearDriver(walk, p["slope"])),
     "coherent_abs": (("c",), lambda walk, p: CoherentAbsDriver(walk, p["c"])),
     "logsumexp": (("K",), lambda walk, p: LogSumExpDriver(walk, p["K"])),
     "entropic": (("gamma",), lambda walk, p: EntropicDriver(walk, p["gamma"])),

@@ -32,7 +32,7 @@ from .bsde import solve_bsde
 from .drivers import Driver, DriverFamily
 from .market import MarketModel, TradingStrategy
 from .pricing import price
-from .search import LegLayout, SearchConfig, ascend, leg_layout
+from .search import LegLayout, SearchConfig, ascend
 from .tree import AdaptedProcess, tail_payoff
 
 GOOD_DEAL_TOL = 1e-9
@@ -103,7 +103,7 @@ def hedged_price(
     g = family.make(gamma)
     sign = 1.0 if side == "ask" else -1.0
     payoff = sign * tail_payoff(stream, quote.phi, t)
-    layout = leg_layout(market, t)
+    layout = LegLayout(market, t)
     values = _node_values(g, layout, payoff)
     merged, merged_vals, evals = _per_node_search(values, layout, cfg)
     strat = layout.strategy(merged)
@@ -143,7 +143,7 @@ def check_ngd(
     flagged as inconsistent (a miss of the heuristic search)."""
     tr = market.tree
     g = family.make(gamma)
-    layout = leg_layout(market, t)
+    layout = LegLayout(market, t)
     risk_values = _node_values(g, layout, np.zeros(tr.n_leaves))
     merged, merged_vals, evals = _per_node_search(risk_values, layout, cfg)
     worst = float(np.min(merged_vals))

@@ -365,12 +365,7 @@ def dividends_collected(strategy: TradingStrategy, market: MarketModel, t: int) 
     return total
 
 
-def complete_bank_leg(
-    long: list,
-    short: list,
-    market: MarketModel,
-    entry: int = 0,
-) -> TradingStrategy:
+def complete_bank_leg(long: list, short: list, market: MarketModel, entry: int) -> TradingStrategy:
     """Fill in the unique bank leg making the risky legs self-financing from
     the entry time with zero setup cost.
 
@@ -414,27 +409,26 @@ def cds_streams(
 ):
     """Protection-buyer dividend streams of a credit default swap.
 
-    tau_leaf assigns each leaf the default time (1..T, or T+1 for no
-    default before the horizon) and must be a stopping time: the event
-    {tau <= t} has to be resolved by level t. The long stream pays the
+    tau_leaf assigns each leaf the default time, an integer in 1..T (or
+    T+1 for no default before the horizon), and must be a stopping time:
+    the events {tau == t} and {tau > t} have to be resolved by level t,
+    which projecting them onto level t checks. The long stream pays the
     protection delta at default and bleeds the ask premium while alive;
     the short stream mirrors with the bid premium.
     """
-    tau = np.asarray(tau_leaf, dtype=np.int64)
+    T = tree.horizon
+    tau = np.asarray(tau_leaf, dtype=float)
     if tau.shape != (tree.n_leaves,):
         raise NotStoppingTime(f"tau needs one value per leaf ({tree.n_leaves})")
-    if np.any(tau < 1) or np.any(tau > tree.horizon + 1):
-        raise NotStoppingTime(f"default times must lie in 1..{tree.horizon + 1}")
-    for t in range(tree.horizon + 1):
-        _project_leaf_to_level(tree, (tau <= t).astype(float), t)
+    ok = np.isin(tau, np.arange(1, T + 2))
+    if not np.all(ok):
+        raise NotStoppingTime(f"default times must be integers in 1..{T + 1}, got {tau[~ok][0]}")
+    hit = [_project_leaf_to_level(tree, (tau == t).astype(float), t) for t in range(1, T + 1)]
+    alive = [_project_leaf_to_level(tree, (tau > t).astype(float), t) for t in range(1, T + 1)]
 
     def stream(kappa: float) -> AdaptedProcess:
-        vals = [np.zeros(1)]
-        for t in range(1, tree.horizon + 1):
-            hit = _project_leaf_to_level(tree, (tau == t).astype(float), t)
-            alive = _project_leaf_to_level(tree, (tau > t).astype(float), t)
-            vals.append(delta * hit - kappa * alive)
-        return AdaptedProcess(tree, tuple(vals))
+        vals = [delta * h - kappa * a for h, a in zip(hit, alive)]
+        return AdaptedProcess(tree, (np.zeros(1), *vals))
 
     return stream(float(kappa_ask)), stream(float(kappa_bid))
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -56,36 +55,43 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class LegBlock:
-    kind: str
-    security: int
-    time: int
-    col_start: int
-    n_slots: int
-
-
-@dataclass(frozen=True)
 class LegLayout:
-    """Column layout of the flattened leg vector for one market and entry."""
+    """Column layout of the flattened leg vector for one market and entry.
+
+    Long and short positions are carried gross, so the columns fall into
+    2K leg groups, security by security, long before short. Each group
+    holds, date by date, the level u-1 slots of every rebalance date
+    u = entry+1..T, so every group has the same width.
+    """
 
     market: MarketModel
     entry: int
-    blocks: tuple
-    dims: int
+
+    @property
+    def group_widths(self) -> tuple:
+        """Column count of each (security, long/short) leg group, in column order."""
+        tr = self.market.tree
+        width = sum(tr.n_nodes(u - 1) for u in range(self.entry + 1, tr.horizon + 1))
+        return (width,) * (2 * len(self.market.securities))
+
+    @property
+    def dims(self) -> int:
+        return sum(self.group_widths)
 
     def to_legs(self, params: np.ndarray):
-        """Split a (..., dims) parameter array into long/short leg lists."""
+        """Split a (..., dims) parameter array into long/short leg lists:
+        column slices after the entry, zero legs at dates 1..entry."""
         tr = self.market.tree
-        T = tr.horizon
         batch = params.shape[:-1]
-        K = len(self.market.securities)
-        zeros = lambda t: np.zeros(batch + (tr.n_nodes(t - 1),))
-        long = [[None] + [zeros(t) for t in range(1, T + 1)] for _ in range(K)]
-        short = [[None] + [zeros(t) for t in range(1, T + 1)] for _ in range(K)]
-        for b in self.blocks:
-            target = long if b.kind == "long" else short
-            target[b.security][b.time] = params[..., b.col_start : b.col_start + b.n_slots]
-        return long, short
+        legs, col = [], 0
+        for _ in range(2 * len(self.market.securities)):
+            leg = [None] + [np.zeros(batch + (tr.n_nodes(u - 1),)) for u in range(1, self.entry + 1)]
+            for u in range(self.entry + 1, tr.horizon + 1):
+                n = tr.n_nodes(u - 1)
+                leg.append(params[..., col : col + n])
+                col += n
+            legs.append(leg)
+        return legs[0::2], legs[1::2]
 
     def strategy(self, params: np.ndarray) -> TradingStrategy:
         """Self-financing strategy entered at the layout's entry with these risky legs."""
@@ -96,12 +102,6 @@ class LegLayout:
         """Terminal wealth, (..., leaves), of the strategy built from these legs."""
         return liquidation_value(self.strategy(params), self.market, self.market.tree.horizon)
 
-    @property
-    def group_widths(self) -> tuple:
-        """Column count of each (security, long/short) leg group, in column order."""
-        groups = groupby(self.blocks, key=lambda b: (b.security, b.kind))
-        return tuple(sum(b.n_slots for b in blocks) for _, blocks in groups)
-
     def bound(self, cfg: SearchConfig) -> float:
         """The configured position cap, or auto_bound when none is set."""
         return auto_bound(self.market, self.entry) if cfg.bound is None else cfg.bound
@@ -109,27 +109,12 @@ class LegLayout:
     def dim_subtree_map(self, t: int) -> np.ndarray:
         """Level-t ancestor node of each dimension's slot."""
         tr = self.market.tree
-        out = np.empty(self.dims, dtype=np.int64)
-        for b in self.blocks:
-            anc = tr.ancestor_map(b.time - 1, t)
-            out[b.col_start : b.col_start + b.n_slots] = anc
-        return out
+        dates = range(self.entry + 1, tr.horizon + 1)
+        group = np.concatenate([tr.ancestor_map(u - 1, t) for u in dates])
+        return np.tile(group, 2 * len(self.market.securities))
 
 
-def leg_layout(market: MarketModel, entry: int = 0) -> LegLayout:
-    tr = market.tree
-    blocks = []
-    col = 0
-    for i in range(len(market.securities)):
-        for kind in ("long", "short"):
-            for u in range(entry + 1, tr.horizon + 1):
-                n = tr.n_nodes(u - 1)
-                blocks.append(LegBlock(kind, i, u, col, n))
-                col += n
-    return LegLayout(market=market, entry=entry, blocks=tuple(blocks), dims=col)
-
-
-def auto_bound(market: MarketModel, entry: int = 0) -> float:
+def auto_bound(market: MarketModel, entry: int) -> float:
     """Position cap from the scale of unit quotes and dividends.
 
     Books additionally cap positions at just under half the posted depth so
@@ -143,14 +128,15 @@ def auto_bound(market: MarketModel, entry: int = 0) -> float:
             for t in range(tr.horizon + 1):
                 scale = max(scale, float(np.max(np.abs(stream.at(t)))))
         for op in (sec.op_ask, sec.op_bid):
+            # a book's depth is a sum of positive sizes, so every probe is > 0
             depth = getattr(op, "depth", None)
+            probe = 1.0
             if depth is not None:
                 depth_cap = min(depth_cap, 0.45 * depth)
+                probe = min(1.0, depth)
             for t in range(entry, tr.horizon):
-                probe = np.minimum(1.0, depth if depth is not None else 1.0)
                 unit = op.price(t, np.full(tr.n_nodes(t), probe))
-                if probe > 0:
-                    scale = max(scale, float(np.max(np.abs(unit))) / probe)
+                scale = max(scale, float(np.max(np.abs(unit))) / probe)
     bound = 2.0 * np.ceil(scale)
     return float(min(bound, depth_cap))
 
@@ -160,7 +146,6 @@ class SearchOutcome:
     params: np.ndarray
     score: float
     evaluations: int
-    exhaustive_total: int = 0
 
 
 def ascend(
@@ -308,7 +293,7 @@ def exhaustive_grid(
             best_flat, best_s = c * chunk + k, float(scores[k])
     best_p = product(best_flat, dims)
     best_s = float(score(wealth(best_p[None, :]))[0])
-    return SearchOutcome(params=best_p, score=best_s, evaluations=total, exhaustive_total=total)
+    return SearchOutcome(params=best_p, score=best_s, evaluations=total)
 
 
 def _partial_sums(acc: np.ndarray, terms) -> np.ndarray:

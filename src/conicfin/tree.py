@@ -346,8 +346,7 @@ def symmetric_random_walk(tree: FiltrationTree) -> MartingaleSpec:
     filtration every martingale is a stochastic integral against it.
     """
     for t in range(1, tree.horizon + 1):
-        sizes = np.diff(tree.offsets[t])
-        if np.any(sizes != 2):
+        if not tree._binary[t]:
             raise NotBinaryTree(f"level {t}: symmetric walk needs exactly 2 children per node")
         if np.max(np.abs(tree.branch_prob[t] - 0.5)) > PROB_TOL:
             raise NotSymmetric(f"level {t}: symmetric walk needs 1/2-1/2 branches")

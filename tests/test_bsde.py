@@ -249,7 +249,7 @@ def test_comparison_rejects_irregular_dominating_driver():
 def test_linear_driver_reduces_to_reweighted_expectation():
     walk = make_walk(3)
     slopes = [None, 0.5, -0.3, 0.8]
-    g = builtin_driver("linear", walk, slopes=slopes[1:])
+    g = builtin_driver("linear", walk, slope=slopes[1:])
     rng = np.random.default_rng(12)
     X = rng.normal(size=8)
     got = g_expectation(g, X, 3, 0, walk)

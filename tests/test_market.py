@@ -11,6 +11,7 @@ from conicfin import (
     ConicOperator,
     DepthExceeded,
     DirectOperator,
+    LegLayout,
     LevelMismatch,
     LevelNonpositive,
     MarketError,
@@ -28,7 +29,6 @@ from conicfin import (
     conic_security,
     find_arbitrage,
     hedged_price,
-    leg_layout,
     liquidation_value,
     martingale_from_increments,
     single_payment,
@@ -305,7 +305,7 @@ def ledger_gaps(strat, market, entry):
 
 def test_zero_strategy_costs_and_delivers_nothing():
     market = direct_two_period_market()
-    layout = leg_layout(market)
+    layout = LegLayout(market, 0)
     strat = layout.strategy(np.zeros(layout.dims))
     assert np.array_equal(liquidation_value(strat, market, 2), np.zeros(4))
     assert all(np.array_equal(strat.bank[t], np.zeros(2 ** (t - 1))) for t in (1, 2))
@@ -542,6 +542,10 @@ def test_cds_default_times_must_be_stopping_times():
         cds_streams(tree, [0, 3, 3, 3], 0.6, 0.02, 0.01)
     with pytest.raises(NotStoppingTime):
         cds_streams(tree, [3, 3, 3], 0.6, 0.02, 0.01)
+    # default times are integers: not truncated, not a bare conversion error
+    for bad in (2.9, float("nan"), 1e30):
+        with pytest.raises(NotStoppingTime, match="integers in 1..3"):
+            cds_streams(tree, [bad, 3, 1, 1], 0.6, 0.02, 0.01)
 
 
 def test_stock_stream_adds_terminal_value_at_the_horizon():
@@ -558,7 +562,7 @@ def test_strategy_batch_shape():
     short = [[None, np.zeros(1), np.zeros(2)]]
     strat = complete_bank_leg(long, short, market, 0)
     assert strat.batch_shape() == ()
-    layout = leg_layout(market)
+    layout = LegLayout(market, 0)
     batched = layout.strategy(np.zeros((3, layout.dims)))
     assert batched.batch_shape() == (3,)
     assert liquidation_value(batched, market, 2).shape == (3, 4)

@@ -440,6 +440,14 @@ def test_cli_exit_code_two_for_unusable_input(tmp_path, capsys):
     malformed.append(twins)
     # a declared driver goes through the inline drivers' builder: a missing parameter
     malformed.append({**conic_cfg(), "drivers": {"c": {"kind": "coherent_abs"}}})
+    # a linear driver takes `slope` and no other name for it
+    for spec in ({"kind": "linear"}, {"kind": "linear", "slopes": 0.3}):
+        malformed.append({**conic_cfg(), "drivers": {"lin": spec}})
+    # cds default times are integers in 1..T+1, not truncated
+    for bad in (2.9, float("nan"), 1e30):
+        cds = walk_cfg()
+        cds["streams"]["protection"]["cds"]["tau"] = [bad, 3, 1, 1]
+        malformed.append(cds)
     # keys no job takes: the removed search tol and seed and axioms seed, and a typo
     for job in (
         {"type": "arbitrage", "search": {**LIGHT_SEARCH, "tol": 1e-9}},

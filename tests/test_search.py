@@ -10,13 +10,13 @@ from conicfin import (
     AdaptedProcess,
     DirectOperator,
     InstanceTooLarge,
+    LegLayout,
     MarketModel,
     OrderBookOperator,
     SearchConfig,
     Security,
     auto_bound,
     exhaustive_grid,
-    leg_layout,
     maximize,
     symmetric_random_walk,
     uniform_binary_tree,
@@ -35,31 +35,53 @@ SEARCH_ATOL = 2e-2
 GROUPED_SUM_RTOL = 1e-12
 
 
+def two_security_market(horizon):
+    """conic_market with a second security of its own id."""
+    market = conic_market(horizon=horizon)
+    sec = market.securities[0]
+    return replace(market, securities=(sec, replace(sec, sid="other")))
+
+
 def test_leg_layout_counts_every_rebalance_slot():
+    """Each (security, long/short) group holds the level u-1 slots of every
+    rebalance date u after the entry, so all 2K groups have one width."""
     market = direct_two_period_market()
-    lay0 = leg_layout(market, entry=0)
-    assert lay0.dims == 6
-    kinds = {(b.kind, b.time, b.n_slots) for b in lay0.blocks}
-    assert kinds == {("long", 1, 1), ("long", 2, 2), ("short", 1, 1), ("short", 2, 2)}
-    lay1 = leg_layout(market, entry=1)
-    assert lay1.dims == 4
-    assert all(b.time == 2 for b in lay1.blocks)
-    assert np.array_equal(lay1.dim_subtree_map(1), [0, 1, 0, 1])
+    lay0 = LegLayout(market, 0)
+    assert lay0.group_widths == (3, 3) and lay0.dims == 6
     assert np.array_equal(lay0.dim_subtree_map(0), np.zeros(6, dtype=np.int64))
+    lay1 = LegLayout(market, 1)
+    assert lay1.group_widths == (2, 2) and lay1.dims == 4
+    assert np.array_equal(lay1.dim_subtree_map(1), [0, 1, 0, 1])
+    two = two_security_market(horizon=3)
+    lay = LegLayout(two, 1)
+    assert lay.group_widths == (6,) * 4 and lay.dims == 24
+    assert np.array_equal(lay.dim_subtree_map(1), [0, 1, 0, 0, 1, 1] * 4)
+    lay2 = LegLayout(two, 2)
+    assert lay2.group_widths == (4,) * 4 and lay2.dims == 16
+    assert np.array_equal(lay2.dim_subtree_map(2), [0, 1, 2, 3] * 4)
+    assert np.array_equal(lay2.dim_subtree_map(1), [0, 0, 1, 1] * 4)
 
 
 def test_layout_round_trips_parameter_vectors():
-    market = direct_two_period_market()
-    layout = leg_layout(market, entry=0)
+    """to_legs hands out the columns group by group (security by security,
+    long before short) and date by date after the entry, and zero legs in
+    the batch shape at dates 1..entry."""
+    market = two_security_market(horizon=3)
+    tr = market.tree
     rng = np.random.default_rng(3)
-    params = rng.random((5, layout.dims))
-    long, short = layout.to_legs(params)
-    rebuilt = np.zeros_like(params)
-    for b in layout.blocks:
-        legs = long if b.kind == "long" else short
-        rebuilt[:, b.col_start : b.col_start + b.n_slots] = legs[b.security][b.time]
-    assert np.array_equal(rebuilt, params)
-    assert long[0][0] is None and short[0][0] is None
+    for entry in (0, 1):
+        layout = LegLayout(market, entry)
+        params = rng.random((5, layout.dims))
+        long, short = layout.to_legs(params)
+        assert len(long) == len(short) == len(market.securities)
+        groups = [leg for pair in zip(long, short) for leg in pair]
+        assert all(len(leg) == tr.horizon + 1 and leg[0] is None for leg in groups)
+        dates = range(entry + 1, tr.horizon + 1)
+        rebuilt = np.concatenate([leg[u] for leg in groups for u in dates], axis=-1)
+        assert np.array_equal(rebuilt, params)
+        for leg in groups:
+            for u in range(1, entry + 1):
+                assert leg[u].shape == (5, tr.n_nodes(u - 1)) and not np.any(leg[u])
 
 
 def test_auto_bound_reflects_quote_scale_and_book_depth():
@@ -222,7 +244,7 @@ def test_exhaustive_grid_visits_the_whole_product_grid():
     cases = [(direct_two_period_market, 0), (direct_two_period_market, 1), (book_market, 0), (conic_market, 0)]
     for make_market, entry in cases:
         market = make_market()
-        layout = leg_layout(market, entry)
+        layout = LegLayout(market, entry)
         K = len(market.securities)
         widths = [layout.dims // (2 * K)] * (2 * K)
         assert layout.group_widths == tuple(widths)
@@ -233,11 +255,11 @@ def test_exhaustive_grid_visits_the_whole_product_grid():
         wealth = lambda P: wealth_rows.append(P.shape[0]) or layout.wealth(P)
         out = exhaustive_grid(wealth, widths, cfg, bound, score)
 
-        points = round(out.exhaustive_total ** (1.0 / layout.dims))
-        assert out.evaluations == out.exhaustive_total == points ** layout.dims >= 4000
+        points = round(out.evaluations ** (1.0 / layout.dims))
+        assert out.evaluations == points ** layout.dims >= 4000
         assert wealth_rows == [2 * K * points ** widths[0], 1]
         grid = np.linspace(0.0, bound, points)
-        flat = np.arange(out.exhaustive_total)
+        flat = np.arange(out.evaluations)
         rows = grid[np.stack(np.unravel_index(flat, (points,) * layout.dims), axis=-1)]
         full = _score(layout.wealth(rows), SCORE_TOL)
         summed = np.concatenate(scored[:-1])
@@ -300,7 +322,7 @@ def test_exhaustive_chunks_match_the_brute_force_grid_exactly(widths, leaves, ch
 
     out = exhaustive_grid(lambda P: sub_grid.append(P) or wealth(P), widths, cfg, bound, score)
 
-    sizes = [round(out.exhaustive_total ** (w / dims)) for w in widths]
+    sizes = [round(out.evaluations ** (w / dims)) for w in widths]
     terms = np.split(wealth(sub_grid[0]), np.cumsum(sizes)[:-1])
     brute = oracles.product_grid_sums(terms)
     worst = np.min(brute, axis=-1)
@@ -309,7 +331,7 @@ def test_exhaustive_chunks_match_the_brute_force_grid_exactly(widths, leaves, ch
     assert np.array_equal(np.signbit(np.concatenate(seen[:-1])), np.signbit(brute))
     assert np.array_equal(np.concatenate(scored[:-1]), brute_scores)
     k = int(np.argmax(brute_scores))
-    points = round(out.exhaustive_total ** (1.0 / dims))
+    points = round(out.evaluations ** (1.0 / dims))
     grid = np.linspace(0.0, bound, points)
     assert np.array_equal(out.params, grid[np.array(np.unravel_index(k, (points,) * dims))])
     assert out.score == _score(wealth(out.params[None, :]), SCORE_TOL)[0]
@@ -326,7 +348,7 @@ def test_exhaustive_sweep_of_a_two_security_horizon_two_grid_runs_in_27_chunks()
     chunks = []
     score = lambda v: chunks.append(v.shape[0]) or _score(v, 1e-9)
     out = exhaustive_grid(wealth, [3, 3, 3, 3], SearchConfig(exhaustive=True), 2.0, score)
-    assert out.exhaustive_total == 27**4
+    assert out.evaluations == 27**4
     assert chunks == [27**3] * 27 + [1]
 
 
@@ -366,7 +388,7 @@ def test_ledger_wealth_is_the_sum_of_its_leg_groups(seed, n_sec, horizon, data):
     for i in range(n_sec):
         divs = AdaptedProcess(tr, tuple(rng.normal(0.0, 2.0, tr.n_nodes(t)) for t in range(horizon + 1)))
         secs.append(Security(f"s{i}", divs, divs, DirectOperator(tr, table()), DirectOperator(tr, table())))
-    layout = leg_layout(MarketModel(walk=walk, securities=tuple(secs)), entry)
+    layout = LegLayout(MarketModel(walk=walk, securities=tuple(secs)), entry)
     rows = rng.uniform(0.0, 20.0, (16, layout.dims)) * (rng.random((16, layout.dims)) < 0.7)
     parts = _group_wealths(layout, rows)
     gross = 1.0 + np.sum(np.max(np.abs(parts), axis=-1), axis=0)
