@@ -165,8 +165,9 @@ def _exact_view(market: MarketModel) -> MarketModel:
     """The market with every stream paying the exact rationals of its floats
     and every operator quoting node by node through exact_price."""
     pays = lambda stream: SimpleNamespace(at=lambda t: _fractions(stream.at(t)))
+    at_nodes = lambda op, t: np.frompyfunc(lambda v, x: op.exact_price(t, v, x), 2, 1)
     quotes = lambda op: SimpleNamespace(
-        price=lambda t, phi: np.array([op.exact_price(t, v, x) for v, x in enumerate(phi)], object)
+        price=lambda t, phi: at_nodes(op, t)(np.arange(phi.shape[-1]), phi)
     )
     secs = tuple(
         Security(s.sid, pays(s.stream_ask), pays(s.stream_bid), quotes(s.op_ask), quotes(s.op_bid))

@@ -347,6 +347,9 @@ def builtin_driver(kind: str, walk: MartingaleSpec, **params) -> Driver:
         raise ParamOutOfRange(
             f"driver kind {kind!r} takes no parameter {unknown}; it takes {list(names)}"
         )
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ParamOutOfRange(f"driver kind {kind!r} needs parameter {missing}")
     return build(walk, params)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bsde import g_expectation
 from .drivers import DriverFamily
-from .tree import AdaptedProcess, FiltrationTree, MartingaleSpec, tail_payment
+from .tree import AdaptedProcess, FiltrationTree, LevelMismatch, MartingaleSpec, tail_payment
 
 
 class MarketError(ValueError):
@@ -47,11 +47,6 @@ class NegativeLeg(MarketError):
 
 class LevelNonpositive(MarketError):
     """Acceptability levels must be strictly positive and finite."""
-
-
-def _check_level(gamma: float):
-    if not (gamma > 0.0 and np.isfinite(gamma)):
-        raise LevelNonpositive(f"acceptability level must be positive and finite, got {gamma}")
 
 
 # ---- pricing operators ------------------------------------------------------
@@ -87,7 +82,8 @@ class ConicOperator(PricingOperator):
     def __init__(self, side: str, family: DriverFamily, gamma: float, stream: AdaptedProcess):
         if side not in ("ask", "bid"):
             raise MarketError(f"side must be ask or bid, got {side!r}")
-        _check_level(gamma)
+        if not (gamma > 0.0 and np.isfinite(gamma)):
+            raise LevelNonpositive(f"acceptability level must be positive and finite, got {gamma}")
         self.side = side
         self.family = family
         self.gamma = float(gamma)
@@ -125,9 +121,14 @@ class DirectOperator(PricingOperator):
                 raise MarketError(f"level {t}: unit prices must be finite")
 
     def price(self, t: int, phi: np.ndarray) -> np.ndarray:
-        return np.asarray(phi, dtype=float) * self.tables[t]
+        phi = np.asarray(phi, dtype=float)
+        if not (0 <= t < len(self.tables) and phi.shape[-1:] == self.tables[t].shape):
+            raise LevelMismatch(f"order {phi.shape} fits no level {t} of 0..{self.tree.horizon}")
+        return phi * self.tables[t]
 
     def exact_price(self, t: int, node: int, phi: Fraction) -> Fraction:
+        if not (0 <= t < len(self.tables) and 0 <= node < len(self.tables[t])):
+            raise LevelMismatch(f"no node {node} at level {t} of 0..{self.tree.horizon}")
         return phi * Fraction(float(self.tables[t][node]))
 
 
@@ -307,15 +308,6 @@ def _num(leg) -> np.ndarray:
     return leg if leg.dtype == object else np.asarray(leg, dtype=float)
 
 
-def _leg_at(strategy: TradingStrategy, leg_list, t: int) -> np.ndarray:
-    """Position held over (t, t+1], i.e. phi_{t+1}, as a level-t array; zero
-    for t >= T (everything is liquidated at the horizon)."""
-    tr = strategy.tree
-    if t + 1 <= tr.horizon:
-        return _num(leg_list[t + 1])
-    return strategy.zeros(tr.n_nodes(t))
-
-
 def _held_into(strategy: TradingStrategy, leg_list, t: int) -> np.ndarray:
     """Position phi_t carried into time t, spread onto level-t nodes; zero
     when t = 0 (the phi_0 = 0 convention)."""
@@ -340,16 +332,19 @@ def liquidation_value(strategy: TradingStrategy, market: MarketModel, t: int) ->
 
 
 def rebalancing_cost(strategy: TradingStrategy, market: MarketModel, t: int) -> np.ndarray:
-    """Cash absorbed by the risky-leg changes decided at time t: increases
-    trade at ask, decreases at bid, long and short legs separately."""
+    """Cash absorbed by the risky-leg changes decided at time t < T. Long
+    increases and short decreases are buys, quoted in one ask call per
+    security; long decreases and short increases are sells, in one bid call."""
+    if not 0 <= t < market.tree.horizon:
+        raise MarketError(f"rebalancing cost is defined for t = 0..{market.tree.horizon - 1}")
     total = strategy.zeros(market.tree.n_nodes(t))
     for i, sec in enumerate(market.securities):
-        d_l = _leg_at(strategy, strategy.long[i], t) - _held_into(strategy, strategy.long[i], t)
-        d_s = _leg_at(strategy, strategy.short[i], t) - _held_into(strategy, strategy.short[i], t)
-        total = total + sec.op_ask.price(t, np.maximum(d_l, 0))
-        total = total - sec.op_bid.price(t, np.maximum(-d_l, 0))
-        total = total - sec.op_bid.price(t, np.maximum(d_s, 0))
-        total = total + sec.op_ask.price(t, np.maximum(-d_s, 0))
+        d_l = _num(strategy.long[i][t + 1]) - _held_into(strategy, strategy.long[i], t)
+        d_s = _num(strategy.short[i][t + 1]) - _held_into(strategy, strategy.short[i], t)
+        d = np.array([d_l, -d_s])
+        buy = sec.op_ask.price(t, np.maximum(d, 0))
+        sell = sec.op_bid.price(t, np.maximum(-d, 0))
+        total = total + buy[0] - sell[0] - sell[1] + buy[1]
     return total
 
 

@@ -410,7 +410,7 @@ def _build_driver(walk, spec):
                 _numbers(f"driver {k}", entry)
     try:
         return builtin_driver(kind, walk, **params)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ScenarioError(f"cannot build driver {spec!r}: {exc}") from exc
 
 

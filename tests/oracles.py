@@ -108,6 +108,28 @@ def brute_force_solve(g, terminal, walk):
     return [np.asarray(level, dtype=float) for level in Y]
 
 
+def four_call_rebalancing_cost(strategy, market, t: int) -> np.ndarray:
+    """Cash absorbed by the leg changes decided at time t < T, with one
+    operator call per leg and side: ask of the long increase, bid of the
+    long decrease, bid of the short increase, ask of the short decrease,
+    summed in that order. Positions held into t are read off the parent
+    map; Fraction legs stay Fractions."""
+    tree = market.tree
+    total = strategy.zeros(tree.n_nodes(t))
+    for i, sec in enumerate(market.securities):
+        changes = []
+        for leg in (strategy.long[i], strategy.short[i]):
+            nxt = np.asarray(leg[t + 1])
+            held = np.asarray(leg[t])[..., list(tree.parent[t])] if t > 0 else strategy.zeros(1)
+            changes.append((nxt if nxt.dtype == object else nxt.astype(float)) - held)
+        d_l, d_s = changes
+        total = total + sec.op_ask.price(t, np.maximum(d_l, 0))
+        total = total - sec.op_bid.price(t, np.maximum(-d_l, 0))
+        total = total - sec.op_bid.price(t, np.maximum(d_s, 0))
+        total = total + sec.op_ask.price(t, np.maximum(-d_s, 0))
+    return total
+
+
 def sequential_ascend(
     score: Callable[[np.ndarray], np.ndarray],
     dims: int,

@@ -129,6 +129,10 @@ def test_param_range_errors():
         builtin_driver("linear", walk, slop=0.3)
     with pytest.raises(ParamOutOfRange, match="takes no parameter"):
         builtin_driver("zero", walk, c=0.3)
+    for kind, name in (("linear", "slope"), ("coherent_abs", "c"), ("logsumexp", "K"),
+                       ("entropic", "gamma")):
+        with pytest.raises(ParamOutOfRange, match=f"needs parameter \\['{name}'\\]"):
+            builtin_driver(kind, walk)
 
 
 def test_regularity_margins_and_reasons():

@@ -1,6 +1,7 @@
 """Market operators, self-financing strategies, and arbitrage certificates."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ from conicfin.pricing import ask, bid, price
 from conicfin.search import SearchConfig
 from conicfin.tree import tail_payoff
 
+import oracles
+
 # Largest gap between a conic quote and the full solve on a walk that is not
 # the symmetric one, as a share of the payoff's largest magnitude. There the
 # full solve carries a payoff known at level s up to the leaves and back,
@@ -87,6 +90,20 @@ def conic_market(horizon=2, gamma=2.0):
     return MarketModel(walk=walk, securities=(sec,), name="conic")
 
 
+def book_market(horizon=1):
+    """The AAPL ladders quoted at every node of a symmetric walk."""
+    walk = make_walk(horizon)
+    stream = zero_process(walk.tree)
+    sec = Security(
+        sid="book",
+        stream_ask=stream,
+        stream_bid=stream,
+        op_ask=OrderBookOperator("ask", AAPL_ASK),
+        op_bid=OrderBookOperator("bid", AAPL_BID),
+    )
+    return MarketModel(walk=walk, securities=(sec,), name="book")
+
+
 def test_direct_operator_is_per_share_and_exact():
     tree = uniform_binary_tree(2)
     op = DirectOperator(tree, [[10.0], [12.0, 11.0], [13.0, 11.0, 12.0, 10.0]])
@@ -97,6 +114,22 @@ def test_direct_operator_is_per_share_and_exact():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(MarketError, match="level 1: unit prices must be finite"):
             DirectOperator(tree, [[10.0], [bad, 11.0], [13.0, 11.0, 12.0, 10.0]])
+
+
+def test_direct_operator_refuses_orders_off_its_levels():
+    """A level outside 0..T, an order whose last axis is not the level's
+    node count, and a node outside the level are LevelMismatch, not a quote
+    off another level's table, a broadcast or an IndexError."""
+    tree = uniform_binary_tree(2)
+    op = DirectOperator(tree, [[10.0], [12.0, 11.0], [13.0, 11.0, 12.0, 10.0]])
+    for t, phi in ((-1, np.ones(4)), (3, np.ones(4)), (2, np.ones(1)), (1, np.ones((2, 4))),
+                   (0, 1.0)):
+        with pytest.raises(LevelMismatch):
+            op.price(t, phi)
+    for t, node in ((-1, 0), (3, 0), (1, 2), (1, -1)):
+        with pytest.raises(LevelMismatch):
+            op.exact_price(t, node, Fraction(1))
+    assert np.array_equal(op.price(2, np.ones((3, 4))), np.tile([13.0, 11.0, 12.0, 10.0], (3, 1)))
 
 
 def test_order_book_walks_the_ladder_exactly():
@@ -343,6 +376,119 @@ def test_completed_bank_leg_rejects_bad_entry_times():
         complete_bank_leg(legs(), legs(), market, entry=-1)
 
 
+def moving_leg(tree, rng, batch, moves):
+    """A risky leg whose order at each date t is moves[t]: "hold" (none),
+    "up" (buys only), "down" (sells only) or "any"."""
+    leg = [None]
+    for t, move in enumerate(moves):
+        size = batch + (tree.n_nodes(t),)
+        held = np.take(leg[t], tree.parent[t], axis=-1) if t > 0 else np.zeros(batch + (1,))
+        step = rng.uniform(0.1, 1.0, size)
+        nxt = {"hold": held, "up": held + step, "down": held * step, "any": 2.0 * step}[move]
+        leg.append(np.broadcast_to(nxt, size).copy())
+    return leg
+
+
+LEDGER_MARKETS = {
+    "table": direct_two_period_market,
+    "book": lambda: book_market(2),
+    "conic": lambda: conic_market(horizon=3),
+    "mixed": lambda: stock_and_conic_market(),
+}
+
+
+@pytest.mark.parametrize("name", list(LEDGER_MARKETS))
+def test_rebalancing_cost_is_the_four_call_ledger_bit_for_bit(name):
+    """Quoting each side once per security and date gives the one call per
+    leg and side of oracles.four_call_rebalancing_cost, values and zero
+    signs alike, on plain and batched legs and at dates where one side, or
+    both, has no order; on the exact view of a table or book market the two
+    agree in Fractions."""
+    market = LEDGER_MARKETS[name]()
+    tr = market.tree
+    k = len(market.securities)
+    rng = np.random.default_rng(13)
+    # each leg opens with no order or a buy, then makes one kind of order
+    paths = [[first] + [move] * (tr.horizon - 1)
+             for first in ("hold", "any") for move in ("hold", "up", "down", "any")]
+    for batch, m_long, m_short in product([(), (3,)], paths, paths):
+        long = [moving_leg(tr, rng, batch, m_long) for _ in range(k)]
+        short = [moving_leg(tr, rng, batch, m_short) for _ in range(k)]
+        strat = TradingStrategy(tr, [None] * (tr.horizon + 1), long, short)
+        for t in range(tr.horizon):
+            got = rebalancing_cost(strat, market, t)
+            want = oracles.four_call_rebalancing_cost(strat, market, t)
+            assert got.shape == want.shape == batch + (tr.n_nodes(t),)
+            assert np.array_equal(got, want), (batch, m_long, m_short, t)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (batch, m_long, m_short, t)
+        if market.supports_exact:
+            exact = _exact_view(market)
+            to_fractions = lambda legs: [[None] + [_fractions(x) for x in leg[1:]] for leg in legs]
+            strat = TradingStrategy(tr, [None] * (tr.horizon + 1), to_fractions(long),
+                                    to_fractions(short))
+            for t in range(tr.horizon):
+                got = rebalancing_cost(strat, exact, t)
+                assert got.dtype == object and all(isinstance(x, Fraction) for x in got.flat)
+                assert np.all(got == oracles.four_call_rebalancing_cost(strat, exact, t))
+
+
+class CountingOperator:
+    """An operator that counts its price calls."""
+
+    def __init__(self, op):
+        self.op, self.calls = op, 0
+
+    def price(self, t, phi):
+        self.calls += 1
+        return self.op.price(t, phi)
+
+
+@pytest.mark.parametrize("name", list(LEDGER_MARKETS))
+def test_rebalancing_cost_quotes_each_side_once_per_security_and_date(name):
+    market = LEDGER_MARKETS[name]()
+    tr = market.tree
+    secs = tuple(
+        Security(s.sid, s.stream_ask, s.stream_bid, CountingOperator(s.op_ask),
+                 CountingOperator(s.op_bid))
+        for s in market.securities
+    )
+    counted = MarketModel(market.walk, secs, market.name)
+    rng = np.random.default_rng(17)
+    legs = lambda: [moving_leg(tr, rng, (4,), ["any"] * tr.horizon) for _ in secs]
+    strat = TradingStrategy(tr, [None] * (tr.horizon + 1), legs(), legs())
+    for t in range(tr.horizon):
+        rebalancing_cost(strat, counted, t)
+        assert [(s.op_ask.calls, s.op_bid.calls) for s in secs] == [(t + 1, t + 1)] * len(secs)
+
+
+def test_rebalancing_cost_is_refused_off_the_rebalance_dates():
+    """Rebalancing is decided at t = 0..T-1: everything is liquidated at
+    the horizon, and no date precedes 0."""
+    market = direct_two_period_market()
+    legs = lambda: [[None, np.ones(1), np.ones(2)]]
+    strat = TradingStrategy(market.tree, [None] * 3, legs(), legs())
+    for t in (-1, market.tree.horizon):
+        with pytest.raises(MarketError, match="rebalancing cost is defined for t = 0..1"):
+            rebalancing_cost(strat, market, t)
+
+
+def test_exact_view_prices_stacked_orders_node_by_node():
+    """The exact view quotes a (2, n) Fraction order entry by entry through
+    exact_price at the entry's node, for table and book operators."""
+    rng = np.random.default_rng(23)
+    for market in (direct_two_period_market(), book_market(2)):
+        tr = market.tree
+        for sec, view in zip(market.securities, _exact_view(market).securities):
+            for op, op_view in ((sec.op_ask, view.op_ask), (sec.op_bid, view.op_bid)):
+                for t in range(tr.horizon + 1):
+                    phi = _fractions(rng.uniform(0.0, 3.0, (2, tr.n_nodes(t))))
+                    got = op_view.price(t, phi)
+                    assert got.shape == phi.shape and got.dtype == object
+                    for r, v in np.ndindex(phi.shape):
+                        assert isinstance(got[r, v], Fraction)
+                        assert got[r, v] == op.exact_price(t, v, phi[r, v])
+
+
 def test_buy_and_hold_liquidation_identity():
     market = direct_two_period_market()
     tr = market.tree
@@ -360,19 +506,8 @@ def test_market_axioms_pass_for_all_operator_flavors():
     ask is convex and the bid concave in the order size, and buying the long
     part of a position at the ask and selling the short part at the bid
     never costs less than trading the net position."""
-    walk = make_walk(1)
-    tree = walk.tree
-    stream = zero_process(tree)
-    book_sec = Security(
-        sid="book",
-        stream_ask=stream,
-        stream_bid=stream,
-        op_ask=OrderBookOperator("ask", AAPL_ASK),
-        op_bid=OrderBookOperator("bid", AAPL_BID),
-    )
-    book_market = MarketModel(walk=walk, securities=(book_sec,), name="book")
     rng = np.random.default_rng(5)
-    for market in (direct_two_period_market(), conic_market(), book_market):
+    for market in (direct_two_period_market(), conic_market(), book_market()):
         for sec in market.securities:
             ask_at, bid_at = sec.op_ask.price, sec.op_bid.price
             cap = min(getattr(sec.op_ask, "depth", 4.0), getattr(sec.op_bid, "depth", 4.0), 4.0)
