@@ -16,7 +16,10 @@ Sums taken group by group differ from the full ledger by rounding only (at
 most 1.5e-11 on the benchmark's clean tables); the chosen row's score is
 recomputed through the full ledger.
 
-A found candidate is only reported after re-validation, which takes one
+Every search, an ascent riding another objective's (hedging.check_ngd)
+included, reports through certify, so one search configuration on one
+market reports the same result whichever search ran it. A found candidate
+is only reported after re-validation, which takes one
 path on every market: the ledger (complete_bank_leg) runs again on the
 candidate's risky legs, the candidate's own bank must match the completed
 bank, and terminal wealth is the completed strategy's. Exactness picks only
@@ -43,7 +46,7 @@ from .market import (
     complete_bank_leg,
     liquidation_value,
 )
-from .search import LegLayout, SearchConfig, exhaustive_grid, maximize
+from .search import LegLayout, SearchConfig, SearchOutcome, exhaustive_grid, maximize
 
 FLOAT_GAIN_TOL = 1e-7
 FLOAT_LOSS_TOL = 1e-10
@@ -90,18 +93,28 @@ def _score(v_terminal: np.ndarray, tol: float) -> np.ndarray:
     return worst
 
 
+def wealth_score(v_terminal: np.ndarray) -> np.ndarray:
+    """_score at SCORE_TOL: the objective of every arbitrage search."""
+    return _score(v_terminal, SCORE_TOL)
+
+
 def find_arbitrage(
     market: MarketModel, entry: int, cfg: SearchConfig = SearchConfig()
 ) -> ArbitrageSearchResult:
     """Search for an arbitrage entered at `entry`; certificates are re-validated."""
     layout = LegLayout(market, entry)
-    score = lambda v: _score(v, SCORE_TOL)
     if cfg.exhaustive:
-        outcome = exhaustive_grid(layout.wealth, layout.group_widths, cfg, layout.bound(cfg), score)
+        outcome = exhaustive_grid(layout.wealth, layout.group_widths, cfg, layout.bound(cfg), wealth_score)
     else:
-        outcome = maximize(lambda P: score(layout.wealth(P)), layout.dims, cfg, layout.bound(cfg))
+        outcome = maximize(lambda P: wealth_score(layout.wealth(P)), layout.dims, cfg, layout.bound(cfg))
+    return certify(layout, outcome, cfg)
+
+
+def certify(layout: LegLayout, outcome: SearchOutcome, cfg: SearchConfig) -> ArbitrageSearchResult:
+    """The report of an arbitrage search run with cfg on the layout: the
+    outcome's strategy, re-validated, with its score and row count."""
     strat = layout.strategy(outcome.params)
-    report = validate_certificate(strat, market, entry)
+    report = validate_certificate(strat, layout.market, layout.entry)
     if report.valid:
         note = "certificate re-validated " + ("with exact arithmetic" if report.exact else "in floats")
     else:

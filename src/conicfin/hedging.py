@@ -16,6 +16,13 @@ time, and winners from different starts merge into a single strategy node
 by node. The zero start makes the hedged ask never exceed the plain ask
 (and the hedged bid never fall below the plain bid) by construction.
 
+Every search here shares one wealth map, LegLayout.wealth, so objectives
+on one leg layout ride one ascent: the hedged sandwich searches its ask
+and bid in one, and check_ngd's arbitrage cross-check (arbitrage's own
+objective and report) rides the good-deal ascent. Each objective keeps
+its own moves and row count, so every quote and report is the one its
+own search gives.
+
 A no-good-deal verdict is heuristic: it reports that no visited strategy
 produced strictly negative risk at any node.
 """
@@ -23,16 +30,16 @@ produced strictly negative risk at any node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .arbitrage import ArbitrageSearchResult, find_arbitrage
+from .arbitrage import ArbitrageSearchResult, certify, find_arbitrage, wealth_score
 from .bsde import solve_bsde
 from .drivers import Driver, DriverFamily
 from .market import MarketModel, TradingStrategy
 from .pricing import price
-from .search import LegLayout, SearchConfig, ascend
+from .search import LegLayout, SearchConfig, SearchOutcome, ascend
 from .tree import AdaptedProcess, tail_payoff
 
 GOOD_DEAL_TOL = 1e-9
@@ -50,42 +57,83 @@ class HedgedQuote:
 
 
 def _per_node_search(
-    evaluate_values: Callable[[np.ndarray], np.ndarray],
+    wealth: Callable[[np.ndarray], np.ndarray],
+    node_values: Sequence[Callable[[np.ndarray], np.ndarray]],
     layout: LegLayout,
     cfg: SearchConfig,
+    score: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ):
-    """Minimize a per-node objective over legs; merge per-node winners.
+    """Minimize per-node objectives over legs in one ascent; merge each
+    one's per-node winners.
 
-    evaluate_values maps (B, dims) to (B, n_t) node values at t =
-    layout.entry; the ascent maximizes minus their sum over legs capped at
-    layout.bound(cfg). Each dimension belongs to one level-t subtree, so
+    wealth is layout.wealth, (B, dims) legs to (B, leaves) terminal wealth,
+    passed on its own so that perfbench/tracing.py can count its rows, and
+    each node_values map takes wealth rows to (B, n_t) node values at
+    t = layout.entry. The ascent maximizes minus their sum over legs capped
+    at layout.bound(cfg). Each dimension belongs to one level-t subtree, so
     accepted coordinate moves improve exactly their own node and final
     strategies from different starts can be recombined node by node into a
-    single parameter vector.
+    single parameter vector. score, when given, is one more objective on
+    wealth rows that rides the same ascent; its best final is kept whole.
 
-    The ascent scores the candidates of all active starts in one call per
-    coordinate step, and the starts' finals are valued in one call too.
-    The ledger and solve_bsde treat each row on its own, so each row gets
-    the values it would get alone.
+    Returns ([(merged params, merged node values, rows scored)] per
+    node_values map, the SearchOutcome of score or None, every objective's
+    rows together, which the tracer reads as the search's row count). The
+    ascent stacks every objective's candidates into one wealth call per
+    coordinate step, and all the finals, then all the merged vectors, are
+    valued in one call each. The ledger and solve_bsde treat each row on
+    its own, so each objective gets the values and row count it would get
+    alone.
     """
     dims = layout.dims
-    finals, evals = ascend(
-        lambda P: -np.sum(evaluate_values(P), axis=-1), dims, cfg, layout.bound(cfg)
-    )
-    params = np.stack([p for p, _ in finals])
-    evals += len(params)
-    # dimension d takes the start that wins the node of its subtree
-    winner = np.argmin(evaluate_values(params), axis=0)
-    merged = params[winner[layout.dim_subtree_map(layout.entry)], np.arange(dims)]
-    merged_vals = evaluate_values(merged[None, :])[0]
-    evals += 1
-    return merged, merged_vals, evals
+    objectives = [lambda W, v=v: -np.sum(v(W), axis=-1) for v in node_values]
+    runs = ascend(wealth, objectives + ([score] if score else []), dims, cfg, layout.bound(cfg))
+    best = SearchOutcome.best(*runs.pop()) if score else None
+    finals = [np.stack([p for p, _ in f]) for f, _ in runs]
+    ends = np.cumsum([len(p) for p in finals])[:-1]
+    final_wealth = np.split(wealth(np.concatenate(finals)), ends)
+    subtree = layout.dim_subtree_map(layout.entry)
+    merged = []
+    for v, params, W in zip(node_values, finals, final_wealth):
+        # dimension d takes the start that wins the node of its subtree
+        winner = np.argmin(v(W), axis=0)
+        merged.append(params[winner[subtree], np.arange(dims)])
+    merged_wealth = wealth(np.stack(merged))
+    nodes = [
+        (p, v(merged_wealth[k : k + 1])[0], evals + len(params) + 1)
+        for k, (v, p, params, (_, evals)) in enumerate(zip(node_values, merged, finals, runs))
+    ]
+    total = sum(rows for _, _, rows in nodes) + (best.evaluations if best else 0)
+    return nodes, best, total
 
 
 def _node_values(g: Driver, layout: LegLayout, payoff: np.ndarray):
-    """(B, dims) legs -> (B, n_t) time-t values, under g, of the leaf payoff
-    minus the terminal wealth of the strategy entered at layout.entry."""
-    return lambda P: solve_bsde(g, payoff - layout.wealth(P), layout.market.walk).Y[layout.entry]
+    """(B, leaves) terminal wealth -> (B, n_t) time-t values, under g, of
+    the leaf payoff minus that wealth."""
+    return lambda W: solve_bsde(g, payoff - W, layout.market.walk).Y[layout.entry]
+
+
+def _hedged_quotes(sides, family, gamma, phi, stream, market, t, cfg) -> list:
+    """Hedged quotes of phi shares of the stream, entered at time t, one
+    per side, searched in one ascent."""
+    quotes = [price(side, family, gamma, phi, stream, t) for side in sides]
+    g = family.make(gamma)
+    signs = [1.0 if side == "ask" else -1.0 for side in sides]
+    layout = LegLayout(market, t)
+    values = [_node_values(g, layout, s * tail_payoff(stream, q.phi, t)) for s, q in zip(signs, quotes)]
+    nodes, _, _ = _per_node_search(layout.wealth, values, layout, cfg)
+    return [
+        HedgedQuote(
+            side=side,
+            gamma=float(gamma),
+            t=t,
+            value=merged_vals if side == "ask" else -merged_vals,
+            unhedged=quote.value,
+            strategy=layout.strategy(merged),
+            evaluations=evals,
+        )
+        for side, quote, (merged, merged_vals, evals) in zip(sides, quotes, nodes)
+    ]
 
 
 def hedged_price(
@@ -99,24 +147,7 @@ def hedged_price(
     cfg: SearchConfig = SearchConfig(),
 ) -> HedgedQuote:
     """Hedged ask/bid of phi shares of the stream, entered at time t."""
-    quote = price(side, family, gamma, phi, stream, t)
-    g = family.make(gamma)
-    sign = 1.0 if side == "ask" else -1.0
-    payoff = sign * tail_payoff(stream, quote.phi, t)
-    layout = LegLayout(market, t)
-    values = _node_values(g, layout, payoff)
-    merged, merged_vals, evals = _per_node_search(values, layout, cfg)
-    strat = layout.strategy(merged)
-    value = merged_vals if side == "ask" else -merged_vals
-    return HedgedQuote(
-        side=side,
-        gamma=float(gamma),
-        t=t,
-        value=value,
-        unhedged=quote.value,
-        strategy=strat,
-        evaluations=evals,
-    )
+    return _hedged_quotes((side,), family, gamma, phi, stream, market, t, cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -141,15 +172,22 @@ def check_ngd(
     strictly negative somewhere. Absence of good deals implies absence of
     arbitrage, so a found arbitrage alongside a NONE_FOUND verdict is
     flagged as inconsistent (a miss of the heuristic search)."""
-    tr = market.tree
     g = family.make(gamma)
     layout = LegLayout(market, t)
-    risk_values = _node_values(g, layout, np.zeros(tr.n_leaves))
-    merged, merged_vals, evals = _per_node_search(risk_values, layout, cfg)
+    risk_values = _node_values(g, layout, np.zeros(market.tree.n_leaves))
+    # the cross-check rides the risk ascent; an exhaustive one sweeps its grid
+    ride = cross_check_arbitrage and not cfg.exhaustive
+    score = wealth_score if ride else None
+    nodes, best, _ = _per_node_search(layout.wealth, [risk_values], layout, cfg, score)
+    ((merged, merged_vals, evals),) = nodes
     worst = float(np.min(merged_vals))
     found = worst < -GOOD_DEAL_TOL
     strategy = layout.strategy(merged) if found else None
-    arb = find_arbitrage(market, t, cfg) if cross_check_arbitrage else None
+    arb = None
+    if ride:
+        arb = certify(layout, best, cfg)
+    elif cross_check_arbitrage:
+        arb = find_arbitrage(market, t, cfg)
     consistent = True
     note = f"searched {evals} leg evaluations"
     if arb is not None and not found and arb.found:
@@ -186,8 +224,7 @@ def hedged_sandwich(
 ) -> SandwichReport:
     """Hedging can only improve quotes, and absent good deals the hedged
     ask still dominates the hedged bid."""
-    ha = hedged_price("ask", family, gamma, phi, stream, market, t, cfg)
-    hb = hedged_price("bid", family, gamma, phi, stream, market, t, cfg)
+    ha, hb = _hedged_quotes(("ask", "bid"), family, gamma, phi, stream, market, t, cfg)
     ask_gain = float(np.min(ha.unhedged - ha.value))
     bid_gain = float(np.min(hb.value - hb.unhedged))
     spread = float(np.min(ha.value - hb.value))

@@ -9,6 +9,13 @@ Determinism contract: artifacts depend only on the config and the seed.
 Floats are canonicalized to 12 significant digits, JSON keys are sorted,
 rows follow fixed orders, and files are written atomically, so reruns are
 byte-identical.
+
+A loaded Scenario remembers each arbitrage search result by entry and
+SearchConfig, so an arbitrage job after an ngd or arbitrage job with the
+same entry and search block reuses that job's result. The memo lives on
+the one load a run makes and is never shared between runs; under
+jobs_parallel > 1 a job that misses it searches again and gets the same
+deterministic result.
 """
 
 from __future__ import annotations
@@ -124,6 +131,9 @@ def write_csv(path: str, header, rows):
 
 @dataclass
 class Scenario:
+    """A loaded scenario. arbitrage remembers the ArbitrageSearchResult of
+    each (entry, SearchConfig) its jobs have searched, for this load only."""
+
     name: str
     seed: int
     walk: object
@@ -132,6 +142,7 @@ class Scenario:
     streams: dict
     market: Optional[MarketModel]
     jobs: list
+    arbitrage: dict
 
 
 def _required(spec: dict, key: str, where: str):
@@ -359,6 +370,7 @@ def _build_scenario(cfg: dict, seed_override: Optional[int]) -> Scenario:
         streams={"zero": _build_stream(walk.tree, "zero")},
         market=None,
         jobs=[],
+        arbitrage={},
     )
     for name, d in _typed("drivers", cfg.get("drivers", {}), dict).items():
         scn.drivers[name] = _build_driver(walk, d)
@@ -592,7 +604,9 @@ def _job_index(scn: Scenario, job: dict, path: str):
 def _job_arbitrage(scn: Scenario, job: dict, path: str):
     cfg, entry = _search(scn, job)
     expect = _choice("expect", job.get("expect"), (None, "found", "none"))
-    res = find_arbitrage(scn.market, entry, cfg)
+    res = scn.arbitrage.get((entry, cfg))
+    if res is None:
+        res = scn.arbitrage[entry, cfg] = find_arbitrage(scn.market, entry, cfg)
     payload = {
         "found": res.found,
         "best_score": res.best_score,
@@ -625,6 +639,7 @@ def _job_ngd(scn: Scenario, job: dict, path: str):
     gamma = _family_level(fam, "gamma", _required(job, "gamma", "ngd job"))
     expect = _choice("expect", job.get("expect"), (None, "GOOD_DEAL_FOUND", "NONE_FOUND"))
     rep = check_ngd(fam, gamma, scn.market, entry, cfg)
+    scn.arbitrage.setdefault((entry, cfg), rep.arbitrage)
     write_json(
         path,
         {

@@ -7,15 +7,21 @@ bank leg, and to their terminal wealth, so every objective is built as
 legs -> strategy -> value.
 
 ascend is the one seeded multi-start coordinate ascent over shrinking
-grids that arbitrage and hedging share. Its starts move in lockstep, so
-one objective call scores the candidate sets of every active start at
-once. maximize keeps the best start's final point; hedging merges the
-starts' finals node by node instead. exhaustive_grid sweeps the full
-product grid of a small instance whose wealth is a sum over column groups,
-in chunks built by broadcasting the group terms. Both batchings are bit
-for bit the same as scoring one start, or one row, at a time whenever the
-objective scores each row on its own: every row gets the same score, so
-every accepted move and chosen row is the same.
+grids that arbitrage and hedging share. It runs several objectives in
+lockstep over one row-wise map, such as LegLayout.wealth: the starts are
+drawn once, and one map call per coordinate step covers the candidate sets
+of every active start of every objective; the rows are then split back, so
+each objective scores only its own. Each objective keeps its own points,
+moves and idle starts, because its winners are its own: a row's map value
+does not depend on the objective that asked for it, but its score does.
+maximize is the one-objective case and keeps the best start's final
+point; hedging merges the starts' finals node by node instead.
+exhaustive_grid sweeps the full product grid of a small instance whose
+wealth is a sum over column groups, in chunks built by broadcasting the
+group terms. All these batchings are bit for bit the same as scoring one
+start, or one row, at a time whenever the map and the objectives treat
+each row on its own: every row gets the same score, so every accepted
+move and chosen row is the same.
 
 Every dimension touches exactly one subtree of the evaluation root, so
 objectives that decompose across level-t nodes can merge per-node winners
@@ -147,71 +153,96 @@ class SearchOutcome:
     score: float
     evaluations: int
 
+    @classmethod
+    def best(cls, finals, evaluations: int) -> "SearchOutcome":
+        """The best of an ascent's finals; ties resolve to the earlier start
+        so reruns with one seed are bit-identical."""
+        best_p, best_s = None, -np.inf
+        for p, s in finals:
+            if s > best_s:
+                best_p, best_s = p, s
+        return cls(params=best_p, score=best_s, evaluations=evaluations)
+
 
 def ascend(
-    score: Callable[[np.ndarray], np.ndarray],
+    wealth: Callable[[np.ndarray], np.ndarray],
+    objectives: Sequence[Callable[[np.ndarray], np.ndarray]],
     dims: int,
     cfg: SearchConfig,
     bound: float,
-):
-    """Seeded multi-start coordinate ascent on [0, bound]^dims.
+) -> list:
+    """Seeded multi-start coordinate ascents on [0, bound]^dims, one per
+    objective, over one shared map.
 
-    score maps a (B, dims) batch to (B,) scores. Each start sweeps the
-    coordinates over a grid around its current point, keeping a move only
-    when it beats its current score by more than 1e-13, and the grid span
-    halves every refinement round. The zero vector is always the first
-    start. Returns each start's final (params, score), in start order, and
-    the number of rows scored.
+    wealth maps a (B, dims) batch to B rows, and each objective maps such
+    rows to (B,) scores. Each start sweeps the coordinates over a grid
+    around its current point, keeping a move only when it beats its current
+    score by more than 1e-13, and the grid span halves every refinement
+    round. The starts are drawn once and shared by every objective; the
+    zero vector is always the first. Returns, per objective, each start's
+    final (params, score), in start order, and the number of rows scored.
 
-    The starts run in lockstep through one (round, sweep, coordinate)
-    schedule. Each start's first score is its own call; after that, every
-    coordinate step stacks the candidate batches of the active starts into
-    one score call and splits the scores back per start. A start with no
-    accepted move in a sweep is idle for the rest of that round, as if it
-    stopped sweeping. Each start still builds its own candidates and takes
-    its own argmax over its own rows, so a row-wise score gives every
-    start the moves, finals and evaluation count it would have alone.
+    The starts of every objective run in lockstep through one (round,
+    sweep, coordinate) schedule. Each start's first row is its own map
+    call, scored by every objective; after that, every coordinate step
+    stacks the candidate batches of every objective's active starts into
+    one map call and splits the rows back, one objective call per objective
+    with active starts. A start with no accepted move in a sweep is idle
+    for the rest of that round, as if it stopped sweeping, so objectives go
+    idle independently. Each objective still builds its own candidates from
+    its own points and takes its own argmax over its own rows: a row-wise
+    map and score give every objective the moves, finals and row count of
+    its own ascent, and every start those of its own loop.
     """
     rng = np.random.default_rng(cfg.seed)
     base_grid = np.linspace(0.0, bound, cfg.grid_points)
-    points = [np.zeros(dims)]
+    starts = [np.zeros(dims)]
     for _ in range(max(cfg.multi_starts - 1, 0)):
         raw = rng.choice(base_grid, size=dims)
         mask = rng.random(dims) < 0.35
-        points.append(raw * mask)
-    values = [float(score(p[None, :])[0]) for p in points]
-    evals = len(points)
+        starts.append(raw * mask)
+    first = [wealth(p[None, :]) for p in starts]
+    points = [list(starts) for _ in objectives]
+    values = [[float(score(w)[0]) for w in first] for score in objectives]
+    evals = [len(starts)] * len(objectives)
     span = bound
     for _ in range(cfg.refine_rounds):
-        active = range(len(points))
+        active = [range(len(starts))] * len(objectives)
         for _ in range(cfg.sweeps):
-            improved = set()
+            improved = [set() for _ in objectives]
             for d in range(dims):
-                cands = []
-                for i in active:
-                    cand = np.clip(
-                        np.linspace(points[i][d] - span, points[i][d] + span, cfg.grid_points),
-                        0.0,
-                        bound,
-                    )
-                    cands.append(np.unique(np.concatenate([cand, [0.0, points[i][d]]])))
+                owners, cands = [], []
+                for o, ids in enumerate(active):
+                    for i in ids:
+                        x = points[o][i][d]
+                        cand = np.clip(np.linspace(x - span, x + span, cfg.grid_points), 0.0, bound)
+                        owners.append((o, i))
+                        cands.append(np.unique(np.concatenate([cand, [0.0, x]])))
                 sizes = [c.size for c in cands]
-                batch = np.repeat(np.stack([points[i] for i in active]), sizes, axis=0)
+                batch = np.repeat(np.stack([points[o][i] for o, i in owners]), sizes, axis=0)
                 batch[:, d] = np.concatenate(cands)
-                scores = np.asarray(score(batch), dtype=float)
-                evals += batch.shape[0]
-                lo = 0
-                for i, size in zip(active, sizes):
-                    k = lo + int(np.argmax(scores[lo : lo + size]))
-                    if scores[k] > values[i] + 1e-13:
-                        points[i], values[i] = batch[k].copy(), float(scores[k])
-                        improved.add(i)
-                    lo += size
-            active = sorted(improved)
-            if not active:
+                rows = wealth(batch)
+                lo = k = 0
+                for o, ids in enumerate(active):
+                    if not ids:
+                        continue
+                    own = sizes[k : k + len(ids)]
+                    n = sum(own)
+                    scores = np.asarray(objectives[o](rows[lo : lo + n]), dtype=float)
+                    evals[o] += n
+                    at = 0
+                    for i, size in zip(ids, own):
+                        j = at + int(np.argmax(scores[at : at + size]))
+                        if scores[j] > values[o][i] + 1e-13:
+                            points[o][i], values[o][i] = batch[lo + j].copy(), float(scores[j])
+                            improved[o].add(i)
+                        at += size
+                    lo, k = lo + n, k + len(ids)
+            active = [sorted(ids) for ids in improved]
+            if not any(active):
                 break
         span *= 0.5
-    return list(zip(points, values)), evals
+    return [(list(zip(points[o], values[o])), evals[o]) for o in range(len(objectives))]
 
 
 def maximize(
@@ -220,14 +251,10 @@ def maximize(
     cfg: SearchConfig,
     bound: float,
 ) -> SearchOutcome:
-    """Best final point of ascend; ties resolve to the earlier start so
-    reruns with one seed are bit-identical."""
-    finals, evals = ascend(evaluate, dims, cfg, bound)
-    best_p, best_s = None, -np.inf
-    for p, s in finals:
-        if s > best_s:
-            best_p, best_s = p, s
-    return SearchOutcome(params=best_p, score=best_s, evaluations=evals)
+    """Best final point of the one-objective ascend of evaluate, which maps
+    a (B, dims) batch to (B,) scores."""
+    ((finals, evals),) = ascend(evaluate, [lambda scores: scores], dims, cfg, bound)
+    return SearchOutcome.best(finals, evals)
 
 
 def exhaustive_grid(

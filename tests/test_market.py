@@ -461,6 +461,34 @@ def test_rebalancing_cost_quotes_each_side_once_per_security_and_date(name):
         assert [(s.op_ask.calls, s.op_bid.calls) for s in secs] == [(t + 1, t + 1)] * len(secs)
 
 
+@pytest.mark.parametrize("entry", [0, 1])
+@pytest.mark.parametrize("name", list(LEDGER_MARKETS))
+def test_ledger_wealth_of_a_stacked_batch_is_each_rows_own(name, entry):
+    """LegLayout.wealth treats every row on its own: the wealth of each row
+    of a stacked batch equals that row's wealth alone, bit for bit and sign
+    bit for sign bit. All-zero rows stack beside nonzero ones, so the
+    conic operator's all-zero skip, which a zero row alone takes, no
+    longer fires for them in the batch; rows holding one leg group alone
+    and rows zero at one date mix in too."""
+    market = LEDGER_MARKETS[name]()
+    layout = LegLayout(market, entry)
+    rng = np.random.default_rng(17 + entry)
+    bound = layout.bound(SearchConfig())
+    full = rng.uniform(0.0, bound, (6, layout.dims))
+    sparse = full * (rng.random(full.shape) < 0.35)
+    ends = np.cumsum(layout.group_widths)
+    one_group = np.zeros((len(ends), layout.dims))
+    for k, (lo, hi) in enumerate(zip(ends - layout.group_widths, ends)):
+        one_group[k, lo:hi] = full[k % len(full), lo:hi]
+    zero = np.zeros((1, layout.dims))
+    rows = np.concatenate([zero, full[:3], zero, sparse, one_group, zero, full[3:]])
+    stacked = layout.wealth(rows)
+    for row, got in zip(rows, stacked):
+        alone = layout.wealth(row[None, :])[0]
+        assert np.array_equal(got, alone), (name, entry, row)
+        assert np.array_equal(np.signbit(got), np.signbit(alone)), (name, entry, row)
+
+
 def test_rebalancing_cost_is_refused_off_the_rebalance_dates():
     """Rebalancing is decided at t = 0..T-1: everything is liquidated at
     the horizon, and no date precedes 0."""

@@ -1,7 +1,9 @@
 """Scenario runner: canonical artifacts, job statuses, and the CLI."""
 
+import importlib
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -614,3 +616,80 @@ def test_coherent_levels_past_the_driver_range_are_config_errors(tmp_path, capsy
         job = {"type": jtype, "family": "coherent", "gamma": 1e16, "stream": "payout", "search": LIGHT_SEARCH}
         assert run([job], f"{jtype}_1e16") == 2
     capsys.readouterr()
+
+
+def _counted_searches(monkeypatch):
+    """Count the arbitrage searches: each one, riding a good-deal ascent or
+    run by find_arbitrage, re-validates its best strategy exactly once."""
+    arbitrage = importlib.import_module("conicfin.arbitrage")
+    calls = []
+    validate = arbitrage.validate_certificate
+
+    def counted(*args):
+        calls.append(args[2])
+        return validate(*args)
+
+    monkeypatch.setattr(arbitrage, "validate_certificate", counted)
+    return calls
+
+
+def test_an_arbitrage_job_reuses_the_search_of_its_scenario(tmp_path, monkeypatch):
+    """Within one run, an arbitrage job after an ngd or arbitrage job with
+    the same entry and search block reuses that job's arbitrage search, and
+    writes the bytes of the arbitrage job run alone; another entry or
+    search block shares nothing, and nothing is shared across runs."""
+    calls = _counted_searches(monkeypatch)
+    ngd = {"type": "ngd", "family": "ent", "gamma": 2.0, "search": LIGHT_SEARCH}
+    arb = {"type": "arbitrage", "search": LIGHT_SEARCH}
+
+    def run(name, *jobs):
+        calls.clear()
+        run_scenario({**conic_cfg(), "jobs": list(jobs)}, str(tmp_path / name))
+        return len(calls)
+
+    assert run("alone", arb) == 1
+    assert run("ngd_then_arb", ngd, arb) == 1
+    assert run("arb_twice", arb, dict(arb, out="again.json")) == 1
+    alone = (tmp_path / "alone" / "job0_arbitrage.json").read_bytes()
+    assert (tmp_path / "ngd_then_arb" / "job1_arbitrage.json").read_bytes() == alone
+    assert (tmp_path / "arb_twice" / "again.json").read_bytes() == alone
+    assert run("other_entry", ngd, dict(arb, entry=1)) == 2
+    assert run("other_search", ngd, dict(arb, search={**LIGHT_SEARCH, "sweeps": 1})) == 2
+    cfg = {**conic_cfg(), "jobs": [ngd, arb]}
+    calls.clear()
+    run_scenario(cfg, str(tmp_path / "first"))
+    run_scenario(cfg, str(tmp_path / "second"))
+    assert len(calls) == 2
+    assert read_tree_bytes(tmp_path / "first") == read_tree_bytes(tmp_path / "ngd_then_arb")
+    assert read_tree_bytes(tmp_path / "second") == read_tree_bytes(tmp_path / "ngd_then_arb")
+
+
+def test_cli_jobs_two_writes_the_bytes_of_jobs_one(tmp_path, capsys):
+    """Under --jobs 2 the ngd and arbitrage jobs may run at once and both
+    search; the artifacts are the bytes of the sequential run."""
+    cfg = conic_cfg()
+    cfg["jobs"] = [cfg["jobs"][1], cfg["jobs"][0], *cfg["jobs"][1:]]
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(cfg))
+    for jobs in ("1", "2"):
+        assert main(["run", str(path), "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
+    capsys.readouterr()
+    assert read_tree_bytes(tmp_path / "1") == read_tree_bytes(tmp_path / "2")
+
+
+def test_the_search_memo_under_more_threads_than_cores(tmp_path):
+    """Four job threads, switching every few microseconds, read and fill one
+    load's memo at once: every artifact holds the bytes of the sequential run."""
+    ngd = {"type": "ngd", "family": "ent", "gamma": 2.0, "search": LIGHT_SEARCH}
+    arb = {"type": "arbitrage", "search": LIGHT_SEARCH}
+    again = [dict(arb, out="a.json"), dict(arb, entry=1, out="b.json")]
+    jobs = [ngd, arb, dict(arb, entry=1), dict(ngd, entry=1), *again]
+    cfg = {**conic_cfg(), "jobs": jobs}
+    run_scenario(cfg, str(tmp_path / "seq"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_scenario(cfg, str(tmp_path / "par"), jobs_parallel=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert read_tree_bytes(tmp_path / "par") == read_tree_bytes(tmp_path / "seq")

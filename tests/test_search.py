@@ -118,6 +118,11 @@ def test_maximize_always_tries_the_zero_strategy():
     assert np.array_equal(out.params, np.zeros(4))
 
 
+def _rows(params):
+    """The identity map: objectives score the parameter rows themselves."""
+    return params
+
+
 def test_ascend_returns_one_final_per_start_and_counts_scored_rows():
     target = np.array([0.7, 0.1])
     seen = []
@@ -127,7 +132,7 @@ def test_ascend_returns_one_final_per_start_and_counts_scored_rows():
         return -np.sum(np.abs(params - target), axis=-1)
 
     cfg = SearchConfig(grid_points=11, multi_starts=5, sweeps=2, refine_rounds=2, seed=4)
-    finals, evals = ascend(score, dims=2, cfg=cfg, bound=1.0)
+    ((finals, evals),) = ascend(_rows, [score], dims=2, cfg=cfg, bound=1.0)
     assert len(finals) == cfg.multi_starts
     assert evals == sum(rows.shape[0] for rows in seen)
     assert np.array_equal(seen[0], np.zeros((1, 2)))
@@ -177,7 +182,7 @@ def test_lockstep_ascend_matches_the_sequential_per_start_ascent(data):
     )
     bound = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
     score = _rugged_objective(data.draw, dims)
-    finals, evals = ascend(score, dims, cfg, bound)
+    ((finals, evals),) = ascend(_rows, [score], dims, cfg, bound)
     want, want_evals = oracles.sequential_ascend(score, dims, cfg, bound)
     assert evals == want_evals
     assert len(finals) == len(want)
@@ -198,7 +203,7 @@ def test_lockstep_ascend_scores_several_starts_in_one_call():
         return -np.sum(np.abs(params - target), axis=-1)
 
     cfg = SearchConfig(grid_points=5, multi_starts=4, sweeps=2, refine_rounds=3, seed=2)
-    ascend(score, dims=3, cfg=cfg, bound=1.0)
+    ascend(_rows, [score], dims=3, cfg=cfg, bound=1.0)
     lockstep = list(calls)
     calls.clear()
     oracles.sequential_ascend(score, 3, cfg, 1.0)
@@ -206,6 +211,112 @@ def test_lockstep_ascend_scores_several_starts_in_one_call():
     assert max(lockstep) > cfg.grid_points + 2
     assert len(lockstep) < len(calls)
     assert sum(lockstep) == sum(calls)
+
+
+def _shared_map(draw, dims):
+    """A row-wise map from (B, dims) legs to (B, 2 * dims) rows: each
+    column shifted and folded, beside its square, by exact elementwise ops."""
+    shift = draw(st.lists(st.floats(0.0, 1.0), min_size=dims, max_size=dims))
+    return lambda P: np.concatenate([np.abs(P - shift), P * P], axis=-1)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ascend_gives_each_objective_its_own_ascent_over_one_map(data):
+    """One to three rugged objectives, some flat (idle after their first
+    sweep of each round), over one shared map: every objective gets the
+    finals, scores and row count that the sequential ascent gives it alone,
+    and one map call per coordinate step covers every active objective."""
+    dims = data.draw(st.integers(1, 4))
+    cfg = SearchConfig(
+        grid_points=data.draw(st.integers(1, 21)),
+        multi_starts=data.draw(st.integers(1, 6)),
+        sweeps=data.draw(st.integers(1, 4)),
+        refine_rounds=data.draw(st.integers(1, 4)),
+        seed=data.draw(st.integers(0, 2**32 - 1)),
+    )
+    bound = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+    shared = _shared_map(data.draw, dims)
+    objectives = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            objectives.append(_rugged_objective(data.draw, 2 * dims))
+        else:
+            objectives.append(lambda W: np.zeros(W.shape[0]))
+    log = []
+
+    def wealth(P):
+        log.append(("map", P.shape[0]))
+        return shared(P)
+
+    def logged(o):
+        def score(W):
+            log.append((o, W.shape[0]))
+            return objectives[o](W)
+
+        return score
+
+    runs = ascend(wealth, [logged(o) for o in range(len(objectives))], dims, cfg, bound)
+    assert len(runs) == len(objectives)
+    for objective, (finals, evals) in zip(objectives, runs):
+        want, want_evals = oracles.sequential_ascend(lambda P: objective(shared(P)), dims, cfg, bound)
+        assert evals == want_evals
+        assert len(finals) == len(want)
+        for (p, s), (q, r) in zip(finals, want):
+            assert np.array_equal(p, q)
+            assert s == r
+    # each start's first row is its own map call, scored by every objective
+    starts = cfg.multi_starts
+    first = len(objectives) * starts
+    assert log[:starts] == [("map", 1)] * starts
+    assert log[starts : starts + first] == [(o, 1) for o in range(len(objectives)) for _ in range(starts)]
+    # then each coordinate step's map call is followed by one call per
+    # objective with active starts, in objective order, whose rows add up
+    # to the map call's
+    steps = log[starts + first :]
+    calls = [i for i, event in enumerate(steps) if event[0] == "map"] + [len(steps)]
+    assert calls[0] == 0
+    for at, nxt in zip(calls, calls[1:]):
+        owners = [o for o, _ in steps[at + 1 : nxt]]
+        assert owners == sorted(set(owners)) and owners
+        assert sum(n for _, n in steps[at + 1 : nxt]) == steps[at][1]
+
+
+def test_objectives_that_go_idle_leave_the_shared_map_calls():
+    """A flat objective accepts no move, so each round it goes idle after
+    its first sweep while a tilted one keeps sweeping: the later map calls
+    hold the tilted objective's rows alone, and the steps they share hold
+    both objectives' rows in one call."""
+    flat = lambda W: np.zeros(W.shape[0])
+    tilted = lambda W: -np.sum(np.abs(W - np.array([0.7, 0.1])), axis=-1)
+    cfg = SearchConfig(grid_points=5, multi_starts=2, sweeps=3, refine_rounds=2, seed=5)
+    maps, scored = [], []
+
+    def wealth(P):
+        maps.append(P.shape[0])
+        return P
+
+    def logged(name, objective):
+        def score(W):
+            scored.append((len(maps), name, W.shape[0]))
+            return objective(W)
+
+        return score
+
+    runs = ascend(wealth, [logged("flat", flat), logged("tilted", tilted)], 2, cfg, 1.0)
+    (_, flat_evals), (_, tilted_evals) = runs
+    assert tilted_evals > flat_evals
+    alone = [ascend(_rows, [objective], 2, cfg, 1.0)[0][1] for objective in (flat, tilted)]
+    assert [flat_evals, tilted_evals] == alone
+    assert maps[: cfg.multi_starts] == [1] * cfg.multi_starts
+    by_call = {}
+    for call, name, rows in scored[2 * cfg.multi_starts :]:
+        by_call.setdefault(call, []).append(name)
+    assert sorted(by_call) == list(range(cfg.multi_starts + 1, len(maps) + 1))
+    shared = [call for call, names in by_call.items() if names == ["flat", "tilted"]]
+    solo = [call for call, names in by_call.items() if names == ["tilted"]]
+    assert len(shared) + len(solo) == len(by_call)
+    assert shared and solo and max(shared) > min(solo)
 
 
 def _group_wealths(layout, rows):
