@@ -4,6 +4,9 @@ A scenario file declares one tree and martingale, named drivers, families,
 and dividend streams, optionally a market of securities, and a list of
 jobs. Jobs write their artifacts (CSV tables, JSON reports) under the
 output directory and contribute one pass/warn/fail line to summary.json.
+load_scenario checks every value, each job's included, and resolves every
+name before it returns, so a malformed config raises ScenarioError before
+anything is written; a job's run only computes, writes and reports.
 
 Determinism contract: artifacts depend only on the config and the seed.
 Floats are canonicalized to 12 significant digits, JSON keys are sorted,
@@ -35,11 +38,10 @@ import numpy as np
 
 from .arbitrage import find_arbitrage
 from .bsde import diagnose_solution, solve_bsde
-from .drivers import DriverError, builtin_driver, builtin_family, is_regular, validate_family
+from .drivers import builtin_driver, builtin_family, is_regular, validate_family
 from .hedging import check_ngd, hedged_sandwich
 from .market import (
     DirectOperator,
-    MarketError,
     MarketModel,
     OrderBookOperator,
     Security,
@@ -131,8 +133,8 @@ def write_csv(path: str, header, rows):
 
 @dataclass
 class Scenario:
-    """A loaded scenario. arbitrage remembers the ArbitrageSearchResult of
-    each (entry, SearchConfig) its jobs have searched, for this load only."""
+    """A loaded scenario. jobs holds each job's (type, run, artifact name);
+    arbitrage remembers each (entry, SearchConfig) search result, this load only."""
 
     name: str
     seed: int
@@ -201,12 +203,9 @@ def _number(key: str, value, positive: bool = False) -> float:
 def _family_level(fam, key: str, value) -> float:
     """A positive finite level that the family itself accepts, so a level
     its driver would refuse (a coherent level whose x/(x+1) rounds to 1) is
-    a config error."""
+    a config error: load_scenario turns the DriverError into one."""
     x = _number(key, value, positive=True)
-    try:
-        fam.make(x)
-    except DriverError as exc:
-        raise ScenarioError(f"{key} {value!r} is out of range for the {fam.kind} family: {exc}") from exc
+    fam.make(x)
     return x
 
 
@@ -336,9 +335,9 @@ def _job(job, market: Optional[MarketModel]) -> dict:
     """A job object of a known type with known keys; a market job needs a market."""
     job = _typed("job", job, dict)
     jtype = job.get("type")
-    if jtype not in _JOB_RUNNERS:
+    if jtype not in _JOB_TYPES:
         raise ScenarioError(f"unknown job type {jtype!r}")
-    _known_keys(f"{jtype} job", job, ("type", "out", *_JOB_RUNNERS[jtype][2]))
+    _known_keys(f"{jtype} job", job, ("type", "out", *_JOB_TYPES[jtype][2]))
     if market is None and jtype in _MARKET_JOBS:
         raise ScenarioError(f"{jtype} job needs securities")
     return job
@@ -383,7 +382,9 @@ def _build_scenario(cfg: dict, seed_override: Optional[int]) -> Scenario:
         raise ScenarioError(f"security ids must be unique, got {[sec.sid for sec in secs]}")
     if secs:
         scn.market = MarketModel(walk=walk, securities=tuple(secs), name=scn.name)
-    scn.jobs = [_job(j, scn.market) for j in _typed("jobs", cfg.get("jobs", []), list)]
+    jobs = [_job(j, scn.market) for j in _typed("jobs", cfg.get("jobs", []), list)]
+    names = _artifact_names(jobs)
+    scn.jobs = [(j["type"], _JOB_TYPES[j["type"]][0](scn, j), name) for j, name in zip(jobs, names)]
     return scn
 
 
@@ -420,20 +421,14 @@ def _build_driver(walk, spec):
         for t, entry in enumerate(v if isinstance(v, (list, tuple)) else [v]):
             if not (t == 0 and entry is None):
                 _numbers(f"driver {k}", entry)
-    try:
-        return builtin_driver(kind, walk, **params)
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"cannot build driver {spec!r}: {exc}") from exc
+    return builtin_driver(kind, walk, **params)
 
 
 def _build_family(walk, spec):
     """A family from its {"kind": ...} spec, which takes no other key."""
     if not isinstance(spec, dict) or set(spec) != {"kind"}:
         raise ScenarioError(f"a family spec is {{'kind': ...}} and nothing else, got {spec!r}")
-    try:
-        return builtin_family(spec["kind"], walk)
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"cannot build family {spec!r}: {exc}") from exc
+    return builtin_family(spec["kind"], walk)
 
 
 def _resolve_driver(scn: Scenario, spec):
@@ -458,39 +453,40 @@ def _resolve_stream(scn: Scenario, name) -> AdaptedProcess:
     return scn.streams[name]
 
 
-def _job_solve(scn: Scenario, job: dict, path: str):
+def _job_solve(scn: Scenario, job: dict):
     g = _resolve_driver(scn, _required(job, "driver", "solve job"))
     tr = scn.walk.tree
     term = _required(job, "terminal", "solve job")
-    if isinstance(term, dict):
-        terminal = _resolve_stream(scn, _required(term, "stream", "terminal")).future_sum(0)
-    else:
+    stream = _resolve_stream(scn, _required(term, "stream", "terminal")) if isinstance(term, dict) else None
+    if stream is None:
         terminal = np.asarray(_numbers("terminal", term), dtype=float)
         if terminal.shape != (tr.n_leaves,) or not np.all(np.isfinite(terminal)):
             raise ScenarioError(f"terminal must hold {tr.n_leaves} finite numbers, one per leaf")
-    sol = solve_bsde(g, terminal, scn.walk)
-    diag = diagnose_solution(sol, g, scn.walk)
-    rows = []
-    for t in range(tr.horizon + 1):
-        n = tr.n_nodes(t)
-        if t == 0:
-            z = repeat("", n)
-        else:
-            # Z[t] sits on the parents' slots: format it once per parent.
-            z = map([_FMT_FLOAT(x) for x in sol.Z[t].tolist()].__getitem__, tr.parent[t].tolist())
-        y = map(_FMT_FLOAT, sol.Y[t].tolist())
-        m = map(_FMT_FLOAT, sol.M[t].tolist())
-        rows.extend(zip(repeat(str(t)), map(str, range(n)), y, z, m))
-    _write_rows(path, ("t", "node", "Y", "Z", "M"), rows)
-    ok = diag.bsde_residual <= 1e-10 and diag.orthogonality_residual <= 1e-10
-    return ("pass" if ok else "fail"), {
-        "residual": diag.bsde_residual,
-        "orthogonality": diag.orthogonality_residual,
-        "remainder_sup": diag.remainder_sup,
-    }
+    def run(path):
+        sol = solve_bsde(g, terminal if stream is None else stream.future_sum(0), scn.walk)
+        diag = diagnose_solution(sol, g, scn.walk)
+        rows = []
+        for t in range(tr.horizon + 1):
+            n = tr.n_nodes(t)
+            if t == 0:
+                z = repeat("", n)
+            else:
+                # Z[t] sits on the parents' slots: format it once per parent.
+                z = map([_FMT_FLOAT(x) for x in sol.Z[t].tolist()].__getitem__, tr.parent[t].tolist())
+            y = map(_FMT_FLOAT, sol.Y[t].tolist())
+            m = map(_FMT_FLOAT, sol.M[t].tolist())
+            rows.extend(zip(repeat(str(t)), map(str, range(n)), y, z, m))
+        _write_rows(path, ("t", "node", "Y", "Z", "M"), rows)
+        ok = diag.bsde_residual <= 1e-10 and diag.orthogonality_residual <= 1e-10
+        return ("pass" if ok else "fail"), {
+            "residual": diag.bsde_residual,
+            "orthogonality": diag.orthogonality_residual,
+            "remainder_sup": diag.remainder_sup,
+        }
+    return run
 
 
-def _job_price_table(scn: Scenario, job: dict, path: str):
+def _job_price_table(scn: Scenario, job: dict):
     fam = _resolve_family(scn, _required(job, "family", "price_table job"))
     stream = _resolve_stream(scn, _required(job, "stream", "price_table job"))
     tr = scn.walk.tree
@@ -507,181 +503,188 @@ def _job_price_table(scn: Scenario, job: dict, path: str):
     sides = [_choice("sides", side, ("ask", "bid")) for side in sides]
     if not sides:
         raise ScenarioError("sides must list 'ask' and/or 'bid'")
-    rows = []
-    table = {}  # (t, gamma, side) -> quote value
-    worst_cross = 0.0
-    for t in times:
-        for gamma in gammas:
-            for side in sides:
-                value = table[t, gamma, side] = price(side, fam, gamma, phi, stream, t).value
-                cells = (side, _FMT_FLOAT(gamma), fam.kind, _FMT_FLOAT(phi))
-                for v, x in enumerate(map(_FMT_FLOAT, value.tolist())):
-                    rows.append((str(t), str(v), *cells, x))
-            if "ask" in sides and "bid" in sides:
-                worst_cross = max(worst_cross, float(np.max(table[t, gamma, "bid"] - table[t, gamma, "ask"])))
-    _write_rows(path, ("t", "node", "side", "gamma", "family", "phi", "value"), rows)
-    nested = [time_consistency_check(s, fam, g, stream) for s in sides for g in gammas]
-    worst_nest = max(n.worst_residual for n in nested)
+    def run(path):
+        rows = []
+        table = {}  # (t, gamma, side) -> quote value
+        worst_cross = 0.0
+        for t in times:
+            for gamma in gammas:
+                for side in sides:
+                    value = table[t, gamma, side] = price(side, fam, gamma, phi, stream, t).value
+                    cells = (side, _FMT_FLOAT(gamma), fam.kind, _FMT_FLOAT(phi))
+                    for v, x in enumerate(map(_FMT_FLOAT, value.tolist())):
+                        rows.append((str(t), str(v), *cells, x))
+                if "ask" in sides and "bid" in sides:
+                    worst_cross = max(worst_cross, float(np.max(table[t, gamma, "bid"] - table[t, gamma, "ask"])))
+        _write_rows(path, ("t", "node", "side", "gamma", "family", "phi", "value"), rows)
+        nested = [time_consistency_check(s, fam, g, stream) for s in sides for g in gammas]
+        worst_nest = max(n.worst_residual for n in nested)
 
-    def unit_quote(side, g):
-        """The time-times[0] quote of one share, from the table when phi is 1."""
-        if phi == 1.0 and (times[0], g, side) in table:
-            return table[times[0], g, side]
-        return price(side, fam, g, 1.0, stream, times[0]).value
+        def unit_quote(side, g):
+            """The time-times[0] quote of one share, from the table when phi is 1."""
+            if phi == 1.0 and (times[0], g, side) in table:
+                return table[times[0], g, side]
+            return price(side, fam, g, 1.0, stream, times[0]).value
 
-    levels = sorted(gammas)
-    _, ask_ok, bid_ok = _level_gaps(
-        [unit_quote("ask", g) for g in levels], [unit_quote("bid", g) for g in levels], PRICE_TOL
-    )
-    level_monotone = ask_ok and bid_ok
-    ok = worst_cross <= 1e-9 and worst_nest <= 1e-9 and level_monotone
-    return ("pass" if ok else "fail"), {
-        "worst_bid_minus_ask": worst_cross,
-        "worst_nesting_residual": worst_nest,
-        "level_monotone": level_monotone,
-    }
-
-
-def _job_axioms(scn: Scenario, job: dict, path: str):
-    target = job.get("target")
-    if target == "dcrm":
-        g = _resolve_driver(scn, _required(job, "driver", "dcrm job"))
-        rep = check_dcrm_axioms(g, seed=scn.seed)
-        payload = {r.name: {"passed": r.passed, "worst": r.worst} for r in rep.results}
-        ok = rep.passed
-    elif target == "dai":
-        fam = _resolve_family(scn, _required(job, "family", "dai job"))
-        expect_si = job.get("expect_scale_invariance", fam.positive_homogeneous)
-        expect_si = _boolean("expect_scale_invariance", expect_si)
-        rep = check_dai_axioms(fam, seed=scn.seed)
-        payload = {r.name: {"passed": r.passed, "worst": r.worst} for r in rep.results}
-        ok = rep.passed and rep["scale_invariance"].passed == expect_si
-    elif target == "family":
-        rep = validate_family(_resolve_family(scn, _required(job, "family", "family job")))
-        payload = {
-            "monotone_in_level": rep.monotone_in_level,
-            "each_level_convex": rep.each_level_convex,
-            "each_level_regular": rep.each_level_regular,
-            "left_continuous": rep.left_continuous,
+        levels = sorted(gammas)
+        _, ask_ok, bid_ok = _level_gaps(
+            [unit_quote("ask", g) for g in levels], [unit_quote("bid", g) for g in levels], PRICE_TOL
+        )
+        level_monotone = ask_ok and bid_ok
+        ok = worst_cross <= 1e-9 and worst_nest <= 1e-9 and level_monotone
+        return ("pass" if ok else "fail"), {
+            "worst_bid_minus_ask": worst_cross,
+            "worst_nesting_residual": worst_nest,
+            "level_monotone": level_monotone,
         }
-        ok = rep.passed
-    elif target == "regularity":
-        g = _resolve_driver(scn, _required(job, "driver", "regularity job"))
-        expect = _boolean("expect_regular", job.get("expect_regular", True))
-        rep = is_regular(g)
-        payload = {"regular": rep.regular, "margin": rep.margin, "reason": rep.reason}
-        ok = rep.regular == expect
+    return run
+
+
+def _job_axioms(scn: Scenario, job: dict):
+    target = _choice("target", job.get("target"), ("dcrm", "dai", "family", "regularity"))
+    if target in ("dcrm", "regularity"):
+        g = _resolve_driver(scn, _required(job, "driver", f"{target} job"))
     else:
-        raise ScenarioError(f"unknown axioms target {target!r}")
-    write_json(path, payload)
-    return ("pass" if ok else "fail"), {"target": target}
+        fam = _resolve_family(scn, _required(job, "family", f"{target} job"))
+    if target == "dai":
+        expect = _boolean("expect_scale_invariance", job.get("expect_scale_invariance", fam.positive_homogeneous))
+    elif target == "regularity":
+        expect = _boolean("expect_regular", job.get("expect_regular", True))
+    def run(path):
+        if target == "dcrm":
+            rep = check_dcrm_axioms(g, seed=scn.seed)
+            payload = {r.name: {"passed": r.passed, "worst": r.worst} for r in rep.results}
+            ok = rep.passed
+        elif target == "dai":
+            rep = check_dai_axioms(fam, seed=scn.seed)
+            payload = {r.name: {"passed": r.passed, "worst": r.worst} for r in rep.results}
+            ok = rep.passed and rep["scale_invariance"].passed == expect
+        elif target == "family":
+            rep = validate_family(fam)
+            payload = {
+                "monotone_in_level": rep.monotone_in_level,
+                "each_level_convex": rep.each_level_convex,
+                "each_level_regular": rep.each_level_regular,
+                "left_continuous": rep.left_continuous,
+            }
+            ok = rep.passed
+        else:
+            rep = is_regular(g)
+            payload = {"regular": rep.regular, "margin": rep.margin, "reason": rep.reason}
+            ok = rep.regular == expect
+        write_json(path, payload)
+        return ("pass" if ok else "fail"), {"target": target}
+    return run
 
 
-def _job_index(scn: Scenario, job: dict, path: str):
+def _job_index(scn: Scenario, job: dict):
     fam = _resolve_family(scn, _required(job, "family", "index job"))
     stream = _resolve_stream(scn, _required(job, "stream", "index job"))
     t = _integer("time", job.get("time", 0), 0, scn.walk.tree.horizon)
     n = scn.walk.tree.n_nodes(t)
+    want = None
     if "expect" in job:
         want = _typed("expect", job["expect"], list)
         if len(want) != n:
             raise ScenarioError(f"expect must list {n} values, got {len(want)}")
         # an unbounded index is +inf, or the "inf" string the index artifact writes
         want = np.array([math.inf if w in ("inf", math.inf) else _number("expect", w) for w in want])
-        tol = _number("tol", job.get("tol", 1e-6))
-    alpha = acceptability_index(fam, stream, t)
-    write_json(path, {"time": t, "alpha": alpha})
-    ok = True
-    if "expect" in job:
         finite = np.isfinite(want)
-        ok = bool(
-            np.all(np.abs(alpha[finite] - want[finite]) <= tol)
-            and np.all(np.isinf(alpha[~finite]))
+        tol = _number("tol", job.get("tol", 1e-6))
+    def run(path):
+        alpha = acceptability_index(fam, stream, t)
+        write_json(path, {"time": t, "alpha": alpha})
+        ok = want is None or bool(
+            np.all(np.abs(alpha[finite] - want[finite]) <= tol) and np.all(np.isinf(alpha[~finite]))
         )
-    return ("pass" if ok else "fail"), {}
+        return ("pass" if ok else "fail"), {}
+    return run
 
 
-def _job_arbitrage(scn: Scenario, job: dict, path: str):
+def _job_arbitrage(scn: Scenario, job: dict):
     cfg, entry = _search(scn, job)
     expect = _choice("expect", job.get("expect"), (None, "found", "none"))
-    res = scn.arbitrage.get((entry, cfg))
-    if res is None:
-        res = scn.arbitrage[entry, cfg] = find_arbitrage(scn.market, entry, cfg)
-    payload = {
-        "found": res.found,
-        "best_score": res.best_score,
-        "evaluations": res.evaluations,
-        "exhaustive_total": res.exhaustive_total,
-        "note": res.note,
-    }
-    if res.found:
-        payload["certificate"] = {
-            "min_terminal": res.certificate.min_terminal,
-            "max_terminal": res.certificate.max_terminal,
-            "prob_positive": res.certificate.prob_positive,
-            "exact": res.certificate.exact,
+    def run(path):
+        res = scn.arbitrage.get((entry, cfg))
+        if res is None:
+            res = scn.arbitrage[entry, cfg] = find_arbitrage(scn.market, entry, cfg)
+        payload = {
+            "found": res.found,
+            "best_score": res.best_score,
+            "evaluations": res.evaluations,
+            "exhaustive_total": res.exhaustive_total,
+            "note": res.note,
         }
-    write_json(path, payload)
-    if expect == "found":
-        status = "pass" if res.found else "fail"
-    elif expect == "none":
-        status = "pass" if not res.found else "fail"
-        if status == "pass" and not cfg.exhaustive:
-            status = "warn"
-    else:
-        status = "warn" if not res.found else "pass"
-    return status, {"found": res.found}
+        if res.found:
+            payload["certificate"] = {
+                "min_terminal": res.certificate.min_terminal,
+                "max_terminal": res.certificate.max_terminal,
+                "prob_positive": res.certificate.prob_positive,
+                "exact": res.certificate.exact,
+            }
+        write_json(path, payload)
+        if expect == "found":
+            status = "pass" if res.found else "fail"
+        elif expect == "none":
+            status = "pass" if not res.found else "fail"
+            if status == "pass" and not cfg.exhaustive:
+                status = "warn"
+        else:
+            status = "warn" if not res.found else "pass"
+        return status, {"found": res.found}
+    return run
 
 
-def _job_ngd(scn: Scenario, job: dict, path: str):
+def _job_ngd(scn: Scenario, job: dict):
     fam = _resolve_family(scn, _required(job, "family", "ngd job"))
     cfg, entry = _search(scn, job)
     gamma = _family_level(fam, "gamma", _required(job, "gamma", "ngd job"))
     expect = _choice("expect", job.get("expect"), (None, "GOOD_DEAL_FOUND", "NONE_FOUND"))
-    rep = check_ngd(fam, gamma, scn.market, entry, cfg)
-    scn.arbitrage.setdefault((entry, cfg), rep.arbitrage)
-    write_json(
-        path,
-        {
-            "verdict": rep.verdict,
-            "worst_risk": rep.worst_risk,
-            "consistent": rep.consistent,
-            "note": rep.note,
-        },
-    )
-    if expect is not None:
-        status = "pass" if rep.verdict == expect else "fail"
-        if status == "pass" and rep.verdict == "NONE_FOUND":
-            status = "pass" if rep.consistent else "fail"
-    else:
-        status = "warn" if rep.verdict == "NONE_FOUND" else "pass"
-    return status, {"verdict": rep.verdict}
+    def run(path):
+        rep = check_ngd(fam, gamma, scn.market, entry, cfg)
+        scn.arbitrage.setdefault((entry, cfg), rep.arbitrage)
+        write_json(
+            path,
+            {
+                "verdict": rep.verdict,
+                "worst_risk": rep.worst_risk,
+                "consistent": rep.consistent,
+                "note": rep.note,
+            },
+        )
+        if expect is not None:
+            status = "pass" if rep.verdict == expect else "fail"
+            if status == "pass" and rep.verdict == "NONE_FOUND":
+                status = "pass" if rep.consistent else "fail"
+        else:
+            status = "warn" if rep.verdict == "NONE_FOUND" else "pass"
+        return status, {"verdict": rep.verdict}
+    return run
 
 
-def _job_hedged(scn: Scenario, job: dict, path: str):
+def _job_hedged(scn: Scenario, job: dict):
     fam = _resolve_family(scn, _required(job, "family", "hedged job"))
     stream = _resolve_stream(scn, _required(job, "stream", "hedged job"))
     cfg, entry = _search(scn, job)
     gamma = _family_level(fam, "gamma", _required(job, "gamma", "hedged job"))
     phi = _number("phi", job.get("phi", 1.0))
-    rep = hedged_sandwich(fam, gamma, phi, stream, scn.market, entry, cfg)
-    write_json(
-        path,
-        {
-            "ask_improvement_min": rep.ask_improvement_min,
-            "bid_improvement_min": rep.bid_improvement_min,
-            "hedged_spread_min": rep.hedged_spread_min,
-        },
-    )
-    ok = rep.ask_ok and rep.bid_ok and rep.spread_ok
-    return ("pass" if ok else "fail"), {}
+    def run(path):
+        rep = hedged_sandwich(fam, gamma, phi, stream, scn.market, entry, cfg)
+        write_json(
+            path,
+            {
+                "ask_improvement_min": rep.ask_improvement_min,
+                "bid_improvement_min": rep.bid_improvement_min,
+                "hedged_spread_min": rep.hedged_spread_min,
+            },
+        )
+        ok = rep.ask_ok and rep.bid_ok and rep.spread_ok
+        return ("pass" if ok else "fail"), {}
+    return run
 
 
-def _job_book_quotes(scn: Scenario, job: dict, path: str):
-    try:
-        sec = scn.market.security(_required(job, "security", "book_quotes job"))
-    except MarketError as exc:
-        raise ScenarioError(str(exc)) from exc
+def _job_book_quotes(scn: Scenario, job: dict):
+    sec = scn.market.security(_required(job, "security", "book_quotes job"))
     side = _choice("side", job.get("side", "ask"), ("ask", "bid"))
     op = sec.op_ask if side == "ask" else sec.op_bid
     t = _integer("time", job.get("time", 0), 0, scn.walk.tree.horizon)
@@ -689,22 +692,25 @@ def _job_book_quotes(scn: Scenario, job: dict, path: str):
     phis = _typed("phis", _required(job, "phis", "book_quotes job"), list)
     phis = [_number("phis", phi) for phi in phis]
     want = [_finite("expect", x) for x in _typed("expect", job.get("expect", []), list)]
-    rows = []
-    values = []
-    for phi in phis:
-        v = float(op.price(t, np.full(n, phi))[0])
-        values.append(v)
-        rows.append((str(t), "0", side, _FMT_FLOAT(phi), _FMT_FLOAT(v)))
-    _write_rows(path, ("t", "node", "side", "phi", "value"), rows)
-    ok = True
-    if "expect" in job:
-        ok = all(abs(a - b) <= 1e-9 for a, b in zip(values, want)) and len(want) == len(values)
-    return ("pass" if ok else "fail"), {"values": values}
+    if "expect" in job and len(want) != len(phis):
+        raise ScenarioError(f"expect must list {len(phis)} values, got {len(want)}")
+    def run(path):
+        rows = []
+        values = []
+        for phi in phis:
+            v = float(op.price(t, np.full(n, phi))[0])
+            values.append(v)
+            rows.append((str(t), "0", side, _FMT_FLOAT(phi), _FMT_FLOAT(v)))
+        _write_rows(path, ("t", "node", "side", "phi", "value"), rows)
+        ok = all(abs(a - b) <= 1e-9 for a, b in zip(values, want))
+        return ("pass" if ok else "fail"), {"values": values}
+    return run
 
 
-# job type -> (runner, suffix of the default artifact name job<idx>_<suffix>,
-# the keys the job takes besides "type" and "out")
-_JOB_RUNNERS = {
+# job type -> (loader, suffix of the default artifact name job<idx>_<suffix>,
+# the keys the job takes besides "type" and "out"). A loader checks the job and
+# returns run(path) -> (status, details), which checks nothing of the config.
+_JOB_TYPES = {
     "solve": (_job_solve, "solve.csv", ("driver", "terminal")),
     "price_table": (_job_price_table, "prices.csv", ("family", "stream", "gammas", "phi", "times", "sides")),
     "axioms": (
@@ -726,7 +732,7 @@ def _artifact_names(jobs: list) -> list:
     neither another job's name nor summary.json, so nothing is overwritten."""
     names = []
     for idx, job in enumerate(jobs):
-        name = job.get("out", f"job{idx}_{_JOB_RUNNERS[job['type']][1]}")
+        name = job.get("out", f"job{idx}_{_JOB_TYPES[job['type']][1]}")
         if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
             raise ScenarioError(f"job {idx}: out must be a bare file name, got {name!r}")
         if name in names or name == "summary.json":
@@ -744,19 +750,15 @@ def run_scenario(
 ) -> dict:
     """Run every job; write artifacts and summary.json; return the summary."""
     scn = load_scenario(cfg, seed_override)
-    names = _artifact_names(scn.jobs)
     os.makedirs(out_dir, exist_ok=True)
 
     def run_one(idx):
-        jtype = scn.jobs[idx]["type"]
+        jtype, run, name = scn.jobs[idx]
         try:
-            runner = _JOB_RUNNERS[jtype][0]
-            status, details = runner(scn, scn.jobs[idx], os.path.join(out_dir, names[idx]))
-        except ScenarioError:
-            raise
+            status, details = run(os.path.join(out_dir, name))
         except Exception as exc:  # report, do not kill sibling jobs
             return {"job": idx, "type": jtype, "status": "error", "error": f"{type(exc).__name__}: {exc}"}
-        return {"job": idx, "type": jtype, "status": status, **details, "artifact": names[idx]}
+        return {"job": idx, "type": jtype, "status": status, **details, "artifact": name}
 
     if jobs_parallel > 1:
         with ThreadPoolExecutor(max_workers=jobs_parallel) as ex:

@@ -253,6 +253,15 @@ def test_wrong_expectations_fail_the_job(tmp_path):
 
 
 def test_malformed_configs_raise_scenario_errors(tmp_path):
+    """Every malformed job raises from load_scenario alone, before any job
+    runs, and from run_scenario too."""
+
+    def refused(cfg, out, match=None):
+        with pytest.raises(ScenarioError, match=match):
+            load_scenario(cfg)
+        with pytest.raises(ScenarioError, match=match):
+            run_scenario(cfg, str(tmp_path / out))
+
     with pytest.raises(ScenarioError):
         load_scenario({"seed": 1})
     with pytest.raises(ScenarioError):
@@ -267,15 +276,12 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
         load_scenario({"tree": {"horizon": 2}, "families": {"f": "coherent"}})
     cfg = conic_cfg()
     cfg["jobs"] = [{"type": "mystery"}]
-    with pytest.raises(ScenarioError):
-        run_scenario(cfg, str(tmp_path / "out"))
+    refused(cfg, "out")
     cfg["jobs"] = [{"type": "ngd", "family": "ent", "gamma": 2.0, "search": LIGHT_SEARCH}]
     cfg.pop("securities")
-    with pytest.raises(ScenarioError):
-        run_scenario(cfg, str(tmp_path / "out2"))
+    refused(cfg, "out2")
     cfg["jobs"] = [{"type": "price_table", "family": "ent", "stream": "missing"}]
-    with pytest.raises(ScenarioError):
-        run_scenario(cfg, str(tmp_path / "out3"))
+    refused(cfg, "out3")
     cfg = conic_cfg()
     horizon = cfg["tree"]["horizon"]
     for job in (
@@ -288,8 +294,7 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
         {"type": "hedged", "family": "ent", "gamma": 2.0, "stream": "payout", "entry": horizon},
     ):
         cfg["jobs"] = [job]
-        with pytest.raises(ScenarioError, match="must lie in"):
-            run_scenario(cfg, str(tmp_path / "out4"))
+        refused(cfg, "out4", match="must lie in")
     for job in (
         {"type": "index", "family": "ent", "stream": "payout", "time": "one"},
         {"type": "index", "family": "ent", "stream": "payout", "time": 1.5},
@@ -340,13 +345,15 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
         {"type": "book_quotes", "security": "note", "phis": [1.0], "expect": 5},
         {"type": "book_quotes", "security": "note", "phis": [1.0], "expect": ["a"]},
         {"type": "book_quotes", "security": "note", "phis": [1.0], "expect": [float("inf")]},
+        {"type": "book_quotes", "security": "note", "phis": [1.0, 2.0], "expect": [1.0]},
+        {"type": "book_quotes", "security": "note", "phis": [1.0], "expect": []},
+        {"type": "axioms", "target": "mystery"},
         {"type": "hedged", "family": "ent", "gamma": 2.0, "stream": "payout", "phi": 10**400},
         {"type": "hedged", "family": "ent", "gamma": 2.0, "stream": "payout",
          "search": {**LIGHT_SEARCH, "bound": 10**400}},
     ):
         cfg["jobs"] = [job]
-        with pytest.raises(ScenarioError):
-            run_scenario(cfg, str(tmp_path / "out5"))
+        refused(cfg, "out5")
     huge_level = conic_cfg()
     huge_level["securities"][0]["gamma_ask"] = 10**400
     huge_ladder = tables_cfg()
@@ -362,9 +369,9 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
         load_scenario(nan_table)
     twice = {"type": "arbitrage", "search": LIGHT_SEARCH, "out": "same.json"}
     cfg["jobs"] = [twice, {**twice, "expect": "none"}]
-    with pytest.raises(ScenarioError):
-        run_scenario(cfg, str(tmp_path / "out6"))
-    assert not (tmp_path / "out6").exists()
+    refused(cfg, "out6")
+    for out in ("out", "out2", "out3", "out4", "out5", "out6"):
+        assert not (tmp_path / out).exists()
 
 
 def test_render_summary_lists_one_line_per_job(tmp_path):
@@ -502,8 +509,9 @@ def numeric_cfg():
 )
 def test_numeric_config_fields_refuse_strings_and_booleans(path, tmp_path):
     """Each numeric field takes JSON numbers only: a number given as a
-    string, or a boolean, is a config error and never becomes a float. The
-    solve job's terminal is read when the job runs."""
+    string, or a boolean, is a config error and never becomes a float. Each
+    one, the solve job's terminal included, is refused when the scenario
+    loads."""
     load_scenario(numeric_cfg())
     for bad in ("1.0", True):
         cfg = numeric_cfg()
@@ -512,6 +520,8 @@ def test_numeric_config_fields_refuse_strings_and_booleans(path, tmp_path):
         for key in keys:
             node = node[key]
         node[last] = bad
+        with pytest.raises(ScenarioError, match="must hold only numbers"):
+            load_scenario(cfg)
         with pytest.raises(ScenarioError, match="must hold only numbers"):
             run_scenario(cfg, str(tmp_path / "out"))
 
@@ -580,6 +590,26 @@ def test_market_jobs_without_securities_are_refused_before_any_artifact(tmp_path
         assert os.listdir(out_dir) == []
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_bad_job_after_a_good_one_writes_nothing(jobs, tmp_path, capsys):
+    """Every job is checked when the scenario loads: a bad job of any type
+    behind a valid solve job exits 2 and leaves no output directory."""
+    solve = {"type": "solve", "driver": "gx", "terminal": {"stream": "payout"}}
+    for k, bad in enumerate((
+        {"type": "price_table", "family": "ent", "stream": "payout", "gammas": []},
+        {"type": "axioms", "target": "mystery", "driver": "gx"},
+        {"type": "book_quotes", "security": "nope", "phis": [200]},
+        {"type": "solve", "driver": "gx", "terminal": [1.0, 2.0]},
+        {"type": "index", "family": "coh", "stream": "updown", "expect": [0.1, 0.2]},
+    )):
+        path = tmp_path / f"scn{k}.json"
+        path.write_text(json.dumps({**tables_cfg(), "jobs": [solve, bad]}))
+        out_dir = tmp_path / f"out{k}"
+        assert main(["run", str(path), "--out", str(out_dir), "--jobs", jobs]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 def test_conic_bid_level_defaults_to_the_ask_level():
     market = load_scenario(conic_cfg()).market
     assert market.securities[0].op_ask.gamma == market.securities[0].op_bid.gamma == 2.0
@@ -597,6 +627,12 @@ def test_cli_seed_and_parallel_flags(tmp_path, capsys):
     capsys.readouterr()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["seed"] == 99
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", str(cfg_path), "--out", str(tmp_path / "none"), "--jobs", jobs])
+        assert exit_.value.code == 2
+        assert "--jobs: must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
 
 
 def test_coherent_levels_past_the_driver_range_are_config_errors(tmp_path, capsys):
