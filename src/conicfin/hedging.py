@@ -17,11 +17,15 @@ by node. The zero start makes the hedged ask never exceed the plain ask
 (and the hedged bid never fall below the plain bid) by construction.
 
 Every search here shares one wealth map, LegLayout.wealth, so objectives
-on one leg layout ride one ascent: the hedged sandwich searches its ask
-and bid in one, and check_ngd's arbitrage cross-check (arbitrage's own
-objective and report) rides the good-deal ascent. Each objective keeps
-its own moves and row count, so every quote and report is the one its
-own search gives.
+on one leg layout ride one ascent. A request names what a caller wants
+searched on one market, entry and SearchConfig: hedged quotes
+(HedgeRequest), a good-deal check (GoodDealRequest) or the arbitrage
+report (ARBITRAGE). _search_all runs any set of requests in one ascent,
+the arbitrage objective once for all of them; hedged_price,
+hedged_sandwich and check_ngd are its one-request calls, and a
+SharedSearch lets several callers share one run. Each objective keeps its
+own moves and row count, so every quote and report is the one its own
+search gives.
 
 A no-good-deal verdict is heuristic: it reports that no visited strategy
 produced strictly negative risk at any node.
@@ -113,27 +117,146 @@ def _node_values(g: Driver, layout: LegLayout, payoff: np.ndarray):
     return lambda W: solve_bsde(g, payoff - W, layout.market.walk).Y[layout.entry]
 
 
-def _hedged_quotes(sides, family, gamma, phi, stream, market, t, cfg) -> list:
-    """Hedged quotes of phi shares of the stream, entered at time t, one
-    per side, searched in one ascent."""
-    quotes = [price(side, family, gamma, phi, stream, t) for side in sides]
-    g = family.make(gamma)
-    signs = [1.0 if side == "ask" else -1.0 for side in sides]
+@dataclass(frozen=True)
+class NgdReport:
+    verdict: str
+    worst_risk: float
+    strategy: Optional[TradingStrategy]
+    arbitrage: Optional[ArbitrageSearchResult]
+    consistent: bool
+    note: str
+
+
+@dataclass(frozen=True, eq=False)
+class HedgeRequest:
+    """Hedged quotes of phi shares of the stream at family level gamma, one
+    per side; its result is the list of HedgedQuotes."""
+
+    sides: tuple
+    family: DriverFamily
+    gamma: float
+    phi: object
+    stream: AdaptedProcess
+
+
+@dataclass(frozen=True, eq=False)
+class GoodDealRequest:
+    """A good-deal search at family level gamma, with the arbitrage cross
+    check or without; its result is the NgdReport."""
+
+    family: DriverFamily
+    gamma: float
+    cross_check_arbitrage: bool
+
+
+# The request for the arbitrage search's report, an ArbitrageSearchResult.
+ARBITRAGE = "arbitrage"
+
+
+def _search_all(requests: Sequence, market: MarketModel, t: int, cfg: SearchConfig) -> list:
+    """The result of every request, entered at time t, searched in one
+    ascent over LegLayout(market, t).wealth.
+
+    A hedge request adds one node-value objective per side, a good-deal
+    request the good-deal risk of the zero payoff. The arbitrage report,
+    wanted by an ARBITRAGE request or a good-deal cross-check, is made once:
+    wealth_score rides the ascent as one more objective, except that an
+    exhaustive config sweeps its grid and a group with nothing else to
+    search runs its own ascent, both through find_arbitrage. Each objective
+    keeps its own moves, finals and row count, so every result is the one
+    its request gets searched alone.
+    """
     layout = LegLayout(market, t)
-    values = [_node_values(g, layout, s * tail_payoff(stream, q.phi, t)) for s, q in zip(signs, quotes)]
-    nodes, _, _ = _per_node_search(layout.wealth, values, layout, cfg)
-    return [
-        HedgedQuote(
-            side=side,
-            gamma=float(gamma),
-            t=t,
-            value=merged_vals if side == "ask" else -merged_vals,
-            unhedged=quote.value,
-            strategy=layout.strategy(merged),
-            evaluations=evals,
-        )
-        for side, quote, (merged, merged_vals, evals) in zip(sides, quotes, nodes)
-    ]
+    quotes, values = [], []
+    for r in requests:
+        if isinstance(r, HedgeRequest):
+            quotes.append([price(side, r.family, r.gamma, r.phi, r.stream, t) for side in r.sides])
+            g = r.family.make(r.gamma)
+            for side, q in zip(r.sides, quotes[-1]):
+                s = 1.0 if side == "ask" else -1.0
+                values.append(_node_values(g, layout, s * tail_payoff(r.stream, q.phi, t)))
+        elif isinstance(r, GoodDealRequest):
+            values.append(_node_values(r.family.make(r.gamma), layout, np.zeros(market.tree.n_leaves)))
+    cross = any(isinstance(r, GoodDealRequest) and r.cross_check_arbitrage for r in requests)
+    wants_arb = cross or ARBITRAGE in requests
+    ride = wants_arb and bool(values) and not cfg.exhaustive
+    nodes, best = [], None
+    if values:
+        nodes, best, _ = _per_node_search(layout.wealth, values, layout, cfg, wealth_score if ride else None)
+    arb = None
+    if ride:
+        arb = certify(layout, best, cfg)
+    elif wants_arb:
+        arb = find_arbitrage(market, t, cfg)
+    nodes, quotes = iter(nodes), iter(quotes)
+    results = []
+    for r in requests:
+        if isinstance(r, HedgeRequest):
+            results.append([
+                HedgedQuote(
+                    side=side,
+                    gamma=float(r.gamma),
+                    t=t,
+                    value=merged_vals if side == "ask" else -merged_vals,
+                    unhedged=quote.value,
+                    strategy=layout.strategy(merged),
+                    evaluations=evals,
+                )
+                for side, quote, (merged, merged_vals, evals) in zip(r.sides, next(quotes), nodes)
+            ])
+        elif isinstance(r, GoodDealRequest):
+            results.append(_ngd_report(layout, *next(nodes), arb if r.cross_check_arbitrage else None))
+        else:
+            results.append(arb)
+    return results
+
+
+def _ngd_report(layout: LegLayout, merged, merged_vals, evals: int, arb) -> NgdReport:
+    """The good-deal verdict on the merged risk search, flagged inconsistent
+    when the arbitrage cross-check found a certificate it missed."""
+    worst = float(np.min(merged_vals))
+    found = worst < -GOOD_DEAL_TOL
+    consistent = True
+    note = f"searched {evals} leg evaluations"
+    if arb is not None and not found and arb.found:
+        consistent = False
+        note += "; arbitrage certificate exists, so the good-deal search missed one"
+    return NgdReport(
+        verdict="GOOD_DEAL_FOUND" if found else "NONE_FOUND",
+        worst_risk=worst,
+        strategy=layout.strategy(merged) if found else None,
+        arbitrage=arb,
+        consistent=consistent,
+        note=note,
+    )
+
+
+class SharedSearch:
+    """The search requests of one market, entry t and SearchConfig, and
+    their results once asked for.
+
+    slot(request) adds a request and returns a call that gives its result.
+    The first call runs every request added so far in one _search_all and
+    keeps all their results; later calls read them. The results depend only
+    on the requests, so threads that find nothing kept, and each run the
+    group, keep equal results.
+    """
+
+    def __init__(self, market: MarketModel, t: int, cfg: SearchConfig):
+        self.where = (market, t, cfg)
+        self.requests, self.results = [], None
+
+    def slot(self, request) -> Callable[[], object]:
+        self.requests.append(request)
+        k = len(self.requests) - 1
+
+        def result():
+            results = self.results
+            if results is None:
+                results = self.results = _search_all(self.requests, *self.where)
+            return results[k]
+
+        return result
 
 
 def hedged_price(
@@ -147,17 +270,7 @@ def hedged_price(
     cfg: SearchConfig = SearchConfig(),
 ) -> HedgedQuote:
     """Hedged ask/bid of phi shares of the stream, entered at time t."""
-    return _hedged_quotes((side,), family, gamma, phi, stream, market, t, cfg)[0]
-
-
-@dataclass(frozen=True)
-class NgdReport:
-    verdict: str
-    worst_risk: float
-    strategy: Optional[TradingStrategy]
-    arbitrage: Optional[ArbitrageSearchResult]
-    consistent: bool
-    note: str
+    return _search_all([HedgeRequest((side,), family, gamma, phi, stream)], market, t, cfg)[0][0]
 
 
 def check_ngd(
@@ -167,40 +280,18 @@ def check_ngd(
     t: int = 0,
     cfg: SearchConfig = SearchConfig(),
     cross_check_arbitrage: bool = True,
+    shared: Optional[Callable[[], NgdReport]] = None,
 ) -> NgdReport:
     """Search for a good deal: a zero-cost hedge whose time-t risk is
     strictly negative somewhere. Absence of good deals implies absence of
     arbitrage, so a found arbitrage alongside a NONE_FOUND verdict is
-    flagged as inconsistent (a miss of the heuristic search)."""
-    g = family.make(gamma)
-    layout = LegLayout(market, t)
-    risk_values = _node_values(g, layout, np.zeros(market.tree.n_leaves))
-    # the cross-check rides the risk ascent; an exhaustive one sweeps its grid
-    ride = cross_check_arbitrage and not cfg.exhaustive
-    score = wealth_score if ride else None
-    nodes, best, _ = _per_node_search(layout.wealth, [risk_values], layout, cfg, score)
-    ((merged, merged_vals, evals),) = nodes
-    worst = float(np.min(merged_vals))
-    found = worst < -GOOD_DEAL_TOL
-    strategy = layout.strategy(merged) if found else None
-    arb = None
-    if ride:
-        arb = certify(layout, best, cfg)
-    elif cross_check_arbitrage:
-        arb = find_arbitrage(market, t, cfg)
-    consistent = True
-    note = f"searched {evals} leg evaluations"
-    if arb is not None and not found and arb.found:
-        consistent = False
-        note += "; arbitrage certificate exists, so the good-deal search missed one"
-    return NgdReport(
-        verdict="GOOD_DEAL_FOUND" if found else "NONE_FOUND",
-        worst_risk=worst,
-        strategy=strategy,
-        arbitrage=arb,
-        consistent=consistent,
-        note=note,
-    )
+    flagged as inconsistent (a miss of the heuristic search).
+
+    shared, when given, is the SharedSearch slot of this call's request,
+    added with these arguments; the report is then read off that group's
+    one ascent instead of a search of its own."""
+    request = GoodDealRequest(family, gamma, cross_check_arbitrage)
+    return shared() if shared is not None else _search_all([request], market, t, cfg)[0]
 
 
 @dataclass(frozen=True)
@@ -221,10 +312,16 @@ def hedged_sandwich(
     market: MarketModel,
     t: int = 0,
     cfg: SearchConfig = SearchConfig(),
+    shared: Optional[Callable[[], list]] = None,
 ) -> SandwichReport:
     """Hedging can only improve quotes, and absent good deals the hedged
-    ask still dominates the hedged bid."""
-    ha, hb = _hedged_quotes(("ask", "bid"), family, gamma, phi, stream, market, t, cfg)
+    ask still dominates the hedged bid.
+
+    shared, when given, is the SharedSearch slot of this call's ask and bid
+    request, added with these arguments; the quotes are then read off that
+    group's one ascent instead of a search of their own."""
+    request = HedgeRequest(("ask", "bid"), family, gamma, phi, stream)
+    ha, hb = shared() if shared is not None else _search_all([request], market, t, cfg)[0]
     ask_gain = float(np.min(ha.unhedged - ha.value))
     bid_gain = float(np.min(hb.value - hb.unhedged))
     spread = float(np.min(ha.value - hb.value))

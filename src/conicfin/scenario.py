@@ -13,12 +13,16 @@ Floats are canonicalized to 12 significant digits, JSON keys are sorted,
 rows follow fixed orders, and files are written atomically, so reruns are
 byte-identical.
 
-A loaded Scenario remembers each arbitrage search result by entry and
-SearchConfig, so an arbitrage job after an ngd or arbitrage job with the
-same entry and search block reuses that job's result. The memo lives on
-the one load a run makes and is never shared between runs; under
-jobs_parallel > 1 a job that misses it searches again and gets the same
-deterministic result.
+The hedged, ngd and arbitrage jobs of one entry and search block search
+the same strategies, so load_scenario puts their requests in one
+hedging.SharedSearch per (entry, SearchConfig). The first of them to run
+searches for all of them in one ascent, with the arbitrage objective once,
+and each writes its report from its own result; an arbitrage job with no
+other search in its group runs find_arbitrage, and an exhaustive search
+block sweeps its grid. The groups live on the one load a run makes and are
+never shared between runs; under jobs_parallel > 1 a job that finds its
+group's results missing searches the group again and gets the same
+deterministic results.
 """
 
 from __future__ import annotations
@@ -30,16 +34,16 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
-from .arbitrage import find_arbitrage
 from .bsde import diagnose_solution, solve_bsde
 from .drivers import builtin_driver, builtin_family, is_regular, validate_family
-from .hedging import check_ngd, hedged_sandwich
+from .hedging import ARBITRAGE, GoodDealRequest, HedgeRequest, SharedSearch, check_ngd, hedged_sandwich
 from .market import (
     DirectOperator,
     MarketModel,
@@ -134,7 +138,7 @@ def write_csv(path: str, header, rows):
 @dataclass
 class Scenario:
     """A loaded scenario. jobs holds each job's (type, run, artifact name);
-    arbitrage remembers each (entry, SearchConfig) search result, this load only."""
+    searches holds the SharedSearch of each (entry, SearchConfig), this load only."""
 
     name: str
     seed: int
@@ -144,7 +148,7 @@ class Scenario:
     streams: dict
     market: Optional[MarketModel]
     jobs: list
-    arbitrage: dict
+    searches: dict
 
 
 def _required(spec: dict, key: str, where: str):
@@ -344,18 +348,29 @@ def _job(job, market: Optional[MarketModel]) -> dict:
 
 
 def load_scenario(cfg: dict, seed_override: Optional[int] = None) -> Scenario:
-    """Build a scenario from its config; every malformed input raises ScenarioError."""
+    """Build a scenario from its config; every malformed input raises
+    ScenarioError, whose message starts with "job <idx>: " when it comes
+    from a job."""
     if not isinstance(cfg, dict):
         raise ScenarioError("scenario config must be a JSON object")
-    try:
+    with _config_errors(""):
         return _build_scenario(cfg, seed_override)
-    except ScenarioError:
-        raise
+
+
+@contextmanager
+def _config_errors(prefix: str):
+    """Raise what the block raises as a ScenarioError whose message starts
+    with prefix: a ScenarioError's own message, any other's type and message."""
+    try:
+        yield
     except (ValueError, TypeError, OverflowError) as exc:
+        if isinstance(exc, ScenarioError) and not prefix:
+            raise
         # TreeError, DriverError and MarketError are ValueErrors, and so are
         # the failed numpy conversions of malformed numbers; float() of an
         # integer past the float range overflows
-        raise ScenarioError(f"{type(exc).__name__}: {exc}") from exc
+        reason = str(exc) if isinstance(exc, ScenarioError) else f"{type(exc).__name__}: {exc}"
+        raise ScenarioError(prefix + reason) from exc
 
 
 def _build_scenario(cfg: dict, seed_override: Optional[int]) -> Scenario:
@@ -369,7 +384,7 @@ def _build_scenario(cfg: dict, seed_override: Optional[int]) -> Scenario:
         streams={"zero": _build_stream(walk.tree, "zero")},
         market=None,
         jobs=[],
-        arbitrage={},
+        searches={},
     )
     for name, d in _typed("drivers", cfg.get("drivers", {}), dict).items():
         scn.drivers[name] = _build_driver(walk, d)
@@ -382,9 +397,13 @@ def _build_scenario(cfg: dict, seed_override: Optional[int]) -> Scenario:
         raise ScenarioError(f"security ids must be unique, got {[sec.sid for sec in secs]}")
     if secs:
         scn.market = MarketModel(walk=walk, securities=tuple(secs), name=scn.name)
-    jobs = [_job(j, scn.market) for j in _typed("jobs", cfg.get("jobs", []), list)]
-    names = _artifact_names(jobs)
-    scn.jobs = [(j["type"], _JOB_TYPES[j["type"]][0](scn, j), name) for j, name in zip(jobs, names)]
+    jobs = _typed("jobs", cfg.get("jobs", []), list)
+    runs = []
+    for idx, job in enumerate(jobs):
+        with _config_errors(f"job {idx}: "):
+            jtype = _job(job, scn.market)["type"]
+            runs.append((jtype, _JOB_TYPES[jtype][0](scn, job)))
+    scn.jobs = [(jtype, run, name) for (jtype, run), name in zip(runs, _artifact_names(jobs))]
     return scn
 
 
@@ -404,10 +423,14 @@ _SEARCH_FIELDS = {
 
 
 def _search(scn: Scenario, job: dict):
-    """A searching job's SearchConfig, seeded by the scenario, and its entry level."""
+    """A searching job's SearchConfig, seeded by the scenario, its entry
+    level, and the SharedSearch of the two in this load."""
     s = _known_keys("search", _typed("search", job.get("search", {}), dict), _SEARCH_FIELDS)
     cfg = SearchConfig(seed=scn.seed, **{k: _SEARCH_FIELDS[k](k, v) for k, v in s.items()})
-    return cfg, _integer("entry", job.get("entry", 0), 0, scn.walk.tree.horizon - 1)
+    entry = _integer("entry", job.get("entry", 0), 0, scn.walk.tree.horizon - 1)
+    if (entry, cfg) not in scn.searches:
+        scn.searches[entry, cfg] = SharedSearch(scn.market, entry, cfg)
+    return cfg, entry, scn.searches[entry, cfg]
 
 
 def _build_driver(walk, spec):
@@ -602,12 +625,11 @@ def _job_index(scn: Scenario, job: dict):
 
 
 def _job_arbitrage(scn: Scenario, job: dict):
-    cfg, entry = _search(scn, job)
+    cfg, _, group = _search(scn, job)
     expect = _choice("expect", job.get("expect"), (None, "found", "none"))
+    result = group.slot(ARBITRAGE)
     def run(path):
-        res = scn.arbitrage.get((entry, cfg))
-        if res is None:
-            res = scn.arbitrage[entry, cfg] = find_arbitrage(scn.market, entry, cfg)
+        res = result()
         payload = {
             "found": res.found,
             "best_score": res.best_score,
@@ -637,12 +659,12 @@ def _job_arbitrage(scn: Scenario, job: dict):
 
 def _job_ngd(scn: Scenario, job: dict):
     fam = _resolve_family(scn, _required(job, "family", "ngd job"))
-    cfg, entry = _search(scn, job)
+    cfg, entry, group = _search(scn, job)
     gamma = _family_level(fam, "gamma", _required(job, "gamma", "ngd job"))
     expect = _choice("expect", job.get("expect"), (None, "GOOD_DEAL_FOUND", "NONE_FOUND"))
+    shared = group.slot(GoodDealRequest(fam, gamma, True))
     def run(path):
-        rep = check_ngd(fam, gamma, scn.market, entry, cfg)
-        scn.arbitrage.setdefault((entry, cfg), rep.arbitrage)
+        rep = check_ngd(fam, gamma, scn.market, entry, cfg, shared=shared)
         write_json(
             path,
             {
@@ -665,11 +687,12 @@ def _job_ngd(scn: Scenario, job: dict):
 def _job_hedged(scn: Scenario, job: dict):
     fam = _resolve_family(scn, _required(job, "family", "hedged job"))
     stream = _resolve_stream(scn, _required(job, "stream", "hedged job"))
-    cfg, entry = _search(scn, job)
+    cfg, entry, group = _search(scn, job)
     gamma = _family_level(fam, "gamma", _required(job, "gamma", "hedged job"))
     phi = _number("phi", job.get("phi", 1.0))
+    shared = group.slot(HedgeRequest(("ask", "bid"), fam, gamma, phi, stream))
     def run(path):
-        rep = hedged_sandwich(fam, gamma, phi, stream, scn.market, entry, cfg)
+        rep = hedged_sandwich(fam, gamma, phi, stream, scn.market, entry, cfg, shared=shared)
         write_json(
             path,
             {
@@ -748,7 +771,9 @@ def run_scenario(
     jobs_parallel: int = 1,
     strict: bool = False,
 ) -> dict:
-    """Run every job; write artifacts and summary.json; return the summary."""
+    """Run every job, on jobs_parallel >= 1 worker threads; write artifacts
+    and summary.json; return the summary."""
+    _integer("jobs_parallel", jobs_parallel, 1)
     scn = load_scenario(cfg, seed_override)
     os.makedirs(out_dir, exist_ok=True)
 

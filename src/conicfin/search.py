@@ -183,16 +183,26 @@ def ascend(
     final (params, score), in start order, and the number of rows scored.
 
     The starts of every objective run in lockstep through one (round,
-    sweep, coordinate) schedule. Each start's first row is its own map
-    call, scored by every objective; after that, every coordinate step
-    stacks the candidate batches of every objective's active starts into
-    one map call and splits the rows back, one objective call per objective
-    with active starts. A start with no accepted move in a sweep is idle
-    for the rest of that round, as if it stopped sweeping, so objectives go
-    idle independently. Each objective still builds its own candidates from
-    its own points and takes its own argmax over its own rows: a row-wise
-    map and score give every objective the moves, finals and row count of
-    its own ascent, and every start those of its own loop.
+    sweep, coordinate) schedule. The starts' first rows are one map call,
+    scored by every objective; after that, every coordinate step stacks the
+    candidate batches of every objective's active starts into one map call
+    and splits the rows back, one objective call per objective with active
+    starts. A start with no accepted move in a sweep is idle for the rest
+    of that round, as if it stopped sweeping, so objectives go idle
+    independently. Each objective still builds its own candidates from its
+    own points and takes its own argmax over its own rows: a row-wise map
+    and score give every objective the moves, finals and row count of its
+    own ascent, and every start those of its own loop.
+
+    The candidates of every active start come from one array op: a row of
+    np.linspace(x - span, x + span, grid_points) per start, clipped to
+    [0, bound], with 0 and x appended, sorted along the row and kept where
+    a value differs from its left neighbour. Row by row these are the
+    values np.unique gives for that start alone, in the same order:
+    linspace over arrays does each row's arithmetic, and rows whose span
+    rounds away, past about 53 halvings of the bound, are filled apart.
+    Only a step that underflows to zero on some rows and not on others, at
+    a bound near the smallest normal float, would still round differently.
     """
     rng = np.random.default_rng(cfg.seed)
     base_grid = np.linspace(0.0, bound, cfg.grid_points)
@@ -201,48 +211,64 @@ def ascend(
         raw = rng.choice(base_grid, size=dims)
         mask = rng.random(dims) < 0.35
         starts.append(raw * mask)
-    first = [wealth(p[None, :]) for p in starts]
-    points = [list(starts) for _ in objectives]
-    values = [[float(score(w)[0]) for w in first] for score in objectives]
+    starts = np.stack(starts)
+    first = wealth(starts)
+    points = np.repeat(starts[None], len(objectives), axis=0)
+    values = np.array([score(first) for score in objectives], dtype=float).reshape(points.shape[:2])
     evals = [len(starts)] * len(objectives)
     span = bound
     for _ in range(cfg.refine_rounds):
-        active = [range(len(starts))] * len(objectives)
+        active = np.ones(values.shape, dtype=bool)
         for _ in range(cfg.sweeps):
-            improved = [set() for _ in objectives]
+            improved = np.zeros(values.shape, dtype=bool)
             for d in range(dims):
-                owners, cands = [], []
-                for o, ids in enumerate(active):
-                    for i in ids:
-                        x = points[o][i][d]
-                        cand = np.clip(np.linspace(x - span, x + span, cfg.grid_points), 0.0, bound)
-                        owners.append((o, i))
-                        cands.append(np.unique(np.concatenate([cand, [0.0, x]])))
-                sizes = [c.size for c in cands]
-                batch = np.repeat(np.stack([points[o][i] for o, i in owners]), sizes, axis=0)
-                batch[:, d] = np.concatenate(cands)
+                owner, start = np.nonzero(active)
+                batch, sizes = _candidates(points[owner, start], d, span, cfg.grid_points, bound)
                 rows = wealth(batch)
                 lo = k = 0
-                for o, ids in enumerate(active):
-                    if not ids:
+                for o, m in enumerate(np.bincount(owner, minlength=len(objectives)).tolist()):
+                    if not m:
                         continue
-                    own = sizes[k : k + len(ids)]
-                    n = sum(own)
+                    own = sizes[k : k + m]
+                    n = int(own.sum())
                     scores = np.asarray(objectives[o](rows[lo : lo + n]), dtype=float)
                     evals[o] += n
                     at = 0
-                    for i, size in zip(ids, own):
+                    for i, size in zip(start[k : k + m].tolist(), own.tolist()):
                         j = at + int(np.argmax(scores[at : at + size]))
-                        if scores[j] > values[o][i] + 1e-13:
-                            points[o][i], values[o][i] = batch[lo + j].copy(), float(scores[j])
-                            improved[o].add(i)
+                        if scores[j] > values[o, i] + 1e-13:
+                            points[o, i], values[o, i] = batch[lo + j], scores[j]
+                            improved[o, i] = True
                         at += size
-                    lo, k = lo + n, k + len(ids)
-            active = [sorted(ids) for ids in improved]
-            if not any(active):
+                    lo, k = lo + n, k + m
+            active = improved
+            if not active.any():
                 break
         span *= 0.5
-    return [(list(zip(points[o], values[o])), evals[o]) for o in range(len(objectives))]
+    return [
+        ([(p, float(s)) for p, s in zip(points[o], values[o])], evals[o]) for o in range(len(objectives))
+    ]
+
+
+def _candidates(points: np.ndarray, d: int, span: float, grid_points: int, bound: float):
+    """The candidate rows of every start at coordinate d, stacked start by
+    start, and each start's row count; points holds one start per row."""
+    x = points[:, d]
+    lo, hi = x - span, x + span
+    # a row whose span rounds away is lo throughout in linspace too, but
+    # one such row in the batch would send every row down linspace's
+    # zero-step path, which rounds differently
+    grid = np.repeat(lo[:, None], grid_points, axis=1)
+    wide = lo != hi
+    grid[wide] = np.linspace(lo[wide], hi[wide], grid_points, axis=-1)
+    grid = np.clip(grid, 0.0, bound)
+    grid = np.sort(np.concatenate([grid, np.zeros((x.size, 1)), x[:, None]], axis=1), axis=1)
+    keep = np.ones(grid.shape, dtype=bool)
+    keep[:, 1:] = grid[:, 1:] != grid[:, :-1]
+    sizes = keep.sum(axis=1)
+    batch = np.repeat(points, sizes, axis=0)
+    batch[:, d] = grid[keep]
+    return batch, sizes
 
 
 def maximize(

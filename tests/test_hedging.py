@@ -19,7 +19,14 @@ from conicfin import (
     hedged_sandwich,
     load_scenario,
 )
-from conicfin.hedging import SandwichReport, _hedged_quotes
+from conicfin.hedging import (
+    ARBITRAGE,
+    GoodDealRequest,
+    HedgeRequest,
+    SandwichReport,
+    SharedSearch,
+    _search_all,
+)
 
 from test_market import conic_market, direct_two_period_market
 
@@ -125,6 +132,16 @@ def _same_strategy(a, b):
     return all(all(np.array_equal(x, y) for x, y in zip(la, lb)) for la, lb in zip(legs(a), legs(b)))
 
 
+def _same_quote(a, b):
+    """Two HedgedQuotes agree bit for bit, strategy included."""
+    for field in ("side", "gamma", "t", "evaluations"):
+        assert getattr(a, field) == getattr(b, field), field
+    for field in ("value", "unhedged"):
+        got, want = getattr(a, field), getattr(b, field)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert _same_strategy(a.strategy, b.strategy)
+
+
 @pytest.mark.parametrize("which", [0, 1])
 def test_sandwich_is_the_two_separate_hedged_quotes_bit_for_bit(which):
     """hedged_sandwich searches its ask and bid in one ascent; each quote,
@@ -132,14 +149,9 @@ def test_sandwich_is_the_two_separate_hedged_quotes_bit_for_bit(which):
     market, fam, gamma, stream, cfg = _bench_market(which)
     ha = hedged_price("ask", fam, gamma, 1.0, stream, market, 0, cfg)
     hb = hedged_price("bid", fam, gamma, 1.0, stream, market, 0, cfg)
-    both = _hedged_quotes(("ask", "bid"), fam, gamma, 1.0, stream, market, 0, cfg)
+    (both,) = _search_all([HedgeRequest(("ask", "bid"), fam, gamma, 1.0, stream)], market, 0, cfg)
     for alone, joint in zip((ha, hb), both):
-        for field in ("side", "gamma", "t", "evaluations"):
-            assert getattr(joint, field) == getattr(alone, field)
-        for field in ("value", "unhedged"):
-            got, want = getattr(joint, field), getattr(alone, field)
-            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
-        assert _same_strategy(joint.strategy, alone.strategy)
+        _same_quote(joint, alone)
     rep = hedged_sandwich(fam, gamma, 1.0, stream, market, 0, cfg)
     ask_gain = float(np.min(ha.unhedged - ha.value))
     bid_gain = float(np.min(hb.value - hb.unhedged))
@@ -173,3 +185,40 @@ def test_ngd_cross_check_is_find_arbitrage_field_for_field(which):
     alone = check_ngd(fam, gamma, market, 0, cfg, cross_check_arbitrage=False)
     assert alone.arbitrage is None
     assert (alone.verdict, alone.worst_risk, alone.note) == (rep.verdict, rep.worst_risk, rep.note)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_one_search_of_many_requests_gives_each_its_own_result(which):
+    """Two hedge requests, two good-deal checks and the arbitrage report,
+    searched in one ascent, give each request what it gets searched alone:
+    the same quotes, verdicts and arbitrage report, bit for bit. One
+    SharedSearch runs them once, however many slots ask."""
+    market, fam, gamma, stream, cfg = _bench_market(which)
+    requests = [
+        HedgeRequest(("ask", "bid"), fam, gamma, 1.0, stream),
+        GoodDealRequest(fam, gamma, True),
+        ARBITRAGE,
+        HedgeRequest(("bid",), fam, 2.0 * gamma, 0.5, stream),
+        GoodDealRequest(fam, 0.5 * gamma, False),
+    ]
+    together = _search_all(requests, market, 0, cfg)
+    for request, joint in zip(requests, together):
+        (alone,) = _search_all([request], market, 0, cfg)
+        if isinstance(request, HedgeRequest):
+            assert len(joint) == len(alone) == len(request.sides)
+            for a, b in zip(joint, alone):
+                _same_quote(a, b)
+        elif isinstance(request, GoodDealRequest):
+            for field in ("verdict", "worst_risk", "consistent", "note"):
+                assert getattr(joint, field) == getattr(alone, field), field
+            unchecked = not request.cross_check_arbitrage
+            assert (joint.arbitrage is None) == (alone.arbitrage is None) == unchecked
+        else:
+            arb = find_arbitrage(market, 0, cfg)
+            for field in ("found", "best_score", "evaluations", "exhaustive_total", "note", "certificate"):
+                assert getattr(joint, field) == getattr(alone, field) == getattr(arb, field), field
+    assert together[1].arbitrage is together[2]
+    group = SharedSearch(market, 0, cfg)
+    slots = [group.slot(request) for request in requests]
+    assert slots[2]() is slots[2]() is slots[1]().arbitrage
+    assert slots[1]().note == together[1].note

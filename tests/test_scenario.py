@@ -715,7 +715,8 @@ def test_cli_jobs_two_writes_the_bytes_of_jobs_one(tmp_path, capsys):
 
 def test_the_search_memo_under_more_threads_than_cores(tmp_path):
     """Four job threads, switching every few microseconds, read and fill one
-    load's memo at once: every artifact holds the bytes of the sequential run."""
+    load's shared searches at once: every artifact holds the bytes of the
+    sequential run."""
     ngd = {"type": "ngd", "family": "ent", "gamma": 2.0, "search": LIGHT_SEARCH}
     arb = {"type": "arbitrage", "search": LIGHT_SEARCH}
     again = [dict(arb, out="a.json"), dict(arb, entry=1, out="b.json")]
@@ -729,3 +730,121 @@ def test_the_search_memo_under_more_threads_than_cores(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert read_tree_bytes(tmp_path / "par") == read_tree_bytes(tmp_path / "seq")
+
+
+def test_run_scenario_refuses_worker_counts_below_one(tmp_path):
+    """The library call refuses the worker counts that --jobs refuses,
+    before it writes anything."""
+    cfg = {**tables_cfg(), "jobs": tables_cfg()["jobs"][:2]}
+    for jobs in (0, -3, 1.5, True):
+        with pytest.raises(ScenarioError, match="jobs_parallel"):
+            run_scenario(cfg, str(tmp_path / "none"), jobs_parallel=jobs)
+    assert not (tmp_path / "none").exists()
+    assert run_scenario(cfg, str(tmp_path / "one"), jobs_parallel=1)["passed"]
+
+
+def test_load_errors_name_their_job():
+    """Whatever a job's checks raise, a config error or an error of the
+    family or the market, names the job by its index."""
+    table = {"type": "price_table", "family": "coh", "stream": "payout", "gammas": [1.0, 1e16]}
+    book = {"type": "book_quotes", "security": "nope", "phis": [200]}
+    solve = tables_cfg()["jobs"][0]
+    for jobs, match in (
+        ([solve, table], r"^job 1: ParamOutOfRange: coherent_abs needs"),
+        ([solve, solve, book], r"^job 2: MarketError: unknown security 'nope'"),
+        ([solve, {**table, "gammas": []}], r"^job 1: gammas must list at least one level"),
+        ([{"type": "mystery"}], r"^job 0: unknown job type 'mystery'"),
+    ):
+        with pytest.raises(ScenarioError, match=match):
+            load_scenario({**tables_cfg(), "jobs": jobs})
+
+
+def _search_jobs():
+    """conic_noarb's shape: arbitrage, ngd and hedged jobs on one entry and
+    search block, with a second hedged and ngd job at other levels."""
+    arb, ngd, hedged = conic_cfg()["jobs"]
+    return [arb, ngd, hedged, dict(hedged, gamma=0.5, phi=2.0), dict(ngd, gamma=4.0, out="ngd4.json")]
+
+
+def test_searches_on_one_entry_and_search_block_share_one_ascent(monkeypatch, tmp_path):
+    """A counting wrapper on complete_bank_leg sees one ascent's calls: the
+    arbitrage, ngd and hedged jobs of conic_noarb's shape run one ascent,
+    whose map calls, the finals' and merged legs' calls, the two hedged
+    strategies and the certificate's two (its strategy and its
+    re-validation) are every ledger call. An arbitrage job alone runs
+    find_arbitrage, and each job alone runs an ascent of its own."""
+    search = importlib.import_module("conicfin.search")
+    arbitrage = importlib.import_module("conicfin.arbitrage")
+    hedging = importlib.import_module("conicfin.hedging")
+    ledger, ascents, finds = [], [], []
+    bank_leg, ascend, find = search.complete_bank_leg, search.ascend, hedging.find_arbitrage
+
+    def counted_ledger(*args):
+        ledger.append(1)
+        return bank_leg(*args)
+
+    def counted_ascend(wealth, *args):
+        ascents.append(0)
+
+        def counted_wealth(params):
+            ascents[-1] += 1
+            return wealth(params)
+
+        return ascend(counted_wealth, *args)
+
+    def counted_find(*args):
+        finds.append(1)
+        return find(*args)
+
+    for module in (search, arbitrage):
+        monkeypatch.setattr(module, "complete_bank_leg", counted_ledger)
+    for module in (search, hedging):
+        monkeypatch.setattr(module, "ascend", counted_ascend)
+    monkeypatch.setattr(hedging, "find_arbitrage", counted_find)
+
+    def run(name, jobs):
+        for counts in (ledger, ascents, finds):
+            counts.clear()
+        run_scenario({**conic_cfg(), "jobs": jobs}, str(tmp_path / name))
+        return len(ledger), list(ascents), len(finds)
+
+    calls, (steps,), found = run("shared", _search_jobs()[:3])
+    assert found == 0 and calls == steps + 2 + 2 + 2
+    five, (more_steps,), _ = run("five", _search_jobs())
+    assert five == more_steps + 2 + 4 + 2
+    arb, ngd, hedged = conic_cfg()["jobs"]
+    alone = [run(f"alone{k}", [job]) for k, job in enumerate((arb, ngd, hedged))]
+    assert [len(a) for _, a, _ in alone] == [1, 1, 1]
+    assert [f for _, _, f in alone] == [1, 0, 0]
+    assert sum(c for c, _, _ in alone) > 2 * calls
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_each_grouped_job_writes_the_bytes_it_writes_alone(jobs, tmp_path, capsys):
+    """Every job of a shared search writes the artifact bytes of the same
+    job in a scenario of its own, under --jobs 1 and --jobs 2."""
+    group = _search_jobs()
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({**conic_cfg(), "jobs": group}))
+    assert main(["run", str(path), "--out", str(tmp_path / "group"), "--jobs", jobs]) == 0
+    capsys.readouterr()
+    together = read_tree_bytes(tmp_path / "group")
+    for k, job in enumerate(group):
+        name = job.get("out", f"job{k}_{job['type']}.json")
+        run_scenario({**conic_cfg(), "jobs": [dict(job, out=name)]}, str(tmp_path / f"alone{k}"))
+        assert read_tree_bytes(tmp_path / f"alone{k}")[name] == together[name]
+
+
+def test_a_job_that_finds_its_group_unsearched_searches_it_again(tmp_path):
+    """Each job whose group has kept no results, as when another worker's
+    search has not landed, searches the group itself and writes the bytes
+    of the sequential run."""
+    cfg = {**conic_cfg(), "jobs": _search_jobs()}
+    run_scenario(cfg, str(tmp_path / "seq"))
+    scn = load_scenario(cfg)
+    (group,) = scn.searches.values()
+    for _, run, name in scn.jobs:
+        group.results = None
+        run(str(tmp_path / "again" / name))
+    seq = read_tree_bytes(tmp_path / "seq")
+    assert read_tree_bytes(tmp_path / "again") == {k: v for k, v in seq.items() if k != "summary.json"}

@@ -135,7 +135,7 @@ def test_ascend_returns_one_final_per_start_and_counts_scored_rows():
     ((finals, evals),) = ascend(_rows, [score], dims=2, cfg=cfg, bound=1.0)
     assert len(finals) == cfg.multi_starts
     assert evals == sum(rows.shape[0] for rows in seen)
-    assert np.array_equal(seen[0], np.zeros((1, 2)))
+    assert seen[0].shape == (cfg.multi_starts, 2) and np.array_equal(seen[0][0], np.zeros(2))
     zero_start = maximize(score, dims=2, cfg=replace(cfg, multi_starts=1), bound=1.0)
     assert np.array_equal(finals[0][0], zero_start.params)
     for p, s in finals:
@@ -207,7 +207,7 @@ def test_lockstep_ascend_scores_several_starts_in_one_call():
     lockstep = list(calls)
     calls.clear()
     oracles.sequential_ascend(score, 3, cfg, 1.0)
-    assert lockstep[: cfg.multi_starts] == [1] * cfg.multi_starts
+    assert lockstep[0] == cfg.multi_starts
     assert max(lockstep) > cfg.grid_points + 2
     assert len(lockstep) < len(calls)
     assert sum(lockstep) == sum(calls)
@@ -265,15 +265,14 @@ def test_ascend_gives_each_objective_its_own_ascent_over_one_map(data):
         for (p, s), (q, r) in zip(finals, want):
             assert np.array_equal(p, q)
             assert s == r
-    # each start's first row is its own map call, scored by every objective
+    # the starts' first rows are one map call, scored by every objective
     starts = cfg.multi_starts
-    first = len(objectives) * starts
-    assert log[:starts] == [("map", 1)] * starts
-    assert log[starts : starts + first] == [(o, 1) for o in range(len(objectives)) for _ in range(starts)]
+    assert log[0] == ("map", starts)
+    assert log[1 : 1 + len(objectives)] == [(o, starts) for o in range(len(objectives))]
     # then each coordinate step's map call is followed by one call per
     # objective with active starts, in objective order, whose rows add up
     # to the map call's
-    steps = log[starts + first :]
+    steps = log[1 + len(objectives) :]
     calls = [i for i, event in enumerate(steps) if event[0] == "map"] + [len(steps)]
     assert calls[0] == 0
     for at, nxt in zip(calls, calls[1:]):
@@ -308,15 +307,43 @@ def test_objectives_that_go_idle_leave_the_shared_map_calls():
     assert tilted_evals > flat_evals
     alone = [ascend(_rows, [objective], 2, cfg, 1.0)[0][1] for objective in (flat, tilted)]
     assert [flat_evals, tilted_evals] == alone
-    assert maps[: cfg.multi_starts] == [1] * cfg.multi_starts
+    assert maps[0] == cfg.multi_starts
     by_call = {}
-    for call, name, rows in scored[2 * cfg.multi_starts :]:
+    for call, name, rows in scored[2:]:
         by_call.setdefault(call, []).append(name)
-    assert sorted(by_call) == list(range(cfg.multi_starts + 1, len(maps) + 1))
+    assert sorted(by_call) == list(range(2, len(maps) + 1))
     shared = [call for call, names in by_call.items() if names == ["flat", "tilted"]]
     solo = [call for call, names in by_call.items() if names == ["tilted"]]
     assert len(shared) + len(solo) == len(by_call)
     assert shared and solo and max(shared) > min(solo)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_candidate_grids_of_all_starts_are_each_starts_own_unique_grid(data):
+    """One coordinate step builds every active start's candidates in one
+    array op: each start's block is np.unique of its own clipped linspace
+    with 0 and x appended, value for value and sign bit for sign bit, with
+    the other coordinates kept. x lies anywhere in [0, bound], its ends
+    included, the grid holds one point or many, and the span may be below
+    half an ulp of x, so that x - span and x + span round to x."""
+    bound = data.draw(st.sampled_from([0.5, 1.0, 3.0, 6.0, 24.0]))
+    grid_points = data.draw(st.integers(1, 25))
+    span = bound * 0.5 ** data.draw(st.one_of(st.integers(0, 8), st.integers(50, 70)))
+    dims = data.draw(st.integers(1, 3))
+    coord = st.one_of(st.sampled_from([0.0, bound]), st.floats(0.0, bound))
+    point = st.lists(coord, min_size=dims, max_size=dims)
+    points = np.array(data.draw(st.lists(point, min_size=1, max_size=6)))
+    d = data.draw(st.integers(0, dims - 1))
+    batch, sizes = search._candidates(points, d, span, grid_points, bound)
+    assert sizes.sum() == len(batch)
+    for p, block in zip(points, np.split(batch, np.cumsum(sizes)[:-1])):
+        x = p[d]
+        cand = np.clip(np.linspace(x - span, x + span, grid_points), 0.0, bound)
+        want = np.unique(np.concatenate([cand, [0.0, x]]))
+        assert np.array_equal(block[:, d], want)
+        assert np.array_equal(np.signbit(block[:, d]), np.signbit(want))
+        assert np.array_equal(np.delete(block, d, axis=1), np.delete(np.tile(p, (len(block), 1)), d, axis=1))
 
 
 def _group_wealths(layout, rows):
