@@ -164,18 +164,50 @@ class LinearDriver(Driver):
         return self._on_slots(t, self._x[t])
 
 
-class CoherentAbsDriver(Driver):
+class _LevelParamDriver(Driver):
+    """A driver with one parameter, one value or one per period and slot,
+    held as [None, p_1, ..., p_T] in the attribute named `param_name` and
+    admitted where `admits` holds, elementwise."""
+
+    param_name: str
+    rule: str
+
+    @staticmethod
+    def admits(v):
+        raise NotImplementedError
+
+    def __init__(self, walk, value):
+        super().__init__(walk)
+        levels = _per_level(self.tree, value, f"{self.kind} {self.param_name}")
+        if not _holds(levels, self.admits):
+            raise ParamOutOfRange(f"{self.kind} needs {self.rule}, got {value}")
+        setattr(self, self.param_name, levels)
+
+    @classmethod
+    def on_levels(cls, walk: MartingaleSpec, levels: list) -> "Driver":
+        """The driver on [None, p_1, ..., p_T] whose entries are already
+        floats or level t-1 slot arrays that `admits`: no copy, no check."""
+        g = cls.__new__(cls)
+        Driver.__init__(g, walk)
+        setattr(g, cls.param_name, levels)
+        return g
+
+
+class CoherentAbsDriver(_LevelParamDriver):
     """g(t, z) = c_t |z| with c_t in [0, 1), one value or one per slot."""
 
     kind = "coherent_abs"
     convex = True
     positive_homogeneous = True
+    param_name = "c"
+    rule = "0 <= c < 1"
 
     def __init__(self, walk, c):
-        super().__init__(walk)
-        self.c = _per_level(self.tree, c, "coherent_abs c")
-        if not _holds(self.c, lambda v: (0.0 <= v) & (v < 1.0)):
-            raise ParamOutOfRange(f"coherent_abs needs 0 <= c < 1, got {c}")
+        super().__init__(walk, c)
+
+    @staticmethod
+    def admits(v):
+        return (0.0 <= v) & (v < 1.0)
 
     def eval(self, t, z):
         return self.c[t] * np.abs(np.asarray(z, dtype=float))
@@ -184,18 +216,21 @@ class CoherentAbsDriver(Driver):
         return self._on_slots(t, self.c[t])
 
 
-class LseDriver(Driver):
+class LseDriver(_LevelParamDriver):
     """g(t, z) = c_t log((1 + e^-z + e^z)/3) with c_t >= 0, one value or one
     per slot."""
 
     kind = "lse"
     convex = True
+    param_name = "c"
+    rule = "c >= 0"
 
     def __init__(self, walk, c):
-        super().__init__(walk)
-        self.c = _per_level(self.tree, c, "lse c")
-        if not _holds(self.c, lambda v: v >= 0.0):
-            raise ParamOutOfRange(f"lse needs c >= 0, got {c}")
+        super().__init__(walk, c)
+
+    @staticmethod
+    def admits(v):
+        return v >= 0.0
 
     def eval(self, t, z):
         return self.c[t] * _lse3(np.asarray(z, dtype=float))
@@ -219,7 +254,7 @@ class LogSumExpDriver(LseDriver):
         self.K = K
 
 
-class EntropicDriver(Driver):
+class EntropicDriver(_LevelParamDriver):
     """g(t, z) = (gamma_t / dqv_t) * log(0.5 e^{-z/gamma_t} + 0.5 e^{z/gamma_t}),
     gamma_t > 0 one value or one per slot.
 
@@ -232,12 +267,15 @@ class EntropicDriver(Driver):
 
     kind = "entropic"
     convex = True
+    param_name = "gamma"
+    rule = "gamma > 0"
 
     def __init__(self, walk, gamma):
-        super().__init__(walk)
-        self.gamma = _per_level(self.tree, gamma, "entropic gamma")
-        if not _holds(self.gamma, lambda v: v > 0.0):
-            raise ParamOutOfRange(f"entropic needs gamma > 0, got {gamma}")
+        super().__init__(walk, gamma)
+
+    @staticmethod
+    def admits(v):
+        return v > 0.0
 
     @property
     def comparison_certified(self) -> bool:
@@ -261,6 +299,7 @@ class EntropicDriver(Driver):
 class DriverFamily:
     """An increasing family x -> g_x of drivers indexed by a level x > 0.
 
+    Every level's driver is one `driver` class with parameter param(x).
     make(x) takes one level, or one level per period as [None, x_1, ..., x_T]
     with each x_t a value or one value per level t-1 slot. Locality makes
     the per-slot driver agree, node by node, with the scalar-level one; this
@@ -269,20 +308,54 @@ class DriverFamily:
 
     kind: str = "abstract"
     positive_homogeneous: bool = False
+    driver: type
 
     def __init__(self, walk: MartingaleSpec):
         self.walk = walk
         self.tree = walk.tree
 
-    def make(self, x) -> Driver:
+    @staticmethod
+    def param(x):
+        """The driver parameter at level x, elementwise."""
         raise NotImplementedError
 
-    def _levels(self, x, param: Callable) -> list:
+    def make(self, x) -> Driver:
+        # each family defines its own make, since perfbench/tracing.py wraps
+        # make on the classes that define it
+        raise NotImplementedError
+
+    def _levels(self, x) -> list:
         """The driver parameter param(x_t) for each period's level x_t."""
         levels = _per_level(self.tree, x, "family level")
         if not _holds(levels, lambda v: v > 0.0):
             raise ParamOutOfRange(f"family level must be positive, got {x}")
-        return [None] + [param(x_t) for x_t in levels[1:]]
+        with np.errstate(invalid="ignore"):  # inf/inf is a NaN, which admits refuses
+            return [None] + [self.param(x_t) for x_t in levels[1:]]
+
+    def at_nodes(self, t: int, x_nodes) -> Driver:
+        """make's driver with level x_nodes[v] on the slots below level-t
+        node v in every period after t, and level 1 up to t.
+
+        The levels map to parameters once, on the level-t nodes, refused
+        where make refuses them, and each period gathers its slots'
+        parameters by ancestor. The map is elementwise, so the driver holds
+        make's floats, bit for bit.
+        """
+        x_nodes = np.asarray(x_nodes, dtype=float)
+        if not np.all(x_nodes > 0.0):
+            raise ParamOutOfRange(f"family level must be positive, got {x_nodes}")
+        with np.errstate(invalid="ignore"):  # inf/inf is a NaN, which admits refuses
+            p_nodes = self.param(x_nodes)
+        g = self.driver
+        if not np.all(g.admits(p_nodes)):
+            raise ParamOutOfRange(f"{g.kind} needs {g.rule}, got {p_nodes}")
+        tr = self.tree
+        p_one = self.param(1.0)
+        levels = [
+            np.take(p_nodes, tr.ancestor_map(u - 1, t)) if u > t else p_one
+            for u in range(1, tr.horizon + 1)
+        ]
+        return g.on_levels(self.walk, [None] + levels)
 
 
 class CoherentFamily(DriverFamily):
@@ -290,9 +363,14 @@ class CoherentFamily(DriverFamily):
 
     kind = "coherent"
     positive_homogeneous = True
+    driver = CoherentAbsDriver
+
+    @staticmethod
+    def param(x):
+        return x / (x + 1.0)
 
     def make(self, x):
-        return CoherentAbsDriver(self.walk, self._levels(x, lambda v: v / (v + 1.0)))
+        return self.driver(self.walk, self._levels(x))
 
 
 class QuasiconcaveLseFamily(DriverFamily):
@@ -300,9 +378,14 @@ class QuasiconcaveLseFamily(DriverFamily):
 
     kind = "quasiconcave_lse"
     positive_homogeneous = False
+    driver = LseDriver
+
+    @staticmethod
+    def param(x):
+        return x / (x + 1.0)
 
     def make(self, x):
-        return LseDriver(self.walk, self._levels(x, lambda v: v / (v + 1.0)))
+        return self.driver(self.walk, self._levels(x))
 
 
 class EntropicFamily(DriverFamily):
@@ -310,9 +393,14 @@ class EntropicFamily(DriverFamily):
 
     kind = "entropic"
     positive_homogeneous = False
+    driver = EntropicDriver
+
+    @staticmethod
+    def param(x):
+        return 1.0 / x
 
     def make(self, x):
-        return EntropicDriver(self.walk, self._levels(x, lambda v: 1.0 / v))
+        return self.driver(self.walk, self._levels(x))
 
 
 _FAMILY_KINDS = {

@@ -9,9 +9,9 @@ homogeneous drivers make it coherent.
 An acceptability index is built from an increasing family of drivers: the
 index is the largest family level at which the risk of the stream stays
 nonpositive. Values are per-node bisections on [X_MIN, X_MAX] to INDEX_TOL,
-vectorized through the family's own make(x) with per-slot levels: each slot
-takes the level of its level-t ancestor, and locality makes the per-node
-values equal their scalar-level counterparts.
+vectorized through the family's at_nodes driver, make's driver with
+per-slot levels: each slot takes the level of its level-t ancestor, and
+locality makes the per-node values equal their scalar-level counterparts.
 
 The family is increasing, so risk does not fall as a node's level rises:
 once a node has a feasible level a (risk <= 0) and an infeasible level b,
@@ -45,12 +45,7 @@ def risk(driver: Driver, stream: AdaptedProcess, t: int) -> np.ndarray:
 
 def _risk_at_levels(family: DriverFamily, terminal: np.ndarray, t: int, x_nodes: np.ndarray):
     """Risk per level-t node when node v uses family level x_nodes[v]."""
-    tr = family.tree
-    x_levels = [
-        np.take(x_nodes, tr.ancestor_map(u - 1, t), axis=-1) if u > t else 1.0
-        for u in range(1, tr.horizon + 1)
-    ]
-    return solve_bsde(family.make(x_levels), terminal, family.walk).Y[t]
+    return solve_bsde(family.at_nodes(t, x_nodes), terminal, family.walk).Y[t]
 
 
 def acceptability_index(family: DriverFamily, stream: AdaptedProcess, t: int) -> np.ndarray:

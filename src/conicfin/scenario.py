@@ -36,7 +36,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -414,7 +414,7 @@ def _build_scenario(cfg: dict, seed_override: Optional[int]) -> Scenario:
 _SEARCH_FIELDS = {
     "grid_points": lambda k, v: _integer(k, v, 1),
     "bound": lambda k, v: None if v is None else _number(k, v),
-    "multi_starts": _integer,
+    "multi_starts": lambda k, v: _integer(k, v, 1),
     "sweeps": _integer,
     "refine_rounds": _integer,
     "exhaustive": _boolean,
@@ -488,18 +488,18 @@ def _job_solve(scn: Scenario, job: dict):
     def run(path):
         sol = solve_bsde(g, terminal if stream is None else stream.future_sum(0), scn.walk)
         diag = diagnose_solution(sol, g, scn.walk)
-        rows = []
+        # One % render per level: "%.12g" % x is _FMT_FLOAT(x), byte for byte,
+        # and Z[t], which sits on the parents' slots, is gathered per child.
+        levels = []
         for t in range(tr.horizon + 1):
             n = tr.n_nodes(t)
+            y, m = sol.Y[t].tolist(), sol.M[t].tolist()
             if t == 0:
-                z = repeat("", n)
+                levels.append("0,%d,%.12g,,%.12g\n" * n % tuple(chain.from_iterable(zip(range(n), y, m))))
             else:
-                # Z[t] sits on the parents' slots: format it once per parent.
-                z = map([_FMT_FLOAT(x) for x in sol.Z[t].tolist()].__getitem__, tr.parent[t].tolist())
-            y = map(_FMT_FLOAT, sol.Y[t].tolist())
-            m = map(_FMT_FLOAT, sol.M[t].tolist())
-            rows.extend(zip(repeat(str(t)), map(str, range(n)), y, z, m))
-        _write_rows(path, ("t", "node", "Y", "Z", "M"), rows)
+                z = sol.Z[t][tr.parent[t]].tolist()
+                levels.append(f"{t},%d,%.12g,%.12g,%.12g\n" * n % tuple(chain.from_iterable(zip(range(n), y, z, m))))
+        _atomic_write(path, "t,node,Y,Z,M\n" + "".join(levels))
         ok = diag.bsde_residual <= 1e-10 and diag.orthogonality_residual <= 1e-10
         return ("pass" if ok else "fail"), {
             "residual": diag.bsde_residual,

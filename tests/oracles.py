@@ -108,6 +108,20 @@ def brute_force_solve(g, terminal, walk):
     return [np.asarray(level, dtype=float) for level in Y]
 
 
+def gathered_level_risk(family, terminal, t: int, x_nodes) -> np.ndarray:
+    """Risk per level-t node when node v uses family level x_nodes[v], from
+    make on the levels gathered per period: the body risk._risk_at_levels
+    had before its driver took the parameters of the level-t nodes."""
+    from conicfin import solve_bsde
+
+    tree = family.tree
+    x_levels = [
+        np.take(x_nodes, ancestor_ids(tree, u - 1, t), axis=-1) if u > t else 1.0
+        for u in range(1, tree.horizon + 1)
+    ]
+    return solve_bsde(family.make(x_levels), terminal, family.walk).Y[t]
+
+
 def four_call_rebalancing_cost(strategy, market, t: int) -> np.ndarray:
     """Cash absorbed by the leg changes decided at time t < T, with one
     operator call per leg and side: ask of the long increase, bid of the

@@ -8,6 +8,7 @@ import pytest
 
 from conicfin import (
     AdaptedProcess,
+    ParamOutOfRange,
     acceptability_index,
     builtin_driver,
     builtin_family,
@@ -260,6 +261,53 @@ def test_index_equals_bisection_bit_for_bit_on_lattice_streams(seed, monkeypatch
             finite += int(np.sum(np.isfinite(want) & (want > 0)))
     assert finite > 100
     assert np.median(solves) <= 20, solves
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_index_drivers_match_make_on_gathered_levels_bit_for_bit(kind):
+    """The per-node driver of an index solve holds make's parameters, float
+    for float, and its risk is the oracle's at t = 0 and at an interior t,
+    on random levels over [X_MIN, X_MAX] and on both ends."""
+    walk = make_walk(6)
+    tree = walk.tree
+    fam = builtin_family(kind, walk)
+    rng = np.random.default_rng(23)
+    terminal = rng.normal(size=tree.n_leaves) * 3.0
+    for t in (0, 3):
+        n = tree.n_nodes(t)
+        x = np.exp(rng.uniform(np.log(risk_module.X_MIN), np.log(risk_module.X_MAX), size=n))
+        x[[0, -1]] = risk_module.X_MIN, risk_module.X_MAX
+        g = fam.at_nodes(t, x)
+        want = fam.make([np.take(x, oracles.ancestor_ids(tree, u - 1, t)) if u > t else 1.0
+                         for u in range(1, tree.horizon + 1)])
+        for u in range(1, tree.horizon + 1):
+            got_p, want_p = getattr(g, g.param_name)[u], getattr(want, want.param_name)[u]
+            assert np.asarray(got_p).tobytes() == np.asarray(want_p).tobytes(), (t, u)
+        got = risk_module._risk_at_levels(fam, terminal, t, x)
+        assert got.tobytes() == oracles.gathered_level_risk(fam, terminal, t, x).tobytes(), t
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_index_drivers_refuse_the_levels_make_refuses(kind, bad):
+    walk = make_walk(3)
+    fam = builtin_family(kind, walk)
+    terminal = np.ones(walk.tree.n_leaves)
+    for levels in (bad, [None, 1.0, np.array([1.0, bad]), 1.0]):
+        with pytest.raises(ParamOutOfRange):
+            fam.make(levels)
+    with pytest.raises(ParamOutOfRange):
+        risk_module._risk_at_levels(fam, terminal, 1, np.array([1.0, bad]))
+
+
+def test_a_coherent_level_whose_share_rounds_to_one_is_refused():
+    """x/(x+1) is 1.0 at x = 2**53, outside the coherent driver's c < 1."""
+    fam = builtin_family("coherent", make_walk(3))
+    assert fam.param(2.0**53) == 1.0
+    with pytest.raises(ParamOutOfRange, match="0 <= c < 1"):
+        fam.make(2.0**53)
+    with pytest.raises(ParamOutOfRange, match="0 <= c < 1"):
+        risk_module._risk_at_levels(fam, np.ones(8), 1, np.array([2.0**53, 1.0]))
 
 
 def test_benchmark_sized_index_takes_under_half_of_bisections_solves(monkeypatch):

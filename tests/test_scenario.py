@@ -2,11 +2,13 @@
 
 import importlib
 import json
+import math
 import os
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conicfin import (
     ScenarioError,
@@ -20,6 +22,8 @@ from conicfin import (
 from conicfin.cli import main
 
 from test_market import AAPL_ASK, AAPL_BID
+
+scenario_module = sys.modules["conicfin.scenario"]
 
 LIGHT_SEARCH = {"grid_points": 11, "multi_starts": 3, "sweeps": 2, "refine_rounds": 2}
 
@@ -136,26 +140,67 @@ def test_csv_formatting_is_stable(tmp_path):
     assert open(path).read() == "a,b\n1,0.25\nx,1e-13\nnan,-inf\n"
 
 
+# -0.0, subnormals, the least normal, the switches of %g to and from
+# exponent form at 1e-4 and 1e12 (with 1e-5, 1e11 and 1e16 on either
+# side), 12-digit rounding carries into those switches, the largest float,
+# and each one's two neighbours
+FORMAT_EDGES = [
+    math.nextafter(e, d) if d else e
+    for e in (
+        -0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 9.9999999999995e-5,
+        1e11, 1e12, 999999999999.5, 1e16, 0.1 + 0.2, 1.7976931348623157e308,
+    )
+    for d in (0.0, -math.inf, math.inf)
+    if math.isfinite(math.nextafter(e, d) if d else e)
+]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FORMAT_EDGES))
+@settings(max_examples=400, deadline=None)
+def test_percent_render_is_the_cell_formatter(x):
+    """The solve job's % render gives _FMT_FLOAT's bytes for every finite
+    float: both are CPython's 12-digit %g conversion."""
+    assert "%.12g" % x == scenario_module._FMT_FLOAT(x)
+    assert "%.12g" % -x == scenario_module._FMT_FLOAT(-x)
+
+
+# (tree, martingale, terminal, a line fragment of the CSV): the binary
+# horizon-2 walk, and a ternary level followed by a ragged one of 2, 2 and 3
+# children, with increments of mean zero under each parent's probabilities
+SOLVE_TREES = (
+    ({"horizon": 2}, "symmetric_walk", [-0.0, 5e-324, 1e16, 0.1 + 0.2], "\n2,0,-0,-0,0\n2,1,4.94065645841e-324,"),
+    (
+        {"levels": [[0.25, 0.5, 0.25], [[0.5, 0.5], [0.25, 0.75], [0.2, 0.3, 0.5]]]},
+        {"increments": [[-1.0, 0.0, 1.0], [1.0, -1.0, 3.0, -1.0, 1.0, 1.0, -1.0]]},
+        [-0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5, 1e-5, 1e12],
+        "\n2,5,1e-05,",
+    ),
+)
+
+
 def test_solve_table_matches_cell_by_cell_formatting(tmp_path):
-    terminal = [-0.0, 5e-324, 1e16, 0.1 + 0.2]
-    cfg = {
-        "name": "solve-bytes",
-        "tree": {"horizon": 2},
-        "drivers": {"gx": {"kind": "entropic", "gamma": 1.0}},
-        "jobs": [{"type": "solve", "driver": "gx", "terminal": terminal}],
-    }
-    summary = run_scenario(cfg, str(tmp_path / "out"))
-    scn = load_scenario(cfg)
-    tree = scn.walk.tree
-    sol = solve_bsde(scn.drivers["gx"], np.array(terminal), scn.walk)
-    lines = ["t,node,Y,Z,M"]
-    for t in range(tree.horizon + 1):
-        for v in range(tree.n_nodes(t)):
-            z = "" if t == 0 else f"{float(sol.Z[t][tree.parent[t][v]]):.12g}"
-            lines.append(f"{t},{v},{float(sol.Y[t][v]):.12g},{z},{float(sol.M[t][v]):.12g}")
-    got = open(tmp_path / "out" / summary["jobs"][0]["artifact"]).read()
-    assert got == "\n".join(lines) + "\n"
-    assert "\n2,0,-0,-0,0\n2,1,4.94065645841e-324," in got
+    """Every cell of the solve CSV, Z read per child through parent[t], on
+    binary levels and on ternary and ragged ones."""
+    for k, (tree, martingale, terminal, fragment) in enumerate(SOLVE_TREES):
+        cfg = {
+            "name": "solve-bytes",
+            "tree": tree,
+            "martingale": martingale,
+            "drivers": {"gx": {"kind": "entropic", "gamma": 1.0}},
+            "jobs": [{"type": "solve", "driver": "gx", "terminal": terminal}],
+        }
+        summary = run_scenario(cfg, str(tmp_path / f"out{k}"))
+        scn = load_scenario(cfg)
+        tr = scn.walk.tree
+        sol = solve_bsde(scn.drivers["gx"], np.array(terminal), scn.walk)
+        lines = ["t,node,Y,Z,M"]
+        for t in range(tr.horizon + 1):
+            for v in range(tr.n_nodes(t)):
+                z = "" if t == 0 else f"{float(sol.Z[t][tr.parent[t][v]]):.12g}"
+                lines.append(f"{t},{v},{float(sol.Y[t][v]):.12g},{z},{float(sol.M[t][v]):.12g}")
+        got = open(tmp_path / f"out{k}" / summary["jobs"][0]["artifact"]).read()
+        assert got == "\n".join(lines) + "\n", tree
+        assert fragment in got
 
 
 def test_every_job_type_passes_on_the_tables_scenario(tmp_path):
@@ -319,6 +364,7 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
         {"type": "arbitrage", "search": {**LIGHT_SEARCH, "tol": "nan"}},
         {"type": "arbitrage", "search": {**LIGHT_SEARCH, "tol": float("nan")}},
         {"type": "arbitrage", "search": {**LIGHT_SEARCH, "multi_starts": -1}},
+        {"type": "arbitrage", "search": {**LIGHT_SEARCH, "multi_starts": 0}},
         {"type": "arbitrage", "search": {**LIGHT_SEARCH, "seed": 1.5}},
         {"type": "arbitrage", "search": {**LIGHT_SEARCH, "exhaustive": "true"}},
         {"type": "arbitrage", "search": {**LIGHT_SEARCH, "exhaustive_target": 0}},
