@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .drivers import Driver, DriverError, _on_grid
+from .drivers import Driver, DriverError, _on_grid, is_regular
 from .tree import LevelMismatch, MartingaleSpec
 
 EQ_TOL = 1e-10
@@ -181,8 +181,6 @@ def compare_solutions(
     every node; wherever equality holds it propagates to all successors,
     and the two drivers agree along the smaller solution's integrand there.
     """
-    from .drivers import is_regular
-
     tr = walk.tree
     terminal1 = tr.check_level_array(np.asarray(terminal1, dtype=float), tr.horizon)
     terminal2 = tr.check_level_array(np.asarray(terminal2, dtype=float), tr.horizon)

@@ -7,10 +7,10 @@ per-slot coefficients broadcast along the last axis.
 
 Each formula lives in one driver class. Its parameters are one value or one
 value per period, and a period's value may itself vary over the level t-1
-slots. A family x -> g_x maps its levels onto one of these classes
+slots. A family x -> g_x maps its level onto one of these classes
 (coherent: CoherentAbsDriver with c = x/(x+1); quasiconcave_lse: LseDriver
-with c = x/(x+1); entropic: EntropicDriver with gamma = 1/x), so a scalar
-level and a per-slot level give bit-identical values slot by slot.
+with c = x/(x+1); entropic: EntropicDriver with gamma = 1/x): make(x) at one
+level, at_nodes(t, x) at one per level-t node, slot by slot bit-identical.
 
 "Regular" means the one-step comparison argument applies to the driver. A
 positive strict-Lipschitz margin (max_t sup |c_t dW_t| < 1) is sufficient;
@@ -24,7 +24,6 @@ the comparison_certified flag.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -88,11 +87,6 @@ def _per_level(tree, value, name: str) -> list:
                 f"{name} at period {t} needs one value per level {t - 1} slot"
             ) from exc
     return out
-
-
-def _holds(levels: list, ok: Callable) -> bool:
-    """ok on every entry of a per-level list, elementwise on per-slot arrays."""
-    return all(ok(v) if isinstance(v, float) else bool(np.all(ok(v))) for v in levels[1:])
 
 
 class Driver:
@@ -179,7 +173,7 @@ class _LevelParamDriver(Driver):
     def __init__(self, walk, value):
         super().__init__(walk)
         levels = _per_level(self.tree, value, f"{self.kind} {self.param_name}")
-        if not _holds(levels, self.admits):
+        if not all(self.admits(v) if isinstance(v, float) else np.all(self.admits(v)) for v in levels[1:]):
             raise ParamOutOfRange(f"{self.kind} needs {self.rule}, got {value}")
         setattr(self, self.param_name, levels)
 
@@ -300,10 +294,10 @@ class DriverFamily:
     """An increasing family x -> g_x of drivers indexed by a level x > 0.
 
     Every level's driver is one `driver` class with parameter param(x).
-    make(x) takes one level, or one level per period as [None, x_1, ..., x_T]
-    with each x_t a value or one value per level t-1 slot. Locality makes
-    the per-slot driver agree, node by node, with the scalar-level one; this
-    is what vectorizes the per-node bisection for acceptability indices.
+    make(x) takes one level; at_nodes(t, x_nodes) takes one per level-t
+    node. Locality makes the per-node driver agree, node by node, with
+    make's at that node's level; this is what vectorizes the per-node
+    bisection for acceptability indices.
     """
 
     kind: str = "abstract"
@@ -319,33 +313,30 @@ class DriverFamily:
         """The driver parameter at level x, elementwise."""
         raise NotImplementedError
 
-    def make(self, x) -> Driver:
-        # each family defines its own make, since perfbench/tracing.py wraps
-        # make on the classes that define it
-        raise NotImplementedError
+    def _make(self, x) -> Driver:
+        """make(x), the driver at one level x. Each family's make is this, as
+        perfbench/tracing.py wraps make on the classes that define it."""
+        if isinstance(x, (list, tuple)) or np.ndim(x) != 0:
+            raise ParamOutOfRange(f"make takes one family level, got {x!r}; at_nodes takes one per node")
+        return self.driver(self.walk, self._params(float(x)))
 
-    def _levels(self, x) -> list:
-        """The driver parameter param(x_t) for each period's level x_t."""
-        levels = _per_level(self.tree, x, "family level")
-        if not _holds(levels, lambda v: v > 0.0):
+    def _params(self, x):
+        """param(x), elementwise, for levels x that are all positive."""
+        if not np.all(x > 0.0):
             raise ParamOutOfRange(f"family level must be positive, got {x}")
         with np.errstate(invalid="ignore"):  # inf/inf is a NaN, which admits refuses
-            return [None] + [self.param(x_t) for x_t in levels[1:]]
+            return self.param(x)
 
     def at_nodes(self, t: int, x_nodes) -> Driver:
         """make's driver with level x_nodes[v] on the slots below level-t
         node v in every period after t, and level 1 up to t.
 
-        The levels map to parameters once, on the level-t nodes, refused
-        where make refuses them, and each period gathers its slots'
-        parameters by ancestor. The map is elementwise, so the driver holds
-        make's floats, bit for bit.
+        The levels map to parameters once, on the level-t nodes, by make's
+        map and refused where make refuses them, and each period gathers its
+        slots' parameters by ancestor. The map is elementwise, so the driver
+        holds make's floats, bit for bit.
         """
-        x_nodes = np.asarray(x_nodes, dtype=float)
-        if not np.all(x_nodes > 0.0):
-            raise ParamOutOfRange(f"family level must be positive, got {x_nodes}")
-        with np.errstate(invalid="ignore"):  # inf/inf is a NaN, which admits refuses
-            p_nodes = self.param(x_nodes)
+        p_nodes = self._params(np.asarray(x_nodes, dtype=float))
         g = self.driver
         if not np.all(g.admits(p_nodes)):
             raise ParamOutOfRange(f"{g.kind} needs {g.rule}, got {p_nodes}")
@@ -370,7 +361,7 @@ class CoherentFamily(DriverFamily):
         return x / (x + 1.0)
 
     def make(self, x):
-        return self.driver(self.walk, self._levels(x))
+        return self._make(x)
 
 
 class QuasiconcaveLseFamily(DriverFamily):
@@ -385,7 +376,7 @@ class QuasiconcaveLseFamily(DriverFamily):
         return x / (x + 1.0)
 
     def make(self, x):
-        return self.driver(self.walk, self._levels(x))
+        return self._make(x)
 
 
 class EntropicFamily(DriverFamily):
@@ -400,7 +391,7 @@ class EntropicFamily(DriverFamily):
         return 1.0 / x
 
     def make(self, x):
-        return self.driver(self.walk, self._levels(x))
+        return self._make(x)
 
 
 _FAMILY_KINDS = {

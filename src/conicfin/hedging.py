@@ -51,12 +51,14 @@ GOOD_DEAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HedgedQuote:
+    """A hedged quote; LegLayout(market, t).strategy(params) is its hedge."""
+
     side: str
     gamma: float
     t: int
     value: np.ndarray
     unhedged: np.ndarray
-    strategy: TradingStrategy
+    params: np.ndarray
     evaluations: int
 
 
@@ -199,7 +201,7 @@ def _search_all(requests: Sequence, market: MarketModel, t: int, cfg: SearchConf
                     t=t,
                     value=merged_vals if side == "ask" else -merged_vals,
                     unhedged=quote.value,
-                    strategy=layout.strategy(merged),
+                    params=merged,
                     evaluations=evals,
                 )
                 for side, quote, (merged, merged_vals, evals) in zip(r.sides, next(quotes), nodes)

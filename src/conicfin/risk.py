@@ -9,9 +9,9 @@ homogeneous drivers make it coherent.
 An acceptability index is built from an increasing family of drivers: the
 index is the largest family level at which the risk of the stream stays
 nonpositive. Values are per-node bisections on [X_MIN, X_MAX] to INDEX_TOL,
-vectorized through the family's at_nodes driver, make's driver with
-per-slot levels: each slot takes the level of its level-t ancestor, and
-locality makes the per-node values equal their scalar-level counterparts.
+vectorized through the family's at_nodes driver: each slot takes the
+level of its level-t ancestor, and locality makes each node's value the
+one make's driver gives at that node's level.
 
 The family is increasing, so risk does not fall as a node's level rises:
 once a node has a feasible level a (risk <= 0) and an infeasible level b,

@@ -116,20 +116,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# f"{x:.12g}" for a Python float x as one bound method: mapped over a
-# level's .tolist(), it gives _fmt's bytes with no Python frame per cell.
-_FMT_FLOAT = "{:.12g}".format
-
-
-def _write_rows(path: str, header, rows):
-    """Write a CSV table whose rows hold cells that are already strings."""
+def write_csv(path: str, header, rows):
     lines = [",".join(header)]
-    lines.extend(map(",".join, rows))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_csv(path: str, header, rows):
-    _write_rows(path, header, ([_fmt(v) for v in row] for row in rows))
+def _rows(template: str, *columns) -> str:
+    """One CSV line per entry of the columns, in one % render: "%.12g" % x
+    is _fmt(x) for a float x, byte for byte. A template holds only ints,
+    floats and validated names besides its own % fields."""
+    return template * len(columns[0]) % tuple(chain.from_iterable(zip(*columns)))
 
 
 # ---- scenario parsing ---------------------------------------------------------
@@ -488,17 +485,15 @@ def _job_solve(scn: Scenario, job: dict):
     def run(path):
         sol = solve_bsde(g, terminal if stream is None else stream.future_sum(0), scn.walk)
         diag = diagnose_solution(sol, g, scn.walk)
-        # One % render per level: "%.12g" % x is _FMT_FLOAT(x), byte for byte,
-        # and Z[t], which sits on the parents' slots, is gathered per child.
+        # Z[t] sits on the parents' slots, so it is gathered per child
         levels = []
         for t in range(tr.horizon + 1):
-            n = tr.n_nodes(t)
-            y, m = sol.Y[t].tolist(), sol.M[t].tolist()
+            nodes, y, m = range(tr.n_nodes(t)), sol.Y[t].tolist(), sol.M[t].tolist()
             if t == 0:
-                levels.append("0,%d,%.12g,,%.12g\n" * n % tuple(chain.from_iterable(zip(range(n), y, m))))
+                levels.append(_rows("0,%d,%.12g,,%.12g\n", nodes, y, m))
             else:
                 z = sol.Z[t][tr.parent[t]].tolist()
-                levels.append(f"{t},%d,%.12g,%.12g,%.12g\n" * n % tuple(chain.from_iterable(zip(range(n), y, z, m))))
+                levels.append(_rows(f"{t},%d,%.12g,%.12g,%.12g\n", nodes, y, z, m))
         _atomic_write(path, "t,node,Y,Z,M\n" + "".join(levels))
         ok = diag.bsde_residual <= 1e-10 and diag.orthogonality_residual <= 1e-10
         return ("pass" if ok else "fail"), {
@@ -527,19 +522,18 @@ def _job_price_table(scn: Scenario, job: dict):
     if not sides:
         raise ScenarioError("sides must list 'ask' and/or 'bid'")
     def run(path):
-        rows = []
+        blocks = ["t,node,side,gamma,family,phi,value\n"]
         table = {}  # (t, gamma, side) -> quote value
         worst_cross = 0.0
         for t in times:
             for gamma in gammas:
                 for side in sides:
                     value = table[t, gamma, side] = price(side, fam, gamma, phi, stream, t).value
-                    cells = (side, _FMT_FLOAT(gamma), fam.kind, _FMT_FLOAT(phi))
-                    for v, x in enumerate(map(_FMT_FLOAT, value.tolist())):
-                        rows.append((str(t), str(v), *cells, x))
+                    line = f"{t},%d,{side},{gamma:.12g},{fam.kind},{phi:.12g},%.12g\n"
+                    blocks.append(_rows(line, range(len(value)), value.tolist()))
                 if "ask" in sides and "bid" in sides:
                     worst_cross = max(worst_cross, float(np.max(table[t, gamma, "bid"] - table[t, gamma, "ask"])))
-        _write_rows(path, ("t", "node", "side", "gamma", "family", "phi", "value"), rows)
+        _atomic_write(path, "".join(blocks))
         nested = [time_consistency_check(s, fam, g, stream) for s in sides for g in gammas]
         worst_nest = max(n.worst_residual for n in nested)
 
@@ -718,13 +712,8 @@ def _job_book_quotes(scn: Scenario, job: dict):
     if "expect" in job and len(want) != len(phis):
         raise ScenarioError(f"expect must list {len(phis)} values, got {len(want)}")
     def run(path):
-        rows = []
-        values = []
-        for phi in phis:
-            v = float(op.price(t, np.full(n, phi))[0])
-            values.append(v)
-            rows.append((str(t), "0", side, _FMT_FLOAT(phi), _FMT_FLOAT(v)))
-        _write_rows(path, ("t", "node", "side", "phi", "value"), rows)
+        values = [float(op.price(t, np.full(n, phi))[0]) for phi in phis]
+        _atomic_write(path, "t,node,side,phi,value\n" + _rows(f"{t},0,{side},%.12g,%.12g\n", phis, values))
         ok = all(abs(a - b) <= 1e-9 for a, b in zip(values, want))
         return ("pass" if ok else "fail"), {"values": values}
     return run

@@ -59,6 +59,10 @@ class SearchConfig:
     exhaustive: bool = False
     exhaustive_target: int = 200_000
 
+    def __post_init__(self):
+        if self.multi_starts < 1:
+            raise ValueError(f"multi_starts must be at least 1, got {self.multi_starts}")
+
 
 @dataclass(frozen=True)
 class LegLayout:
@@ -207,7 +211,7 @@ def ascend(
     rng = np.random.default_rng(cfg.seed)
     base_grid = np.linspace(0.0, bound, cfg.grid_points)
     starts = [np.zeros(dims)]
-    for _ in range(max(cfg.multi_starts - 1, 0)):
+    for _ in range(cfg.multi_starts - 1):
         raw = rng.choice(base_grid, size=dims)
         mask = rng.random(dims) < 0.35
         starts.append(raw * mask)

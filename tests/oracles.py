@@ -110,8 +110,8 @@ def brute_force_solve(g, terminal, walk):
 
 def gathered_level_risk(family, terminal, t: int, x_nodes) -> np.ndarray:
     """Risk per level-t node when node v uses family level x_nodes[v], from
-    make on the levels gathered per period: the body risk._risk_at_levels
-    had before its driver took the parameters of the level-t nodes."""
+    the family's driver class, built by its own checked constructor on
+    param of the levels gathered per period: no at_nodes involved."""
     from conicfin import solve_bsde
 
     tree = family.tree
@@ -119,7 +119,8 @@ def gathered_level_risk(family, terminal, t: int, x_nodes) -> np.ndarray:
         np.take(x_nodes, ancestor_ids(tree, u - 1, t), axis=-1) if u > t else 1.0
         for u in range(1, tree.horizon + 1)
     ]
-    return solve_bsde(family.make(x_levels), terminal, family.walk).Y[t]
+    g = family.driver(family.walk, [None] + [family.param(x) for x in x_levels])
+    return solve_bsde(g, terminal, family.walk).Y[t]
 
 
 def four_call_rebalancing_cost(strategy, market, t: int) -> np.ndarray:

@@ -19,6 +19,8 @@ from conicfin import (
 )
 from conicfin.drivers import _lncosh_half, _lse3
 
+import oracles
+
 ZERO_ATOL = 1e-12
 
 
@@ -160,22 +162,26 @@ def test_linear_driver_with_nonpositive_weight_is_not_regular():
 
 
 def test_per_slot_levels_match_scalar_levels_exactly():
+    """at_nodes(t, x) evaluates, slot by slot, as make at the level of the
+    slot's level-t ancestor after t, and as make(1.0) up to t."""
     walk = make_walk(3)
     tree = walk.tree
     rng = np.random.default_rng(11)
     levels = (0.05, 0.5, 1.0, 3.0, 40.0)
-    x_levels = [None] + [rng.choice(levels, size=tree.n_nodes(t - 1)) for t in range(1, 4)]
     for kind in ("coherent", "quasiconcave_lse", "entropic"):
         fam = builtin_family(kind, walk)
-        g_slot = fam.make(x_levels)
-        flat = {x: fam.make(float(x)) for x in levels}
-        for t in range(1, 4):
-            z = rng.normal(scale=3.0, size=(7, tree.n_nodes(t - 1)))
-            got = g_slot.eval(t, z)
-            for v, x in enumerate(x_levels[t]):
-                want = flat[x].eval(t, z)[:, v]
-                assert np.array_equal(got[:, v], want), (kind, t, v)
-                assert g_slot.lipschitz(t)[v] == flat[x].lipschitz(t)[v], (kind, t, v)
+        flat = {x: fam.make(x) for x in levels}
+        for t in range(3):
+            x_nodes = rng.choice(levels, size=tree.n_nodes(t))
+            g_node = fam.at_nodes(t, x_nodes)
+            for u in range(1, 4):
+                z = rng.normal(scale=3.0, size=(7, tree.n_nodes(u - 1)))
+                got = g_node.eval(u, z)
+                x_slots = x_nodes[oracles.ancestor_ids(tree, u - 1, t)] if u > t else np.ones(tree.n_nodes(u - 1))
+                for v, x in enumerate(x_slots.tolist()):
+                    want = flat[x].eval(u, z)[:, v]
+                    assert np.array_equal(got[:, v], want), (kind, t, u, v)
+                    assert g_node.lipschitz(u)[v] == flat[x].lipschitz(u)[v], (kind, t, u, v)
 
 
 def test_family_batteries_pass_for_builtins():

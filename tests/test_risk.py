@@ -265,9 +265,10 @@ def test_index_equals_bisection_bit_for_bit_on_lattice_streams(seed, monkeypatch
 
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_index_drivers_match_make_on_gathered_levels_bit_for_bit(kind):
-    """The per-node driver of an index solve holds make's parameters, float
-    for float, and its risk is the oracle's at t = 0 and at an interior t,
-    on random levels over [X_MIN, X_MAX] and on both ends."""
+    """The per-node driver of an index solve holds the parameters of the
+    family's driver class built on param of the gathered levels, float for
+    float, and its risk is the oracle's at t = 0 and at an interior t, on
+    random levels over [X_MIN, X_MAX] and on both ends."""
     walk = make_walk(6)
     tree = walk.tree
     fam = builtin_family(kind, walk)
@@ -278,8 +279,10 @@ def test_index_drivers_match_make_on_gathered_levels_bit_for_bit(kind):
         x = np.exp(rng.uniform(np.log(risk_module.X_MIN), np.log(risk_module.X_MAX), size=n))
         x[[0, -1]] = risk_module.X_MIN, risk_module.X_MAX
         g = fam.at_nodes(t, x)
-        want = fam.make([np.take(x, oracles.ancestor_ids(tree, u - 1, t)) if u > t else 1.0
-                         for u in range(1, tree.horizon + 1)])
+        x_levels = [
+            np.take(x, oracles.ancestor_ids(tree, u - 1, t)) if u > t else 1.0 for u in range(1, tree.horizon + 1)
+        ]
+        want = fam.driver(walk, [None] + [fam.param(x_u) for x_u in x_levels])
         for u in range(1, tree.horizon + 1):
             got_p, want_p = getattr(g, g.param_name)[u], getattr(want, want.param_name)[u]
             assert np.asarray(got_p).tobytes() == np.asarray(want_p).tobytes(), (t, u)
@@ -290,11 +293,15 @@ def test_index_drivers_match_make_on_gathered_levels_bit_for_bit(kind):
 @pytest.mark.parametrize("kind", FAMILIES)
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_index_drivers_refuse_the_levels_make_refuses(kind, bad):
+    """make takes one level and refuses a bad one; per-node levels go
+    through at_nodes, which refuses a bad level at any node."""
     walk = make_walk(3)
     fam = builtin_family(kind, walk)
     terminal = np.ones(walk.tree.n_leaves)
-    for levels in (bad, [None, 1.0, np.array([1.0, bad]), 1.0]):
-        with pytest.raises(ParamOutOfRange):
+    with pytest.raises(ParamOutOfRange, match="family level|needs"):
+        fam.make(bad)
+    for levels in ([None, 1.0, np.array([1.0, bad]), 1.0], [1.0, 1.0, 1.0], np.array([1.0])):
+        with pytest.raises(ParamOutOfRange, match="at_nodes"):
             fam.make(levels)
     with pytest.raises(ParamOutOfRange):
         risk_module._risk_at_levels(fam, terminal, 1, np.array([1.0, bad]))

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conicfin import (
     ScenarioError,
     load_scenario,
+    price,
     render_summary,
     run_scenario,
     solve_bsde,
@@ -158,10 +159,10 @@ FORMAT_EDGES = [
 @given(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FORMAT_EDGES))
 @settings(max_examples=400, deadline=None)
 def test_percent_render_is_the_cell_formatter(x):
-    """The solve job's % render gives _FMT_FLOAT's bytes for every finite
-    float: both are CPython's 12-digit %g conversion."""
-    assert "%.12g" % x == scenario_module._FMT_FLOAT(x)
-    assert "%.12g" % -x == scenario_module._FMT_FLOAT(-x)
+    """The CSV jobs' % render gives _fmt's bytes for every finite float:
+    both are CPython's 12-digit %g conversion."""
+    assert "%.12g" % x == scenario_module._fmt(x)
+    assert "%.12g" % -x == scenario_module._fmt(-x)
 
 
 # (tree, martingale, terminal, a line fragment of the CSV): the binary
@@ -201,6 +202,58 @@ def test_solve_table_matches_cell_by_cell_formatting(tmp_path):
         got = open(tmp_path / f"out{k}" / summary["jobs"][0]["artifact"]).read()
         assert got == "\n".join(lines) + "\n", tree
         assert fragment in got
+
+
+def test_price_table_matches_cell_by_cell_formatting(tmp_path):
+    """Every cell of the price_table CSV, ask and bid, on a ternary level
+    followed by a ragged one. Level-1 node 1 has only zero payments left,
+    so its bid quotes are -0."""
+    tree, martingale = SOLVE_TREES[1][:2]
+    jobs = [
+        {"type": "price_table", "family": kind, "stream": "payout", "gammas": [0.5, 3.0], "phi": 1.5}
+        for kind in ("ent", "coh")
+    ]
+    cfg = {
+        "name": "price-bytes",
+        "tree": tree,
+        "martingale": martingale,
+        "families": {"ent": {"kind": "entropic"}, "coh": {"kind": "coherent"}},
+        "streams": {"payout": {"values": [0.0, [0.3, -0.1, 0.0], [1.0, -0.25, 0.0, 0.0, 1e-5, 5e-324, 1e12]]}},
+        "jobs": jobs,
+    }
+    summary = run_scenario(cfg, str(tmp_path / "out"))
+    scn = load_scenario(cfg)
+    fmt = scenario_module._fmt
+    for job, entry in zip(jobs, summary["jobs"]):
+        fam = scn.families[job["family"]]
+        lines = ["t,node,side,gamma,family,phi,value"]
+        for t in range(3):
+            for gamma in (0.5, 3.0):
+                for side in ("ask", "bid"):
+                    value = price(side, fam, gamma, 1.5, scn.streams["payout"], t).value
+                    cells = [(t, v, side, gamma, fam.kind, 1.5, x) for v, x in enumerate(value)]
+                    lines += [",".join(map(fmt, row)) for row in cells]
+        got = open(tmp_path / "out" / entry["artifact"]).read()
+        assert got == "\n".join(lines) + "\n", job["family"]
+        assert f"\n1,1,bid,0.5,{fam.kind},1.5,-0\n" in got
+
+
+def test_book_quotes_match_cell_by_cell_formatting(tmp_path):
+    """Every cell of the book_quotes CSV, ask and bid, at an interior time."""
+    cfg = tables_cfg()
+    phis = [0, 200, 500.5, 1e-5]
+    cfg["jobs"] = [
+        {"type": "book_quotes", "security": "aapl", "side": side, "phis": phis, "time": 1}
+        for side in ("ask", "bid")
+    ]
+    summary = run_scenario(cfg, str(tmp_path / "out"))
+    sec = load_scenario(cfg).market.security("aapl")
+    fmt = scenario_module._fmt
+    for op, side, entry in zip((sec.op_ask, sec.op_bid), ("ask", "bid"), summary["jobs"]):
+        lines = ["t,node,side,phi,value"]
+        cells = [(1, 0, side, float(phi), float(op.price(1, np.full(2, phi))[0])) for phi in phis]
+        lines += [",".join(map(fmt, row)) for row in cells]
+        assert open(tmp_path / "out" / entry["artifact"]).read() == "\n".join(lines) + "\n", side
 
 
 def test_every_job_type_passes_on_the_tables_scenario(tmp_path):
@@ -815,10 +868,11 @@ def _search_jobs():
 def test_searches_on_one_entry_and_search_block_share_one_ascent(monkeypatch, tmp_path):
     """A counting wrapper on complete_bank_leg sees one ascent's calls: the
     arbitrage, ngd and hedged jobs of conic_noarb's shape run one ascent,
-    whose map calls, the finals' and merged legs' calls, the two hedged
-    strategies and the certificate's two (its strategy and its
-    re-validation) are every ledger call. An arbitrage job alone runs
-    find_arbitrage, and each job alone runs an ascent of its own."""
+    whose map calls, the finals' and merged legs' calls and the
+    certificate's two (its strategy and its re-validation) are every ledger
+    call: a hedged quote keeps its legs and builds no strategy. An arbitrage
+    job alone runs find_arbitrage, and each job alone runs an ascent of its
+    own."""
     search = importlib.import_module("conicfin.search")
     arbitrage = importlib.import_module("conicfin.arbitrage")
     hedging = importlib.import_module("conicfin.hedging")
@@ -855,9 +909,9 @@ def test_searches_on_one_entry_and_search_block_share_one_ascent(monkeypatch, tm
         return len(ledger), list(ascents), len(finds)
 
     calls, (steps,), found = run("shared", _search_jobs()[:3])
-    assert found == 0 and calls == steps + 2 + 2 + 2
+    assert found == 0 and calls == steps + 2 + 2
     five, (more_steps,), _ = run("five", _search_jobs())
-    assert five == more_steps + 2 + 4 + 2
+    assert five == more_steps + 2 + 2
     arb, ngd, hedged = conic_cfg()["jobs"]
     alone = [run(f"alone{k}", [job]) for k, job in enumerate((arb, ngd, hedged))]
     assert [len(a) for _, a, _ in alone] == [1, 1, 1]

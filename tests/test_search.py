@@ -118,6 +118,16 @@ def test_maximize_always_tries_the_zero_strategy():
     assert np.array_equal(out.params, np.zeros(4))
 
 
+@pytest.mark.parametrize("starts", [0, -1])
+def test_a_search_without_starts_is_refused(starts):
+    """The zero start is one of the starts, so fewer than one is an error,
+    not a search of the zero start alone."""
+    with pytest.raises(ValueError, match="multi_starts must be at least 1"):
+        SearchConfig(multi_starts=starts)
+    with pytest.raises(ValueError, match="multi_starts must be at least 1"):
+        replace(SearchConfig(), multi_starts=starts)
+
+
 def _rows(params):
     """The identity map: objectives score the parameter rows themselves."""
     return params
