@@ -18,14 +18,13 @@ by node. The zero start makes the hedged ask never exceed the plain ask
 
 Every search here shares one wealth map, LegLayout.wealth, so objectives
 on one leg layout ride one ascent. A request names what a caller wants
-searched on one market, entry and SearchConfig: hedged quotes
-(HedgeRequest), a good-deal check (GoodDealRequest) or the arbitrage
-report (ARBITRAGE). _search_all runs any set of requests in one ascent,
-the arbitrage objective once for all of them; hedged_price,
-hedged_sandwich and check_ngd are its one-request calls, and a
-SharedSearch lets several callers share one run. Each objective keeps its
-own moves and row count, so every quote and report is the one its own
-search gives.
+searched on one market, entry and SearchConfig: one side's hedged quote
+(HedgeRequest) or the arbitrage report (ARBITRAGE). A good-deal check is
+the hedged ask of the zero stream, the least risk of a zero-cost hedge.
+_search_all runs any list of requests in one ascent, the arbitrage
+objective once for all of them, and a SharedSearch lets several callers
+share one run. Each objective keeps its own moves and row count, so every
+quote and report is the one its own search gives.
 
 A no-good-deal verdict is heuristic: it reports that no visited strategy
 produced strictly negative risk at any node.
@@ -44,7 +43,7 @@ from .drivers import Driver, DriverFamily
 from .market import MarketModel, TradingStrategy
 from .pricing import price
 from .search import LegLayout, SearchConfig, SearchOutcome, ascend
-from .tree import AdaptedProcess, tail_payoff
+from .tree import AdaptedProcess, tail_payoff, zero_process
 
 GOOD_DEAL_TOL = 1e-9
 
@@ -131,24 +130,14 @@ class NgdReport:
 
 @dataclass(frozen=True, eq=False)
 class HedgeRequest:
-    """Hedged quotes of phi shares of the stream at family level gamma, one
-    per side; its result is the list of HedgedQuotes."""
+    """The hedged side quote of phi shares of the stream at family level
+    gamma; its result is the HedgedQuote."""
 
-    sides: tuple
+    side: str
     family: DriverFamily
     gamma: float
     phi: object
     stream: AdaptedProcess
-
-
-@dataclass(frozen=True, eq=False)
-class GoodDealRequest:
-    """A good-deal search at family level gamma, with the arbitrage cross
-    check or without; its result is the NgdReport."""
-
-    family: DriverFamily
-    gamma: float
-    cross_check_arbitrage: bool
 
 
 # The request for the arbitrage search's report, an ArbitrageSearchResult.
@@ -159,104 +148,71 @@ def _search_all(requests: Sequence, market: MarketModel, t: int, cfg: SearchConf
     """The result of every request, entered at time t, searched in one
     ascent over LegLayout(market, t).wealth.
 
-    A hedge request adds one node-value objective per side, a good-deal
-    request the good-deal risk of the zero payoff. The arbitrage report,
-    wanted by an ARBITRAGE request or a good-deal cross-check, is made once:
-    wealth_score rides the ascent as one more objective, except that an
-    exhaustive config sweeps its grid and a group with nothing else to
-    search runs its own ascent, both through find_arbitrage. Each objective
-    keeps its own moves, finals and row count, so every result is the one
-    its request gets searched alone.
+    Each hedge request adds its side's node-value objective. The arbitrage
+    report, wanted by any ARBITRAGE request, is made once: wealth_score
+    rides the ascent as one more objective, except that an exhaustive
+    config sweeps its grid and a group with no hedge to search runs its own
+    ascent, both through find_arbitrage. Each objective keeps its own
+    moves, finals and row count, so every result is the one its request
+    gets searched alone.
     """
     layout = LegLayout(market, t)
-    quotes, values = [], []
-    for r in requests:
-        if isinstance(r, HedgeRequest):
-            quotes.append([price(side, r.family, r.gamma, r.phi, r.stream, t) for side in r.sides])
-            g = r.family.make(r.gamma)
-            for side, q in zip(r.sides, quotes[-1]):
-                s = 1.0 if side == "ask" else -1.0
-                values.append(_node_values(g, layout, s * tail_payoff(r.stream, q.phi, t)))
-        elif isinstance(r, GoodDealRequest):
-            values.append(_node_values(r.family.make(r.gamma), layout, np.zeros(market.tree.n_leaves)))
-    cross = any(isinstance(r, GoodDealRequest) and r.cross_check_arbitrage for r in requests)
-    wants_arb = cross or ARBITRAGE in requests
-    ride = wants_arb and bool(values) and not cfg.exhaustive
+    hedges = [r for r in requests if r != ARBITRAGE]
+    plain = [price(r.side, r.family, r.gamma, r.phi, r.stream, t) for r in hedges]
+    values = []
+    for r, q in zip(hedges, plain):
+        sign = 1.0 if r.side == "ask" else -1.0
+        values.append(_node_values(r.family.make(r.gamma), layout, sign * tail_payoff(r.stream, q.phi, t)))
+    wants_arb = ARBITRAGE in requests
+    ride = wants_arb and bool(hedges) and not cfg.exhaustive
     nodes, best = [], None
-    if values:
+    if hedges:
         nodes, best, _ = _per_node_search(layout.wealth, values, layout, cfg, wealth_score if ride else None)
     arb = None
     if ride:
         arb = certify(layout, best, cfg)
     elif wants_arb:
         arb = find_arbitrage(market, t, cfg)
-    nodes, quotes = iter(nodes), iter(quotes)
-    results = []
-    for r in requests:
-        if isinstance(r, HedgeRequest):
-            results.append([
-                HedgedQuote(
-                    side=side,
-                    gamma=float(r.gamma),
-                    t=t,
-                    value=merged_vals if side == "ask" else -merged_vals,
-                    unhedged=quote.value,
-                    params=merged,
-                    evaluations=evals,
-                )
-                for side, quote, (merged, merged_vals, evals) in zip(r.sides, next(quotes), nodes)
-            ])
-        elif isinstance(r, GoodDealRequest):
-            results.append(_ngd_report(layout, *next(nodes), arb if r.cross_check_arbitrage else None))
-        else:
-            results.append(arb)
-    return results
-
-
-def _ngd_report(layout: LegLayout, merged, merged_vals, evals: int, arb) -> NgdReport:
-    """The good-deal verdict on the merged risk search, flagged inconsistent
-    when the arbitrage cross-check found a certificate it missed."""
-    worst = float(np.min(merged_vals))
-    found = worst < -GOOD_DEAL_TOL
-    consistent = True
-    note = f"searched {evals} leg evaluations"
-    if arb is not None and not found and arb.found:
-        consistent = False
-        note += "; arbitrage certificate exists, so the good-deal search missed one"
-    return NgdReport(
-        verdict="GOOD_DEAL_FOUND" if found else "NONE_FOUND",
-        worst_risk=worst,
-        strategy=layout.strategy(merged) if found else None,
-        arbitrage=arb,
-        consistent=consistent,
-        note=note,
-    )
+    quotes = iter([
+        HedgedQuote(
+            side=r.side,
+            gamma=float(r.gamma),
+            t=t,
+            value=merged_vals if r.side == "ask" else -merged_vals,
+            unhedged=q.value,
+            params=merged,
+            evaluations=evals,
+        )
+        for r, q, (merged, merged_vals, evals) in zip(hedges, plain, nodes)
+    ])
+    return [arb if r == ARBITRAGE else next(quotes) for r in requests]
 
 
 class SharedSearch:
     """The search requests of one market, entry t and SearchConfig, and
     their results once asked for.
 
-    slot(request) adds a request and returns a call that gives its result.
-    The first call runs every request added so far in one _search_all and
-    keeps all their results; later calls read them. The results depend only
-    on the requests, so threads that find nothing kept, and each run the
-    group, keep equal results.
+    slot(*requests) adds requests and returns a call that gives their
+    results, the list _search_all gives for them. The first call runs every
+    request added so far in one _search_all and keeps all their results;
+    later calls read them. The results depend only on the requests, so
+    threads that find nothing kept, and each run the group, keep equal
+    results.
     """
 
     def __init__(self, market: MarketModel, t: int, cfg: SearchConfig):
         self.where = (market, t, cfg)
         self.requests, self.results = [], None
 
-    def slot(self, request) -> Callable[[], object]:
-        self.requests.append(request)
-        k = len(self.requests) - 1
+    def slot(self, *requests) -> Callable[[], list]:
+        k = len(self.requests)
+        self.requests.extend(requests)
 
         def result():
             results = self.results
             if results is None:
                 results = self.results = _search_all(self.requests, *self.where)
-            return results[k]
+            return results[k : k + len(requests)]
 
         return result
 
@@ -272,7 +228,7 @@ def hedged_price(
     cfg: SearchConfig = SearchConfig(),
 ) -> HedgedQuote:
     """Hedged ask/bid of phi shares of the stream, entered at time t."""
-    return _search_all([HedgeRequest((side,), family, gamma, phi, stream)], market, t, cfg)[0][0]
+    return _search_all([HedgeRequest(side, family, gamma, phi, stream)], market, t, cfg)[0]
 
 
 def check_ngd(
@@ -282,18 +238,39 @@ def check_ngd(
     t: int = 0,
     cfg: SearchConfig = SearchConfig(),
     cross_check_arbitrage: bool = True,
-    shared: Optional[Callable[[], NgdReport]] = None,
+    shared: Optional[Callable[[], list]] = None,
 ) -> NgdReport:
     """Search for a good deal: a zero-cost hedge whose time-t risk is
-    strictly negative somewhere. Absence of good deals implies absence of
-    arbitrage, so a found arbitrage alongside a NONE_FOUND verdict is
-    flagged as inconsistent (a miss of the heuristic search).
+    strictly negative somewhere. That risk is the hedged ask of the zero
+    stream, so the verdict is read off that quote. Absence of good deals
+    implies absence of arbitrage, so a found arbitrage alongside a
+    NONE_FOUND verdict is flagged as inconsistent (a miss of the heuristic
+    search).
 
-    shared, when given, is the SharedSearch slot of this call's request,
+    shared, when given, is the SharedSearch slot of this call's requests,
+    the zero stream's hedged ask and, with the cross-check, ARBITRAGE,
     added with these arguments; the report is then read off that group's
     one ascent instead of a search of its own."""
-    request = GoodDealRequest(family, gamma, cross_check_arbitrage)
-    return shared() if shared is not None else _search_all([request], market, t, cfg)[0]
+    if shared is None:
+        zero_ask = HedgeRequest("ask", family, gamma, 1.0, zero_process(market.tree))
+        checks = [ARBITRAGE] if cross_check_arbitrage else []
+        shared = SharedSearch(market, t, cfg).slot(zero_ask, *checks)
+    quote, *arb = shared()
+    arb = arb[0] if arb else None
+    worst = float(np.min(quote.value))
+    found = worst < -GOOD_DEAL_TOL
+    consistent = arb is None or found or not arb.found
+    note = f"searched {quote.evaluations} leg evaluations"
+    if not consistent:
+        note += "; arbitrage certificate exists, so the good-deal search missed one"
+    return NgdReport(
+        verdict="GOOD_DEAL_FOUND" if found else "NONE_FOUND",
+        worst_risk=worst,
+        strategy=LegLayout(market, t).strategy(quote.params) if found else None,
+        arbitrage=arb,
+        consistent=consistent,
+        note=note,
+    )
 
 
 @dataclass(frozen=True)
@@ -320,10 +297,13 @@ def hedged_sandwich(
     ask still dominates the hedged bid.
 
     shared, when given, is the SharedSearch slot of this call's ask and bid
-    request, added with these arguments; the quotes are then read off that
-    group's one ascent instead of a search of their own."""
-    request = HedgeRequest(("ask", "bid"), family, gamma, phi, stream)
-    ha, hb = shared() if shared is not None else _search_all([request], market, t, cfg)[0]
+    requests, in that order, added with these arguments; the quotes are
+    then read off that group's one ascent instead of a search of their
+    own."""
+    if shared is None:
+        requests = [HedgeRequest(side, family, gamma, phi, stream) for side in ("ask", "bid")]
+        shared = SharedSearch(market, t, cfg).slot(*requests)
+    ha, hb = shared()
     ask_gain = float(np.min(ha.unhedged - ha.value))
     bid_gain = float(np.min(hb.value - hb.unhedged))
     spread = float(np.min(ha.value - hb.value))

@@ -232,9 +232,7 @@ def check_dcrm_axioms(driver: Driver, seed: int = 0) -> AxiomReport:
             gap = rho(mix, t) - (lam * base + (1.0 - lam) * rho(other, t))
             worst["convexity"] = max(worst["convexity"], float(np.max(gap)))
             bump = _nonneg_tail(tr, rng, t)
-            worst["monotonicity"] = max(
-                worst["monotonicity"], float(np.max(rho(D.add(bump), t) - rho(D, t)))
-            )
+            worst["monotonicity"] = max(worst["monotonicity"], float(np.max(rho(D.add(bump), t) - base)))
             s = int(rng.integers(t, tr.horizon + 1))
             m = rng.normal(size=n)
             paid = D.add(single_payment(tr, s, tr.broadcast(m, t, s)))
@@ -348,9 +346,9 @@ def check_dai_axioms(family: DriverFamily, seed: int = 0) -> AxiomReport:
     for D in streams[:3]:
         for t in times:
             n = tr.n_nodes(t)
+            base = alpha(D, t)
             for lam_val in (0.25, 0.5, 0.75):
                 scaled = alpha(D.scale_from(np.full(n, lam_val), t), t)
-                base = alpha(D, t)
                 finite = np.isfinite(scaled) & np.isfinite(base)
                 if finite.any():
                     g = float(np.max(np.abs(scaled[finite] - base[finite])))

@@ -14,10 +14,12 @@ rows follow fixed orders, and files are written atomically, so reruns are
 byte-identical.
 
 The hedged, ngd and arbitrage jobs of one entry and search block search
-the same strategies, so load_scenario puts their requests in one
-hedging.SharedSearch per (entry, SearchConfig). The first of them to run
-searches for all of them in one ascent, with the arbitrage objective once,
-and each writes its report from its own result; an arbitrage job with no
+the same strategies, so load_scenario slots their requests in one
+hedging.SharedSearch per (entry, SearchConfig): a hedged job its ask and
+bid HedgeRequests, an ngd job the hedged ask of the zero stream and
+ARBITRAGE, an arbitrage job ARBITRAGE. The first of them to run searches
+for all of them in one ascent, with the arbitrage objective once, and
+each writes its report from its own results; an arbitrage job with no
 other search in its group runs find_arbitrage, and an exhaustive search
 block sweeps its grid. The groups live on the one load a run makes and are
 never shared between runs; under jobs_parallel > 1 a job that finds its
@@ -43,7 +45,7 @@ import numpy as np
 
 from .bsde import diagnose_solution, solve_bsde
 from .drivers import builtin_driver, builtin_family, is_regular, validate_family
-from .hedging import ARBITRAGE, GoodDealRequest, HedgeRequest, SharedSearch, check_ngd, hedged_sandwich
+from .hedging import ARBITRAGE, HedgeRequest, SharedSearch, check_ngd, hedged_sandwich
 from .market import (
     DirectOperator,
     MarketModel,
@@ -623,7 +625,7 @@ def _job_arbitrage(scn: Scenario, job: dict):
     expect = _choice("expect", job.get("expect"), (None, "found", "none"))
     result = group.slot(ARBITRAGE)
     def run(path):
-        res = result()
+        (res,) = result()
         payload = {
             "found": res.found,
             "best_score": res.best_score,
@@ -656,7 +658,7 @@ def _job_ngd(scn: Scenario, job: dict):
     cfg, entry, group = _search(scn, job)
     gamma = _family_level(fam, "gamma", _required(job, "gamma", "ngd job"))
     expect = _choice("expect", job.get("expect"), (None, "GOOD_DEAL_FOUND", "NONE_FOUND"))
-    shared = group.slot(GoodDealRequest(fam, gamma, True))
+    shared = group.slot(HedgeRequest("ask", fam, gamma, 1.0, zero_process(scn.walk.tree)), ARBITRAGE)
     def run(path):
         rep = check_ngd(fam, gamma, scn.market, entry, cfg, shared=shared)
         write_json(
@@ -684,7 +686,7 @@ def _job_hedged(scn: Scenario, job: dict):
     cfg, entry, group = _search(scn, job)
     gamma = _family_level(fam, "gamma", _required(job, "gamma", "hedged job"))
     phi = _number("phi", job.get("phi", 1.0))
-    shared = group.slot(HedgeRequest(("ask", "bid"), fam, gamma, phi, stream))
+    shared = group.slot(*(HedgeRequest(side, fam, gamma, phi, stream) for side in ("ask", "bid")))
     def run(path):
         rep = hedged_sandwich(fam, gamma, phi, stream, scn.market, entry, cfg, shared=shared)
         write_json(

@@ -60,8 +60,13 @@ class SearchConfig:
     exhaustive_target: int = 200_000
 
     def __post_init__(self):
-        if self.multi_starts < 1:
-            raise ValueError(f"multi_starts must be at least 1, got {self.multi_starts}")
+        lows = {"grid_points": 1, "multi_starts": 1, "sweeps": 0, "refine_rounds": 0, "exhaustive_target": 1}
+        for name, low in lows.items():
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
+                raise ValueError(f"{name} must be at least {low} and an integer, got {n!r}")
+        if self.bound is not None and not (math.isfinite(self.bound) and self.bound >= 0.0):
+            raise ValueError(f"bound must be None or a finite nonnegative number, got {self.bound!r}")
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ from conicfin import (
     hedged_price,
     hedged_sandwich,
     load_scenario,
+    zero_process,
 )
 from conicfin.hedging import (
     ARBITRAGE,
-    GoodDealRequest,
+    GOOD_DEAL_TOL,
     HedgeRequest,
     SandwichReport,
     SharedSearch,
@@ -149,7 +150,8 @@ def test_sandwich_is_the_two_separate_hedged_quotes_bit_for_bit(which):
     market, fam, gamma, stream, cfg = _bench_market(which)
     ha = hedged_price("ask", fam, gamma, 1.0, stream, market, 0, cfg)
     hb = hedged_price("bid", fam, gamma, 1.0, stream, market, 0, cfg)
-    (both,) = _search_all([HedgeRequest(("ask", "bid"), fam, gamma, 1.0, stream)], market, 0, cfg)
+    requests = [HedgeRequest(side, fam, gamma, 1.0, stream) for side in ("ask", "bid")]
+    both = _search_all(requests, market, 0, cfg)
     for alone, joint in zip((ha, hb), both):
         _same_quote(joint, alone)
     rep = hedged_sandwich(fam, gamma, 1.0, stream, market, 0, cfg)
@@ -187,38 +189,93 @@ def test_ngd_cross_check_is_find_arbitrage_field_for_field(which):
     assert (alone.verdict, alone.worst_risk, alone.note) == (rep.verdict, rep.worst_risk, rep.note)
 
 
+def _same_ngd(a, b):
+    """Two NgdReports agree bit for bit; their arbitrage reports are not compared."""
+    for field in ("verdict", "worst_risk", "consistent", "note"):
+        assert getattr(a, field) == getattr(b, field), field
+    assert (a.strategy is None) == (b.strategy is None)
+    if a.strategy is not None:
+        assert _same_strategy(a.strategy, b.strategy)
+
+
+def _same_arbitrage(got, want):
+    """Two ArbitrageSearchResults agree field for field, strategy included."""
+    for field in ("found", "best_score", "evaluations", "exhaustive_total", "note", "certificate"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert (got.strategy is None) == (want.strategy is None)
+    if want.strategy is not None:
+        assert _same_strategy(got.strategy, want.strategy)
+
+
+@pytest.mark.parametrize("entry", [0, 1])
+@pytest.mark.parametrize("which", [0, 1])
+def test_good_deal_risk_is_the_hedged_ask_of_the_zero_stream(which, entry):
+    """check_ngd reads its verdict off the hedged ask of the zero stream:
+    worst_risk is the least node of that quote, bit for bit, and the verdict
+    is whether it falls below -GOOD_DEAL_TOL."""
+    market, fam, gamma, _, cfg = _bench_market(which)
+    rep = check_ngd(fam, gamma, market, entry, cfg)
+    quote = hedged_price("ask", fam, gamma, 1.0, zero_process(market.tree), market, entry, cfg)
+    worst = np.min(quote.value)
+    assert np.float64(rep.worst_risk).tobytes() == worst.tobytes()
+    assert rep.verdict == ("GOOD_DEAL_FOUND" if worst < -GOOD_DEAL_TOL else "NONE_FOUND")
+    assert rep.note.startswith(f"searched {quote.evaluations} leg evaluations")
+    assert np.all(quote.unhedged == 0.0)
+
+
 @pytest.mark.parametrize("which", [0, 1])
 def test_one_search_of_many_requests_gives_each_its_own_result(which):
-    """Two hedge requests, two good-deal checks and the arbitrage report,
-    searched in one ascent, give each request what it gets searched alone:
-    the same quotes, verdicts and arbitrage report, bit for bit. One
-    SharedSearch runs them once, however many slots ask."""
+    """Three hedged quotes, two zero-stream asks (the good-deal risk at two
+    levels) and the arbitrage report, searched in one ascent, give each
+    request what it gets searched alone: the same quotes and arbitrage
+    report, bit for bit. One SharedSearch runs them once, however many
+    slots ask, and each slot reads the list _search_all gives its requests."""
     market, fam, gamma, stream, cfg = _bench_market(which)
+    zero = zero_process(market.tree)
     requests = [
-        HedgeRequest(("ask", "bid"), fam, gamma, 1.0, stream),
-        GoodDealRequest(fam, gamma, True),
+        HedgeRequest("ask", fam, gamma, 1.0, stream),
+        HedgeRequest("bid", fam, gamma, 1.0, stream),
+        HedgeRequest("ask", fam, gamma, 1.0, zero),
         ARBITRAGE,
-        HedgeRequest(("bid",), fam, 2.0 * gamma, 0.5, stream),
-        GoodDealRequest(fam, 0.5 * gamma, False),
+        HedgeRequest("bid", fam, 2.0 * gamma, 0.5, stream),
+        HedgeRequest("ask", fam, 0.5 * gamma, 1.0, zero),
     ]
     together = _search_all(requests, market, 0, cfg)
+    arb = find_arbitrage(market, 0, cfg)
     for request, joint in zip(requests, together):
         (alone,) = _search_all([request], market, 0, cfg)
-        if isinstance(request, HedgeRequest):
-            assert len(joint) == len(alone) == len(request.sides)
-            for a, b in zip(joint, alone):
-                _same_quote(a, b)
-        elif isinstance(request, GoodDealRequest):
-            for field in ("verdict", "worst_risk", "consistent", "note"):
-                assert getattr(joint, field) == getattr(alone, field), field
-            unchecked = not request.cross_check_arbitrage
-            assert (joint.arbitrage is None) == (alone.arbitrage is None) == unchecked
+        if request == ARBITRAGE:
+            _same_arbitrage(joint, alone)
+            _same_arbitrage(joint, arb)
         else:
-            arb = find_arbitrage(market, 0, cfg)
-            for field in ("found", "best_score", "evaluations", "exhaustive_total", "note", "certificate"):
-                assert getattr(joint, field) == getattr(alone, field) == getattr(arb, field), field
-    assert together[1].arbitrage is together[2]
+            _same_quote(joint, alone)
     group = SharedSearch(market, 0, cfg)
-    slots = [group.slot(request) for request in requests]
-    assert slots[2]() is slots[2]() is slots[1]().arbitrage
-    assert slots[1]().note == together[1].note
+    slot = group.slot
+    slots = [slot(*requests[:2]), slot(*requests[2:4]), slot(ARBITRAGE), slot(*requests[4:])]
+    assert [len(slot()) for slot in slots] == [2, 2, 1, 2]
+    (report,) = slots[2]()
+    assert report is slots[2]()[0] is slots[1]()[1]
+    _same_arbitrage(report, arb)
+    quotes = [q for slot in slots for q in slot() if q is not report]
+    for got, want in zip(quotes, together[:3] + together[4:], strict=True):
+        _same_quote(got, want)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_ngd_read_off_a_shared_slot_is_the_unshared_check(which):
+    """A check_ngd read off a slot of the zero stream's hedged ask and
+    ARBITRAGE, beside a hedged sandwich's two requests, is the unshared
+    check field for field, and its arbitrage is the group's one report."""
+    market, fam, gamma, stream, cfg = _bench_market(which)
+    group = SharedSearch(market, 0, cfg)
+    sandwich = group.slot(*(HedgeRequest(side, fam, gamma, 1.0, stream) for side in ("ask", "bid")))
+    ngd = group.slot(HedgeRequest("ask", fam, gamma, 1.0, zero_process(market.tree)), ARBITRAGE)
+    arbitrage = group.slot(ARBITRAGE)
+    shared = check_ngd(fam, gamma, market, 0, cfg, shared=ngd)
+    alone = check_ngd(fam, gamma, market, 0, cfg)
+    _same_ngd(shared, alone)
+    _same_arbitrage(shared.arbitrage, alone.arbitrage)
+    assert shared.arbitrage is arbitrage()[0] is ngd()[1]
+    assert hedged_sandwich(fam, gamma, 1.0, stream, market, 0, cfg, shared=sandwich) == hedged_sandwich(
+        fam, gamma, 1.0, stream, market, 0, cfg
+    )

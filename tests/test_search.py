@@ -128,6 +128,37 @@ def test_a_search_without_starts_is_refused(starts):
         replace(SearchConfig(), multi_starts=starts)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("grid_points", 0, "grid_points must be at least 1"),
+        ("exhaustive_target", 0, "exhaustive_target must be at least 1"),
+        ("sweeps", -1, "sweeps must be at least 0"),
+        ("refine_rounds", -2, "refine_rounds must be at least 0"),
+        ("grid_points", 2.5, "grid_points must be at least 1 and an integer"),
+        ("multi_starts", 2.0, "multi_starts must be at least 1 and an integer"),
+        ("sweeps", True, "sweeps must be at least 0 and an integer"),
+        ("bound", float("nan"), "bound must be None or a finite nonnegative number"),
+        ("bound", float("inf"), "bound must be None or a finite nonnegative number"),
+        ("bound", -1.0, "bound must be None or a finite nonnegative number"),
+    ],
+)
+def test_a_search_config_refuses_what_the_scenario_refuses(field, value, message):
+    """A count below its least value, a count that is no integer and a bound
+    that is not a finite nonnegative number raise at construction, not a
+    silent empty sweep, a search over NaN grids or a numpy error later."""
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(**{field: value})
+    with pytest.raises(ValueError, match=message):
+        replace(SearchConfig(), **{field: value})
+
+
+def test_a_search_config_takes_the_least_counts_and_a_zero_bound():
+    cfg = SearchConfig(grid_points=1, sweeps=0, refine_rounds=0, exhaustive_target=1, bound=0.0)
+    assert SearchConfig(grid_points=np.int64(3)).grid_points == 3
+    assert (cfg.sweeps, cfg.refine_rounds, cfg.bound) == (0, 0, 0.0)
+
+
 def _rows(params):
     """The identity map: objectives score the parameter rows themselves."""
     return params
