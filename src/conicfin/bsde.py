@@ -97,9 +97,7 @@ class SolutionDiagnostics:
 def diagnose_solution(sol: BsdeSolution, g: Driver, walk: MartingaleSpec) -> SolutionDiagnostics:
     """Residuals of the defining identities; all should sit at round-off."""
     tr = walk.tree
-    worst_eq = 0.0
-    worst_orth = 0.0
-    worst_mean = 0.0
+    eq, orth, mean = [], [], []  # per-period maxima; np.max of them keeps a NaN
     for t in range(1, tr.horizon + 1):
         par = tr.parent[t]
         dM = sol.M[t] - np.take(sol.M[t - 1], par, axis=-1)
@@ -110,15 +108,13 @@ def diagnose_solution(sol: BsdeSolution, g: Driver, walk: MartingaleSpec) -> Sol
             - np.take(sol.Z[t], par, axis=-1) * walk.dW(t)
             + dM
         )
-        worst_eq = max(worst_eq, float(np.max(np.abs(lhs - rhs))))
-        worst_orth = max(
-            worst_orth, float(np.max(np.abs(tr.condexp_step(dM * walk.dW(t), t))))
-        )
-        worst_mean = max(worst_mean, float(np.max(np.abs(tr.condexp_step(dM, t)))))
+        eq.append(np.max(np.abs(lhs - rhs)))
+        orth.append(np.max(np.abs(tr.condexp_step(dM * walk.dW(t), t))))
+        mean.append(np.max(np.abs(tr.condexp_step(dM, t))))
     return SolutionDiagnostics(
-        bsde_residual=worst_eq,
-        orthogonality_residual=worst_orth,
-        remainder_mean_residual=worst_mean,
+        bsde_residual=float(np.max(eq)),
+        orthogonality_residual=float(np.max(orth)),
+        remainder_mean_residual=float(np.max(mean)),
         remainder_sup=float(np.max(np.abs(sol.M[tr.horizon]))),
     )
 

@@ -23,6 +23,8 @@ the comparison_certified flag.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,29 +61,53 @@ def _lse3(z: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0)
 
 
+def _numbers(name: str, value, error: type = ParamOutOfRange):
+    """value, a real number or a flat list or array of them; a string, a
+    boolean or a nested list raises error, at the cost of one type scan."""
+    if isinstance(value, np.ndarray):
+        kinds = {value.dtype.type}
+    else:
+        kinds = set(map(type, value)) if isinstance(value, (list, tuple)) else {type(value)}
+    bad = sorted(k.__name__ for k in kinds if k is bool or not issubclass(k, numbers.Real))
+    if bad:
+        raise error(f"{name} must hold only numbers, got {' and '.join(bad)}")
+    return value
+
+
+def _finite(name: str, value) -> float:
+    """value, one finite real number, as a float."""
+    x = float(_numbers(name, value))
+    if not math.isfinite(x):
+        raise ParamOutOfRange(f"{name} needs finite values, got {value!r}")
+    return x
+
+
 def _per_level(tree, value, name: str) -> list:
     """[None, v_1, ..., v_T]: one value, or one value per period.
 
     A per-period value list has T entries, or T + 1 with a leading None.
-    Each entry is a scalar or one value per level t-1 slot. Scalars stay
-    0-d floats and broadcast where they are used; per-slot arrays are
-    copied.
+    Each entry is a scalar or one value per level t-1 slot, and every value
+    a finite real number. Scalars stay 0-d floats and broadcast where they
+    are used; per-slot arrays are copied.
     """
     T = tree.horizon
     if not isinstance(value, (list, tuple)) and np.ndim(value) == 0:
-        return [None] + [float(value)] * T
+        return [None] + [_finite(name, value)] * T
     seq = list(value)
-    if len(seq) == T + 1:
+    if len(seq) == T + 1 and seq[0] is None:
         seq = seq[1:]
     if len(seq) != T:
         raise ParamOutOfRange(f"{name} needs one value per period (got {len(seq)}, horizon {T})")
     out = [None]
     for t, v in enumerate(seq, start=1):
         if isinstance(v, float) or np.ndim(v) == 0:
-            out.append(float(v))
+            out.append(_finite(name, v))
             continue
+        vec = np.asarray(_numbers(name, v), dtype=float)
+        if not np.all(np.isfinite(vec)):
+            raise ParamOutOfRange(f"{name} at period {t} needs finite values")
         try:
-            out.append(np.broadcast_to(np.asarray(v, dtype=float), (tree.n_nodes(t - 1),)).copy())
+            out.append(np.broadcast_to(vec, (tree.n_nodes(t - 1),)).copy())
         except ValueError as exc:
             raise ParamOutOfRange(
                 f"{name} at period {t} needs one value per level {t - 1} slot"
@@ -240,7 +266,7 @@ class LogSumExpDriver(LseDriver):
     kind = "logsumexp"
 
     def __init__(self, walk, K: float):
-        K = float(K)
+        K = _finite("logsumexp K", K)
         if not K > 0.0:
             raise ParamOutOfRange(f"logsumexp needs K > 0, got {K}")
         T = walk.tree.horizon

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -249,20 +249,14 @@ class MarketModel:
         raise MarketError(f"unknown security {sid!r}")
 
 
-def conic_security(
-    sid: str,
-    family: DriverFamily,
-    stream: AdaptedProcess,
-    gamma_ask: float,
-    gamma_bid: Optional[float] = None,
-) -> Security:
-    gb = gamma_ask if gamma_bid is None else gamma_bid
+def conic_security(sid: str, family: DriverFamily, stream: AdaptedProcess, gamma: float) -> Security:
+    """A security quoted on both sides by the family at one level."""
     return Security(
         sid=sid,
         stream_ask=stream,
         stream_bid=stream,
-        op_ask=ConicOperator("ask", family, gamma_ask, stream),
-        op_bid=ConicOperator("bid", family, gb, stream),
+        op_ask=ConicOperator("ask", family, gamma, stream),
+        op_bid=ConicOperator("bid", family, gamma, stream),
     )
 
 

@@ -37,14 +37,15 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from functools import partial
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .bsde import diagnose_solution, solve_bsde
-from .drivers import builtin_driver, builtin_family, is_regular, validate_family
+from .drivers import _numbers as numbers_only, builtin_driver, builtin_family, is_regular, validate_family
 from .hedging import ARBITRAGE, HedgeRequest, SharedSearch, check_ngd, hedged_sandwich
 from .market import (
     DirectOperator,
@@ -183,15 +184,8 @@ def _finite(key: str, value) -> float:
     return float(value)
 
 
-def _numbers(key: str, value):
-    """value, a JSON number or an array of JSON numbers. An array costs one
-    scan of its element types, so strings, booleans and nested arrays are
-    refused at the price of one pass over a level."""
-    kinds = set(map(type, value)) if isinstance(value, (list, tuple)) else {type(value)}
-    bad = sorted(k.__name__ for k in kinds if k is bool or not issubclass(k, numbers.Real))
-    if bad:
-        raise ScenarioError(f"{key} must hold only numbers, got {' and '.join(bad)}")
-    return value
+# _numbers(key, value): value, a JSON number or an array of JSON numbers
+_numbers = partial(numbers_only, error=ScenarioError)
 
 
 def _number(key: str, value, positive: bool = False) -> float:
@@ -228,16 +222,14 @@ def _choice(key: str, value, options: tuple):
 
 def _build_walk(cfg: dict):
     tree_cfg = _typed("tree", _required(cfg, "tree", "scenario"), dict)
-    if "horizon" in tree_cfg:
+    if _one_key("tree", tree_cfg, ("horizon", "levels")) == "horizon":
         tree = uniform_binary_tree(_integer("horizon", tree_cfg["horizon"], 1))
-    elif "levels" in tree_cfg:
-        tree = build_tree(_tree_levels(tree_cfg["levels"]))
     else:
-        raise ScenarioError("tree section needs 'horizon' or 'levels'")
+        tree = build_tree(_tree_levels(tree_cfg["levels"]))
     mart = cfg.get("martingale", "symmetric_walk")
     if mart == "symmetric_walk":
         return symmetric_random_walk(tree)
-    if isinstance(mart, dict) and "increments" in mart:
+    if isinstance(mart, dict) and set(mart) == {"increments"}:
         levels = enumerate(_typed("increments", mart["increments"], list), start=1)
         inc = [None] + [np.asarray(_numbers(f"increments level {t}", v), float) for t, v in levels]
         return martingale_from_increments(tree, inc)
@@ -270,21 +262,20 @@ def _build_stream(tree, spec) -> AdaptedProcess:
         return zero_process(tree)
     if not isinstance(spec, dict):
         raise ScenarioError(f"a stream spec is 'zero' or an object, got {spec!r}")
-    if "values" in spec:
+    kind = _one_key("a stream spec", spec, ("values", "cds", "stock"))
+    if kind == "values":
         return AdaptedProcess(tree, tuple(_level_values(tree, "values", spec["values"])))
-    if "cds" in spec:
-        c = _typed("cds", spec["cds"], dict)
-        side = _choice("cds side", c.get("side", "ask"), ("ask", "bid"))
+    if kind == "cds":
         keys = ("delta", "kappa_ask", "kappa_bid")
+        c = _known_keys("cds", _typed("cds", spec["cds"], dict), ("tau", *keys, "side"))
+        side = _choice("cds side", c.get("side", "ask"), ("ask", "bid"))
         tau = _numbers("tau", _required(c, "tau", "cds stream"))
         a, b = cds_streams(tree, tau, *(_finite(k, _required(c, k, "cds stream")) for k in keys))
         return a if side == "ask" else b
-    if "stock" in spec:
-        s = _typed("stock", spec["stock"], dict)
-        divs = _level_values(tree, "dividends", _required(s, "dividends", "stock stream"))
-        terminal = _numbers("terminal", _required(s, "terminal", "stock stream"))
-        return stock_stream(tree, divs, terminal)
-    raise ScenarioError(f"cannot build stream from {spec!r}")
+    s = _known_keys("stock", _typed("stock", spec["stock"], dict), ("dividends", "terminal"))
+    divs = _level_values(tree, "dividends", _required(s, "dividends", "stock stream"))
+    terminal = _numbers("terminal", _required(s, "terminal", "stock stream"))
+    return stock_stream(tree, divs, terminal)
 
 
 def _ladder(spec: dict, key: str, where: str) -> list:
@@ -298,13 +289,15 @@ def _build_security(scn: Scenario, spec) -> Security:
     spec = _typed("security", spec, dict)
     sid = spec.get("id", "sec")
     flavor = spec.get("flavor")
+    if flavor not in _FLAVOR_KEYS:
+        raise ScenarioError(f"unknown security flavor {flavor!r}")
     where = f"{flavor} security {sid!r}"
+    _known_keys(where, spec, ("id", "flavor", *_FLAVOR_KEYS[flavor]))
     if flavor == "conic":
         fam = _resolve_family(scn, _required(spec, "family", where))
         stream = _resolve_stream(scn, _required(spec, "stream", where))
-        gamma_ask = _family_level(fam, "gamma_ask", _required(spec, "gamma_ask", where))
-        gamma_bid = _family_level(fam, "gamma_bid", spec["gamma_bid"]) if "gamma_bid" in spec else None
-        return conic_security(sid, fam, stream, gamma_ask, gamma_bid)
+        gamma = _family_level(fam, "gamma_ask", _required(spec, "gamma_ask", where))
+        return conic_security(sid, fam, stream, gamma)
     if flavor == "direct":
         sa = _resolve_stream(scn, spec.get("stream_ask", spec.get("stream")))
         sb = _resolve_stream(scn, spec.get("stream_bid", spec.get("stream")))
@@ -313,17 +306,23 @@ def _build_security(scn: Scenario, spec) -> Security:
             levels = enumerate(_typed(k, _required(spec, k, where), list))
             ops.append(DirectOperator(tree, [_numbers(f"{k} level {t}", v) for t, v in levels]))
         return Security(sid=sid, stream_ask=sa, stream_bid=sb, op_ask=ops[0], op_bid=ops[1])
-    if flavor == "book":
-        stream = _resolve_stream(scn, spec.get("stream", "zero"))
-        scale = spec.get("tick_scale", 100)
-        return Security(
-            sid=sid,
-            stream_ask=stream,
-            stream_bid=stream,
-            op_ask=OrderBookOperator("ask", _ladder(spec, "ask_ladder", where), tick_scale=scale),
-            op_bid=OrderBookOperator("bid", _ladder(spec, "bid_ladder", where), tick_scale=scale),
-        )
-    raise ScenarioError(f"unknown security flavor {flavor!r}")
+    stream = _resolve_stream(scn, spec.get("stream", "zero"))
+    scale = spec.get("tick_scale", 100)
+    return Security(
+        sid=sid,
+        stream_ask=stream,
+        stream_bid=stream,
+        op_ask=OrderBookOperator("ask", _ladder(spec, "ask_ladder", where), tick_scale=scale),
+        op_bid=OrderBookOperator("bid", _ladder(spec, "bid_ladder", where), tick_scale=scale),
+    )
+
+
+# security flavor -> the keys it takes besides "id" and "flavor"
+_FLAVOR_KEYS = {
+    "conic": ("family", "stream", "gamma_ask"),
+    "direct": ("unit_ask", "unit_bid", "stream", "stream_ask", "stream_bid"),
+    "book": ("ask_ladder", "bid_ladder", "tick_scale", "stream"),
+}
 
 
 def _known_keys(where: str, spec: dict, keys) -> dict:
@@ -332,6 +331,13 @@ def _known_keys(where: str, spec: dict, keys) -> dict:
     if unknown:
         raise ScenarioError(f"{where} takes no key {unknown}; it takes {list(keys)}")
     return spec
+
+
+def _one_key(where: str, spec: dict, keys) -> str:
+    """The one key of spec, which must be one of keys."""
+    if len(spec) != 1 or next(iter(spec)) not in keys:
+        raise ScenarioError(f"{where} takes exactly one of {list(keys)}, got {sorted(spec)}")
+    return next(iter(spec))
 
 
 def _job(job, market: Optional[MarketModel]) -> dict:
@@ -373,7 +379,8 @@ def _config_errors(prefix: str):
 
 
 def _build_scenario(cfg: dict, seed_override: Optional[int]) -> Scenario:
-    walk = _build_walk(cfg)
+    keys = ("name", "seed", "tree", "martingale", "drivers", "families", "streams", "securities", "jobs")
+    walk = _build_walk(_known_keys("scenario", cfg, keys))
     scn = Scenario(
         name=str(cfg.get("name", "scenario")),
         seed=_integer("seed", cfg.get("seed", 0) if seed_override is None else seed_override),
@@ -390,6 +397,8 @@ def _build_scenario(cfg: dict, seed_override: Optional[int]) -> Scenario:
     for name, f in _typed("families", cfg.get("families", {}), dict).items():
         scn.families[name] = _build_family(walk, f)
     for name, s in _typed("streams", cfg.get("streams", {}), dict).items():
+        if name == "zero":
+            raise ScenarioError("the stream name 'zero' is taken by the built-in zero stream")
         scn.streams[name] = _build_stream(walk.tree, s)
     secs = [_build_security(scn, s) for s in _typed("securities", cfg.get("securities", []), list)]
     if len({sec.sid for sec in secs}) < len(secs):
@@ -409,23 +418,15 @@ def _build_scenario(cfg: dict, seed_override: Optional[int]) -> Scenario:
 # ---- jobs ---------------------------------------------------------------------
 
 
-# search key -> check of its value; a key left out keeps the SearchConfig default
-_SEARCH_FIELDS = {
-    "grid_points": lambda k, v: _integer(k, v, 1),
-    "bound": lambda k, v: None if v is None else _number(k, v),
-    "multi_starts": lambda k, v: _integer(k, v, 1),
-    "sweeps": _integer,
-    "refine_rounds": _integer,
-    "exhaustive": _boolean,
-    "exhaustive_target": lambda k, v: _integer(k, v, 1),
-}
+# the keys of a search block; a key left out keeps the SearchConfig default
+_SEARCH_KEYS = tuple(f.name for f in fields(SearchConfig) if f.name != "seed")
 
 
 def _search(scn: Scenario, job: dict):
-    """A searching job's SearchConfig, seeded by the scenario, its entry
-    level, and the SharedSearch of the two in this load."""
-    s = _known_keys("search", _typed("search", job.get("search", {}), dict), _SEARCH_FIELDS)
-    cfg = SearchConfig(seed=scn.seed, **{k: _SEARCH_FIELDS[k](k, v) for k, v in s.items()})
+    """A searching job's SearchConfig, seeded by the scenario, which checks
+    the values, its entry level, and the SharedSearch of the two in this load."""
+    s = _known_keys("search", _typed("search", job.get("search", {}), dict), _SEARCH_KEYS)
+    cfg = SearchConfig(seed=scn.seed, **s)
     entry = _integer("entry", job.get("entry", 0), 0, scn.walk.tree.horizon - 1)
     if (entry, cfg) not in scn.searches:
         scn.searches[entry, cfg] = SharedSearch(scn.market, entry, cfg)
@@ -433,17 +434,10 @@ def _search(scn: Scenario, job: dict):
 
 
 def _build_driver(walk, spec):
-    """A driver from its {"kind": ..., <params>} spec."""
+    """A driver from its {"kind": ..., <params>} spec; the driver checks the parameters."""
     spec = _typed("a driver spec", spec, dict)
     kind = _required(spec, "kind", "a driver spec")
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    for k, v in params.items():
-        # a number, or one entry per period, each a number or one number
-        # per slot, after an optional leading null
-        for t, entry in enumerate(v if isinstance(v, (list, tuple)) else [v]):
-            if not (t == 0 and entry is None):
-                _numbers(f"driver {k}", entry)
-    return builtin_driver(kind, walk, **params)
+    return builtin_driver(kind, walk, **{k: v for k, v in spec.items() if k != "kind"})
 
 
 def _build_family(walk, spec):
@@ -514,41 +508,26 @@ def _job_price_table(scn: Scenario, job: dict):
     if not isinstance(gammas, list) or not gammas:
         raise ScenarioError(f"gammas must list at least one level, got {gammas!r}")
     gammas = [_family_level(fam, "gammas", g) for g in gammas]
-    phi = _number("phi", job.get("phi", 1.0))
     times = _typed("times", job.get("times", list(range(tr.horizon + 1))), list)
     times = [_integer("times", t, 0, tr.horizon) for t in times]
     if not times:
         raise ScenarioError("times must list at least one time")
-    sides = _typed("sides", job.get("sides", ["ask", "bid"]), list)
-    sides = [_choice("sides", side, ("ask", "bid")) for side in sides]
-    if not sides:
-        raise ScenarioError("sides must list 'ask' and/or 'bid'")
     def run(path):
         blocks = ["t,node,side,gamma,family,phi,value\n"]
         table = {}  # (t, gamma, side) -> quote value
         worst_cross = 0.0
         for t in times:
             for gamma in gammas:
-                for side in sides:
-                    value = table[t, gamma, side] = price(side, fam, gamma, phi, stream, t).value
-                    line = f"{t},%d,{side},{gamma:.12g},{fam.kind},{phi:.12g},%.12g\n"
+                for side in ("ask", "bid"):
+                    value = table[t, gamma, side] = price(side, fam, gamma, 1.0, stream, t).value
+                    line = f"{t},%d,{side},{gamma:.12g},{fam.kind},1,%.12g\n"
                     blocks.append(_rows(line, range(len(value)), value.tolist()))
-                if "ask" in sides and "bid" in sides:
-                    worst_cross = max(worst_cross, float(np.max(table[t, gamma, "bid"] - table[t, gamma, "ask"])))
+                worst_cross = max(worst_cross, float(np.max(table[t, gamma, "bid"] - table[t, gamma, "ask"])))
         _atomic_write(path, "".join(blocks))
-        nested = [time_consistency_check(s, fam, g, stream) for s in sides for g in gammas]
+        nested = [time_consistency_check(s, fam, g, stream) for s in ("ask", "bid") for g in gammas]
         worst_nest = max(n.worst_residual for n in nested)
-
-        def unit_quote(side, g):
-            """The time-times[0] quote of one share, from the table when phi is 1."""
-            if phi == 1.0 and (times[0], g, side) in table:
-                return table[times[0], g, side]
-            return price(side, fam, g, 1.0, stream, times[0]).value
-
-        levels = sorted(gammas)
-        _, ask_ok, bid_ok = _level_gaps(
-            [unit_quote("ask", g) for g in levels], [unit_quote("bid", g) for g in levels], PRICE_TOL
-        )
+        asks, bids = ([table[times[0], g, side] for g in sorted(gammas)] for side in ("ask", "bid"))
+        _, ask_ok, bid_ok = _level_gaps(asks, bids, PRICE_TOL)
         level_monotone = ask_ok and bid_ok
         ok = worst_cross <= 1e-9 and worst_nest <= 1e-9 and level_monotone
         return ("pass" if ok else "fail"), {
@@ -658,7 +637,7 @@ def _job_ngd(scn: Scenario, job: dict):
     cfg, entry, group = _search(scn, job)
     gamma = _family_level(fam, "gamma", _required(job, "gamma", "ngd job"))
     expect = _choice("expect", job.get("expect"), (None, "GOOD_DEAL_FOUND", "NONE_FOUND"))
-    shared = group.slot(HedgeRequest("ask", fam, gamma, 1.0, zero_process(scn.walk.tree)), ARBITRAGE)
+    shared = group.slot(HedgeRequest("ask", fam, gamma, 1.0, scn.streams["zero"]), ARBITRAGE)
     def run(path):
         rep = check_ngd(fam, gamma, scn.market, entry, cfg, shared=shared)
         write_json(
@@ -685,10 +664,9 @@ def _job_hedged(scn: Scenario, job: dict):
     stream = _resolve_stream(scn, _required(job, "stream", "hedged job"))
     cfg, entry, group = _search(scn, job)
     gamma = _family_level(fam, "gamma", _required(job, "gamma", "hedged job"))
-    phi = _number("phi", job.get("phi", 1.0))
-    shared = group.slot(*(HedgeRequest(side, fam, gamma, phi, stream) for side in ("ask", "bid")))
+    shared = group.slot(*(HedgeRequest(side, fam, gamma, 1.0, stream) for side in ("ask", "bid")))
     def run(path):
-        rep = hedged_sandwich(fam, gamma, phi, stream, scn.market, entry, cfg, shared=shared)
+        rep = hedged_sandwich(fam, gamma, 1.0, stream, scn.market, entry, cfg, shared=shared)
         write_json(
             path,
             {
@@ -706,16 +684,14 @@ def _job_book_quotes(scn: Scenario, job: dict):
     sec = scn.market.security(_required(job, "security", "book_quotes job"))
     side = _choice("side", job.get("side", "ask"), ("ask", "bid"))
     op = sec.op_ask if side == "ask" else sec.op_bid
-    t = _integer("time", job.get("time", 0), 0, scn.walk.tree.horizon)
-    n = scn.walk.tree.n_nodes(t)
     phis = _typed("phis", _required(job, "phis", "book_quotes job"), list)
     phis = [_number("phis", phi) for phi in phis]
     want = [_finite("expect", x) for x in _typed("expect", job.get("expect", []), list)]
     if "expect" in job and len(want) != len(phis):
         raise ScenarioError(f"expect must list {len(phis)} values, got {len(want)}")
     def run(path):
-        values = [float(op.price(t, np.full(n, phi))[0]) for phi in phis]
-        _atomic_write(path, "t,node,side,phi,value\n" + _rows(f"{t},0,{side},%.12g,%.12g\n", phis, values))
+        values = [float(op.price(0, np.full(1, phi))[0]) for phi in phis]
+        _atomic_write(path, "t,node,side,phi,value\n" + _rows(f"0,0,{side},%.12g,%.12g\n", phis, values))
         ok = all(abs(a - b) <= 1e-9 for a, b in zip(values, want))
         return ("pass" if ok else "fail"), {"values": values}
     return run
@@ -726,15 +702,15 @@ def _job_book_quotes(scn: Scenario, job: dict):
 # returns run(path) -> (status, details), which checks nothing of the config.
 _JOB_TYPES = {
     "solve": (_job_solve, "solve.csv", ("driver", "terminal")),
-    "price_table": (_job_price_table, "prices.csv", ("family", "stream", "gammas", "phi", "times", "sides")),
+    "price_table": (_job_price_table, "prices.csv", ("family", "stream", "gammas", "times")),
     "axioms": (
         _job_axioms, "axioms.json", ("target", "driver", "family", "expect_scale_invariance", "expect_regular")
     ),
     "index": (_job_index, "index.json", ("family", "stream", "time", "expect", "tol")),
     "arbitrage": (_job_arbitrage, "arbitrage.json", ("search", "entry", "expect")),
     "ngd": (_job_ngd, "ngd.json", ("family", "gamma", "search", "entry", "expect")),
-    "hedged": (_job_hedged, "hedged.json", ("family", "gamma", "stream", "phi", "search", "entry")),
-    "book_quotes": (_job_book_quotes, "book.csv", ("security", "side", "time", "phis", "expect")),
+    "hedged": (_job_hedged, "hedged.json", ("family", "gamma", "stream", "search", "entry")),
+    "book_quotes": (_job_book_quotes, "book.csv", ("security", "side", "phis", "expect")),
 }
 # the job types that trade in the scenario market, refused at load without one
 _MARKET_JOBS = ("arbitrage", "ngd", "hedged", "book_quotes")

@@ -32,6 +32,7 @@ dimension-to-node assignment for that.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -41,6 +42,7 @@ from .market import MarketModel, TradingStrategy, complete_bank_leg, liquidation
 
 
 EXHAUSTIVE_MAX_DIMS = 24
+EXHAUSTIVE_MAX_GRID = 5_000_000
 EXHAUSTIVE_CHUNK = 32_768
 
 
@@ -65,8 +67,14 @@ class SearchConfig:
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
                 raise ValueError(f"{name} must be at least {low} and an integer, got {n!r}")
-        if self.bound is not None and not (math.isfinite(self.bound) and self.bound >= 0.0):
-            raise ValueError(f"bound must be None or a finite nonnegative number, got {self.bound!r}")
+        if self.exhaustive_target > EXHAUSTIVE_MAX_GRID:
+            raise ValueError(f"exhaustive_target must be at most {EXHAUSTIVE_MAX_GRID}, got {self.exhaustive_target}")
+        b = self.bound
+        real = isinstance(b, numbers.Real) and not isinstance(b, bool)
+        if b is not None and not (real and math.isfinite(b) and b >= 0.0):
+            raise ValueError(f"bound must be None or a finite nonnegative number, got {b!r}")
+        if not isinstance(self.exhaustive, bool):
+            raise ValueError(f"exhaustive must be true or false, got {self.exhaustive!r}")
 
 
 @dataclass(frozen=True)
@@ -320,8 +328,8 @@ def exhaustive_grid(
 
     The per-dimension point count is sized so the total grid lands at or
     above the configured target without exploding; instances whose grid
-    would pass five million nodes (or whose dimension exceeds the cap) are
-    refused.
+    would pass EXHAUSTIVE_MAX_GRID nodes (or whose dimension exceeds the cap)
+    are refused.
     """
     dims = sum(widths)
     if dims > EXHAUSTIVE_MAX_DIMS:
@@ -330,7 +338,7 @@ def exhaustive_grid(
     while points ** dims < cfg.exhaustive_target:
         points += 1
     total = points ** dims
-    if total > 5_000_000:
+    if total > EXHAUSTIVE_MAX_GRID:
         raise InstanceTooLarge(f"exhaustive grid would hold {total} strategies")
     grid = np.linspace(0.0, bound, points)
     product = lambda flat, w: grid[np.stack(np.unravel_index(flat, (points,) * w), axis=-1)]

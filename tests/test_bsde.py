@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conicfin import scenario
 from conicfin import (
     MeasureNotEquivalent,
     PreconditionViolated,
@@ -16,6 +17,7 @@ from conicfin import (
     extract_linear_measure,
     g_expectation,
     martingale_from_increments,
+    run_scenario,
     solve_bsde,
     symmetric_random_walk,
     uniform_binary_tree,
@@ -78,6 +80,22 @@ def test_solution_diagnostics_are_machine_small():
     assert diag.bsde_residual < SOLVER_ATOL
     assert diag.orthogonality_residual < SOLVER_ATOL
     assert diag.remainder_mean_residual < SOLVER_ATOL
+
+
+def test_a_nan_solution_reads_nan_residuals_and_fails_its_solve_job(monkeypatch, tmp_path):
+    """The per-period maxima fold with np.max, which keeps a NaN that
+    Python's max(worst, nan) drops: a solve of a terminal with a NaN leaf
+    reads NaN residuals, not 0, and a solve job whose solution holds one
+    fails."""
+    walk = make_walk(2)
+    g = builtin_driver("entropic", walk, gamma=1.0)
+    terminal = np.array([1.0, np.nan, 0.0, 2.0])
+    diag = diagnose_solution(solve_bsde(g, terminal, walk), g, walk)
+    assert np.isnan(diag.bsde_residual) and np.isnan(diag.orthogonality_residual)
+    monkeypatch.setattr(scenario, "solve_bsde", lambda g, _, walk: solve_bsde(g, terminal, walk))
+    job = {"type": "solve", "driver": {"kind": "entropic", "gamma": 1.0}, "terminal": [1.0, 0.0, 0.0, 2.0]}
+    summary = run_scenario({"tree": {"horizon": 2}, "jobs": [job]}, str(tmp_path / "out"))
+    assert summary["jobs"][0]["status"] == "fail" and not summary["passed"]
 
 
 def test_remainder_vanishes_under_predictable_representation():

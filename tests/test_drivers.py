@@ -137,6 +137,28 @@ def test_param_range_errors():
             builtin_driver(kind, walk)
 
 
+@pytest.mark.parametrize(
+    "kind, name", [("linear", "slope"), ("coherent_abs", "c"), ("logsumexp", "K"), ("entropic", "gamma")]
+)
+def test_driver_parameters_are_finite_real_numbers(kind, name):
+    """A string, a boolean, None or a nested list is no parameter, and NaN
+    or an infinity is refused, in a per-period or per-slot entry too; numpy
+    scalars and 0-d arrays are the float they hold."""
+    walk = make_walk(2)
+    per_period = kind != "logsumexp"
+    lists = ([0.5, "0.5"], [0.5, [0.5, False]], [0.5, [[0.5]]])
+    for bad in ("0.5", True, None, np.bool_(True)) + per_period * lists:
+        with pytest.raises(ParamOutOfRange, match="must hold only numbers"):
+            builtin_driver(kind, walk, **{name: bad})
+    for bad in (np.nan, np.inf, -np.inf) + per_period * ([0.5, np.nan], [None, 0.5, [0.5, np.inf]]):
+        with pytest.raises(ParamOutOfRange, match="needs"):
+            builtin_driver(kind, walk, **{name: bad})
+    z = np.array([-2.0, 2.0])
+    want = builtin_driver(kind, walk, **{name: 0.5}).eval(2, z)
+    for same in (np.float64(0.5), np.float32(0.5), np.array(0.5)):
+        assert np.array_equal(builtin_driver(kind, walk, **{name: same}).eval(2, z), want)
+
+
 def test_regularity_margins_and_reasons():
     walk = make_walk(2)
     ok = is_regular(builtin_driver("coherent_abs", walk, c=0.5))

@@ -4,7 +4,9 @@ import importlib
 import json
 import math
 import os
+import re
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from conicfin import (
     ScenarioError,
+    SearchConfig,
     load_scenario,
     price,
     render_summary,
@@ -210,7 +213,7 @@ def test_price_table_matches_cell_by_cell_formatting(tmp_path):
     so its bid quotes are -0."""
     tree, martingale = SOLVE_TREES[1][:2]
     jobs = [
-        {"type": "price_table", "family": kind, "stream": "payout", "gammas": [0.5, 3.0], "phi": 1.5}
+        {"type": "price_table", "family": kind, "stream": "payout", "gammas": [0.5, 3.0]}
         for kind in ("ent", "coh")
     ]
     cfg = {
@@ -230,28 +233,27 @@ def test_price_table_matches_cell_by_cell_formatting(tmp_path):
         for t in range(3):
             for gamma in (0.5, 3.0):
                 for side in ("ask", "bid"):
-                    value = price(side, fam, gamma, 1.5, scn.streams["payout"], t).value
-                    cells = [(t, v, side, gamma, fam.kind, 1.5, x) for v, x in enumerate(value)]
+                    value = price(side, fam, gamma, 1.0, scn.streams["payout"], t).value
+                    cells = [(t, v, side, gamma, fam.kind, 1.0, x) for v, x in enumerate(value)]
                     lines += [",".join(map(fmt, row)) for row in cells]
         got = open(tmp_path / "out" / entry["artifact"]).read()
         assert got == "\n".join(lines) + "\n", job["family"]
-        assert f"\n1,1,bid,0.5,{fam.kind},1.5,-0\n" in got
+        assert f"\n1,1,bid,0.5,{fam.kind},1,-0\n" in got
 
 
 def test_book_quotes_match_cell_by_cell_formatting(tmp_path):
-    """Every cell of the book_quotes CSV, ask and bid, at an interior time."""
+    """Every cell of the book_quotes CSV, ask and bid."""
     cfg = tables_cfg()
     phis = [0, 200, 500.5, 1e-5]
     cfg["jobs"] = [
-        {"type": "book_quotes", "security": "aapl", "side": side, "phis": phis, "time": 1}
-        for side in ("ask", "bid")
+        {"type": "book_quotes", "security": "aapl", "side": side, "phis": phis} for side in ("ask", "bid")
     ]
     summary = run_scenario(cfg, str(tmp_path / "out"))
     sec = load_scenario(cfg).market.security("aapl")
     fmt = scenario_module._fmt
     for op, side, entry in zip((sec.op_ask, sec.op_bid), ("ask", "bid"), summary["jobs"]):
         lines = ["t,node,side,phi,value"]
-        cells = [(1, 0, side, float(phi), float(op.price(1, np.full(2, phi))[0])) for phi in phis]
+        cells = [(0, 0, side, float(phi), float(op.price(0, np.full(1, phi))[0])) for phi in phis]
         lines += [",".join(map(fmt, row)) for row in cells]
         assert open(tmp_path / "out" / entry["artifact"]).read() == "\n".join(lines) + "\n", side
 
@@ -386,7 +388,6 @@ def test_malformed_configs_raise_scenario_errors(tmp_path):
         {"type": "index", "family": "ent", "stream": "payout", "time": 99},
         {"type": "index", "family": "ent", "stream": "payout", "time": -1},
         {"type": "price_table", "family": "ent", "stream": "payout", "times": [0, horizon + 1]},
-        {"type": "book_quotes", "security": "note", "phis": [1.0], "time": horizon + 1},
         {"type": "arbitrage", "entry": horizon, "search": LIGHT_SEARCH},
         {"type": "ngd", "family": "ent", "gamma": 2.0, "entry": -1, "search": LIGHT_SEARCH},
         {"type": "hedged", "family": "ent", "gamma": 2.0, "stream": "payout", "entry": horizon},
@@ -709,13 +710,99 @@ def test_a_bad_job_after_a_good_one_writes_nothing(jobs, tmp_path, capsys):
         assert not out_dir.exists()
 
 
-def test_conic_bid_level_defaults_to_the_ask_level():
+def test_a_conic_security_quotes_both_sides_at_its_one_level():
     market = load_scenario(conic_cfg()).market
     assert market.securities[0].op_ask.gamma == market.securities[0].op_bid.gamma == 2.0
     cfg = conic_cfg()
     cfg["securities"][0]["gamma_bid"] = 3
-    sec = load_scenario(cfg).market.securities[0]
-    assert (sec.op_ask.gamma, sec.op_bid.gamma) == (2.0, 3.0)
+    with pytest.raises(ScenarioError, match=r"takes no key \['gamma_bid'\]"):
+        load_scenario(cfg)
+
+
+def _set(cfg, path, value):
+    """cfg with value placed at the path of keys and indices."""
+    *keys, last = path
+    node = cfg
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg, path, value, match",
+    [
+        pytest.param(conic_cfg, ("treee",), {}, r"scenario takes no key \['treee'\]", id="top-level"),
+        pytest.param(conic_cfg, ("tree", "levles"), [], "tree takes exactly one of", id="tree-typo"),
+        pytest.param(walk_cfg, ("tree", "horizon"), 2, "tree takes exactly one of", id="tree-both"),
+        pytest.param(walk_cfg, ("martingale", "scale"), 2, "martingale must be", id="martingale"),
+        pytest.param(conic_cfg, ("streams", "payout", "note"), "x", "takes exactly one", id="stream"),
+        pytest.param(walk_cfg, ("streams", "protection", "cds", "recovery"), 0.4, "cds takes no", id="cds"),
+        pytest.param(numeric_cfg, ("streams", "stock", "stock", "spot"), 1, "stock takes no", id="stock"),
+        pytest.param(conic_cfg, ("securities", 0, "gamma_bd"), 9.0, "'note' takes no key", id="conic"),
+        pytest.param(tables_cfg, ("securities", 0, "tick_scale"), 100, "'stk' takes no key", id="direct"),
+        pytest.param(tables_cfg, ("securities", 1, "unit_ask"), [[1]], "'aapl' takes no key", id="book"),
+    ],
+)
+def test_every_config_object_refuses_a_key_it_does_not_read(cfg, path, value, match):
+    """A typo or a key of another object is a config error, not a default
+    silently kept: a conic security's `gamma_bd` would otherwise quote as
+    if it were not there."""
+    load_scenario(cfg())
+    with pytest.raises(ScenarioError, match=match):
+        load_scenario(_set(cfg(), path, value))
+
+
+def test_the_zero_stream_cannot_be_redefined():
+    """"zero" names the built-in zero stream, which a book security and
+    every job naming "zero" quote, so a config stream may not take it."""
+    cfg = tables_cfg()
+    cfg["streams"]["zero"] = {"values": [0, [1, 1], 0]}
+    with pytest.raises(ScenarioError, match="'zero' is taken"):
+        load_scenario(cfg)
+    assert not np.any(load_scenario(tables_cfg()).streams["zero"].future_sum(0))
+
+
+@pytest.mark.parametrize(
+    "cfg, path, value",
+    [
+        pytest.param(tables_cfg, ("jobs", 1, "phi"), 1.0, id="price-table-phi"),
+        pytest.param(tables_cfg, ("jobs", 1, "sides"), ["ask", "bid"], id="price-table-sides"),
+        pytest.param(conic_cfg, ("jobs", 2, "phi"), 1.0, id="hedged-phi"),
+        pytest.param(tables_cfg, ("jobs", 9, "time"), 0, id="book-quotes-time"),
+        pytest.param(conic_cfg, ("securities", 0, "gamma_bid"), 2.0, id="conic-gamma-bid"),
+        pytest.param(tables_cfg, ("drivers", "gx", "gamma"), math.inf, id="driver-infinity"),
+        pytest.param(tables_cfg, ("drivers", "lin"), {"kind": "linear", "slope": math.nan}, id="driver-nan"),
+        pytest.param(tables_cfg, ("drivers", "gx", "gamma"), "2", id="driver-string"),
+    ],
+)
+def test_removed_options_and_non_finite_driver_parameters_exit_2(cfg, path, value, tmp_path, capsys):
+    """The options every caller left at one value are gone, so setting one,
+    even to that value, is a config error; so is a driver parameter that is
+    Infinity, NaN (JSON that Python's json reads) or a string. The run
+    exits 2 and writes nothing."""
+    path_ = tmp_path / "scn.json"
+    path_.write_text(json.dumps(_set(cfg(), path, value)))
+    assert main(["run", str(path_), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_readme_key_table_lists_the_keys_the_loader_takes():
+    """Each row of the README's key table names a job type, a security
+    flavor or the search block and lists the keys it takes; the rows must
+    be the loader's key tuples, in order, so schema drift fails here."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        lines = f.read().splitlines()
+    rows = {}
+    for line in lines:
+        m = re.fullmatch(r"\| `(\w+)` (job|security|block) \| (.*) \|", line)
+        if m:
+            rows[m[1], m[2]] = re.findall(r"`(\w+)`", m[3])
+    want = {(t, "job"): list(keys) for t, (_, _, keys) in scenario_module._JOB_TYPES.items()}
+    want |= {(f, "security"): list(keys) for f, keys in scenario_module._FLAVOR_KEYS.items()}
+    want["search", "block"] = [f.name for f in fields(SearchConfig) if f.name != "seed"]
+    assert rows == want
 
 
 def test_cli_seed_and_parallel_flags(tmp_path, capsys):
@@ -862,7 +949,7 @@ def _search_jobs():
     """conic_noarb's shape: arbitrage, ngd and hedged jobs on one entry and
     search block, with a second hedged and ngd job at other levels."""
     arb, ngd, hedged = conic_cfg()["jobs"]
-    return [arb, ngd, hedged, dict(hedged, gamma=0.5, phi=2.0), dict(ngd, gamma=4.0, out="ngd4.json")]
+    return [arb, ngd, hedged, dict(hedged, gamma=0.5), dict(ngd, gamma=4.0, out="ngd4.json")]
 
 
 def test_searches_on_one_entry_and_search_block_share_one_ascent(monkeypatch, tmp_path):

@@ -141,12 +141,17 @@ def test_a_search_without_starts_is_refused(starts):
         ("bound", float("nan"), "bound must be None or a finite nonnegative number"),
         ("bound", float("inf"), "bound must be None or a finite nonnegative number"),
         ("bound", -1.0, "bound must be None or a finite nonnegative number"),
+        ("bound", True, "bound must be None or a finite nonnegative number"),
+        ("exhaustive", "true", "exhaustive must be true or false"),
+        ("exhaustive_target", 10**7, "exhaustive_target must be at most 5000000"),
+        ("exhaustive_target", 10**400, "exhaustive_target must be at most 5000000"),
     ],
 )
 def test_a_search_config_refuses_what_the_scenario_refuses(field, value, message):
-    """A count below its least value, a count that is no integer and a bound
-    that is not a finite nonnegative number raise at construction, not a
-    silent empty sweep, a search over NaN grids or a numpy error later."""
+    """A count below its least value, a count that is no integer, a bound
+    that is not a finite nonnegative number, a flag that is not a boolean and
+    a target past the grid cap raise at construction, not a silent empty
+    sweep, a search over NaN grids, or an error of the sweep later."""
     with pytest.raises(ValueError, match=message):
         SearchConfig(**{field: value})
     with pytest.raises(ValueError, match=message):
@@ -156,6 +161,7 @@ def test_a_search_config_refuses_what_the_scenario_refuses(field, value, message
 def test_a_search_config_takes_the_least_counts_and_a_zero_bound():
     cfg = SearchConfig(grid_points=1, sweeps=0, refine_rounds=0, exhaustive_target=1, bound=0.0)
     assert SearchConfig(grid_points=np.int64(3)).grid_points == 3
+    assert SearchConfig(exhaustive_target=search.EXHAUSTIVE_MAX_GRID).exhaustive_target == 5_000_000
     assert (cfg.sweeps, cfg.refine_rounds, cfg.bound) == (0, 0, 0.0)
 
 
