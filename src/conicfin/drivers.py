@@ -344,7 +344,7 @@ class DriverFamily:
         perfbench/tracing.py wraps make on the classes that define it."""
         if isinstance(x, (list, tuple)) or np.ndim(x) != 0:
             raise ParamOutOfRange(f"make takes one family level, got {x!r}; at_nodes takes one per node")
-        return self.driver(self.walk, self._params(float(x)))
+        return self.driver(self.walk, self._params(_finite("family level", x)))
 
     def _params(self, x):
         """param(x), elementwise, for levels x that are all positive."""

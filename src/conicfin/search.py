@@ -62,7 +62,9 @@ class SearchConfig:
     exhaustive_target: int = 200_000
 
     def __post_init__(self):
-        lows = {"grid_points": 1, "multi_starts": 1, "sweeps": 0, "refine_rounds": 0, "exhaustive_target": 1}
+        lows = {
+            "grid_points": 1, "multi_starts": 1, "sweeps": 0, "refine_rounds": 0, "exhaustive_target": 1, "seed": 0
+        }
         for name, low in lows.items():
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
@@ -326,6 +328,13 @@ def exhaustive_grid(
     run in C order and a later chunk must beat the best so far, so the
     earliest best row wins whatever the chunk size.
 
+    The sums run leaf-major: each group's terms are transposed once to an
+    (n, s_j) array, so every add runs along a contiguous line of rows, not
+    along a row's few leaves, and score gets the chunk's transpose, a
+    (B, n) view in row order. Each leaf adds the same float pairs in the
+    same order as row by row, so every sum, score and chosen row has the
+    same bits; only a NaN's sign may differ, which no comparison sees.
+
     The per-dimension point count is sized so the total grid lands at or
     above the configured target without exploding; instances whose grid
     would pass EXHAUSTIVE_MAX_GRID nodes (or whose dimension exceeds the cap)
@@ -348,16 +357,17 @@ def exhaustive_grid(
     for size, w in zip(sizes, widths):
         rows[row : row + size, col : col + w] = product(np.arange(size), w)
         row, col = row + size, col + w
-    terms = np.split(np.asarray(wealth(rows), dtype=float), np.cumsum(sizes)[:-1])
+    outcomes = np.asarray(wealth(rows), dtype=float)
+    terms = [np.ascontiguousarray(t.T) for t in np.split(outcomes, np.cumsum(sizes)[:-1])]
     lead = len(terms) - 1
     while lead > 0 and math.prod(sizes[lead - 1 :]) <= EXHAUSTIVE_CHUNK:
         lead -= 1
     # chunk c adds every trailing row to row c of the leading partial sums
-    heads = _partial_sums(np.zeros((1, terms[0].shape[-1])), terms[:lead])
+    heads = _partial_sums(np.zeros((outcomes.shape[-1], 1)), terms[:lead])
     chunk = math.prod(sizes[lead:])
     best_flat, best_s = 0, -np.inf
-    for c, head in enumerate(heads):
-        scores = np.asarray(score(_partial_sums(head[None], terms[lead:])), dtype=float)
+    for c in range(heads.shape[1]):
+        scores = np.asarray(score(_partial_sums(heads[:, c : c + 1], terms[lead:]).T), dtype=float)
         k = int(np.argmax(scores))
         if scores[k] > best_s:
             best_flat, best_s = c * chunk + k, float(scores[k])
@@ -367,8 +377,9 @@ def exhaustive_grid(
 
 
 def _partial_sums(acc: np.ndarray, terms) -> np.ndarray:
-    """Every acc row plus one row of each term in turn, in C order: (A, n)
-    and terms of (s_j, n) rows give (A * prod s_j, n)."""
+    """Every acc row plus one row of each term in turn, in C order, all
+    leaf-major: (n, A) and terms of (n, s_j) give (n, A * prod s_j). Each
+    leaf's rows are one contiguous line, so every add runs along rows."""
     for term in terms:
-        acc = (acc[:, None] + term[None]).reshape(-1, term.shape[-1])
+        acc = (acc[:, :, None] + term[:, None, :]).reshape(len(term), -1)
     return acc

@@ -224,6 +224,18 @@ def test_family_level_monotonicity_is_pointwise():
         assert np.all(lo.eval(t, zz) <= hi.eval(t, zz) + 1e-12)
 
 
+@pytest.mark.parametrize("kind", ["coherent", "quasiconcave_lse", "entropic"])
+def test_a_family_level_is_a_real_number(kind):
+    """make refuses a string, a boolean or None as its level, as the
+    driver parameters are refused; a numpy scalar is the float it holds."""
+    fam = builtin_family(kind, make_walk(2))
+    for bad in ("2", True, None):
+        with pytest.raises(ParamOutOfRange, match="family level must hold only numbers"):
+            fam.make(bad)
+    z = np.array([-2.0, 2.0])
+    assert np.array_equal(fam.make(np.float64(2.0)).eval(2, z), fam.make(2.0).eval(2, z))
+
+
 def test_positive_homogeneity_flag_only_on_coherent():
     walk = make_walk(2)
     assert builtin_family("coherent", walk).positive_homogeneous

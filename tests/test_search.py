@@ -145,13 +145,18 @@ def test_a_search_without_starts_is_refused(starts):
         ("exhaustive", "true", "exhaustive must be true or false"),
         ("exhaustive_target", 10**7, "exhaustive_target must be at most 5000000"),
         ("exhaustive_target", 10**400, "exhaustive_target must be at most 5000000"),
+        ("seed", "x", "seed must be at least 0 and an integer"),
+        ("seed", -1.5, "seed must be at least 0 and an integer"),
+        ("seed", True, "seed must be at least 0 and an integer"),
+        ("seed", -1, "seed must be at least 0 and an integer"),
     ],
 )
 def test_a_search_config_refuses_what_the_scenario_refuses(field, value, message):
-    """A count below its least value, a count that is no integer, a bound
-    that is not a finite nonnegative number, a flag that is not a boolean and
-    a target past the grid cap raise at construction, not a silent empty
-    sweep, a search over NaN grids, or an error of the sweep later."""
+    """A count below its least value, a count or seed that is no integer, a
+    negative seed, a bound that is not a finite nonnegative number, a flag
+    that is not a boolean and a target past the grid cap raise at
+    construction, not a silent empty sweep, a search over NaN grids, or an
+    error of the sweep or of the seeded draw later."""
     with pytest.raises(ValueError, match=message):
         SearchConfig(**{field: value})
     with pytest.raises(ValueError, match=message):
@@ -161,6 +166,7 @@ def test_a_search_config_refuses_what_the_scenario_refuses(field, value, message
 def test_a_search_config_takes_the_least_counts_and_a_zero_bound():
     cfg = SearchConfig(grid_points=1, sweeps=0, refine_rounds=0, exhaustive_target=1, bound=0.0)
     assert SearchConfig(grid_points=np.int64(3)).grid_points == 3
+    assert SearchConfig(seed=np.int64(3)).seed == 3
     assert SearchConfig(exhaustive_target=search.EXHAUSTIVE_MAX_GRID).exhaustive_target == 5_000_000
     assert (cfg.sweeps, cfg.refine_rounds, cfg.bound) == (0, 0, 0.0)
 
@@ -523,6 +529,42 @@ def test_exhaustive_chunks_match_the_brute_force_grid_exactly(widths, leaves, ch
     assert 0.0 < np.mean(brute_scores < 0.0) < 1.0  # rows that lose and rows that do not
     rows = {v.shape[0] for v in seen[:-1]}
     assert len(rows) == 1 and rows.pop() <= max(chunk, sizes[-1])
+
+
+@pytest.mark.parametrize("widths, points, leaves", [([1], 7, 1), ([1, 2, 1], 3, 4), ([1, 1, 1, 1], 3, 9)])
+@pytest.mark.parametrize("chunk", [1, 20, search.EXHAUSTIVE_CHUNK])
+def test_exhaustive_chunks_keep_signed_zeros_infinities_and_nans_of_the_brute_force_grid(
+    widths, points, leaves, chunk, monkeypatch
+):
+    """Group terms with planted -0.0, +-inf and NaN: the leaf-major chunks
+    hold the sums of the brute-force grid, sum(term[pick] ...), with NaN
+    where it has NaN and every other value bit for bit. That sum starts
+    from +0.0, so a row of -0.0 terms sums to +0.0, and adds one term per
+    group left to right. The sign of a NaN is not compared: IEEE 754 leaves
+    it open when both addends are NaN, and numpy's add loops give
+    -nan + nan either sign depending on where the element falls in the loop
+    (its vector body or its scalar tail)."""
+    monkeypatch.setattr(search, "EXHAUSTIVE_CHUNK", chunk)
+    rng = np.random.default_rng(len(widths) * 10 + leaves)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.25])
+    odds = [0.1, 0.1, 0.1, 0.15, 0.35, 0.1, 0.1]
+    terms = [rng.choice(special, size=(points**w, leaves), p=odds) for w in widths]
+    for term in terms:
+        term[0] = -0.0  # so the first row sums -0.0 terms only
+    table = np.concatenate(terms)
+    seen = []
+    wealth = lambda P: table if len(P) == len(table) else np.zeros((len(P), leaves))
+    score = lambda v: seen.append(v.copy()) or np.zeros(len(v))
+    cfg = SearchConfig(exhaustive_target=points ** sum(widths))
+    with np.errstate(invalid="ignore"):
+        out = exhaustive_grid(wealth, widths, cfg, 1.0, score)
+        brute = oracles.product_grid_sums(terms)
+    got = np.concatenate(seen[:-1])
+    assert out.evaluations == len(brute) == len(got)
+    nan = np.isnan(brute)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), brute[~nan].view(np.uint64))
+    assert not np.signbit(got[0]).any() and nan.any() and np.isinf(brute).any()
 
 
 def test_exhaustive_sweep_of_a_two_security_horizon_two_grid_runs_in_27_chunks():
