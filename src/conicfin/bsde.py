@@ -7,6 +7,13 @@ dM_t = Z_t dW_t - (Y_t - E[Y_t | F_{t-1}]), and the value rolls back as
 Y_{t-1} = E[Y_t | F_{t-1}] + g(t, Z_t) dqv_t. On the symmetric walk with
 its generated filtration the remainder vanishes identically.
 
+On a level of the symmetric walk (MartingaleSpec._halving) the step is
+w = 0.5 * Y_t, Z_t = w[2k] - w[2k+1] and Y_{t-1} = (w[2k] + w[2k+1]) +
+g(t, Z_t): one halving, not two generic expectations, and the same floats,
+since multiplying by +-1 and by dqv_t = 1.0 is exact, (-y) * 0.5 =
+-(y * 0.5) and a + (-b) is a - b in IEEE 754. Only a NaN's sign may
+differ, which no comparison sees.
+
 solve_bsde keeps Y and Z at every level; g_expectation rolls Y alone back
 from a level-s payoff to level t. Both take the same one-level step, _step.
 Above s a known payoff has Z = 0 and g(t, 0) = 0, so the full solve only
@@ -66,8 +73,13 @@ class BsdeSolution:
 
 
 def _step(g: Driver, y: np.ndarray, t: int, walk: MartingaleSpec):
-    """One level of the backward recursion: (Y_{t-1}, Z_t) from Y_t = y."""
+    """One level of the backward recursion: (Y_{t-1}, Z_t) from Y_t = y,
+    by one halving on a symmetric-walk level (see the module docstring)."""
     tr = walk.tree
+    if walk._halving[t]:
+        w = 0.5 * tr.check_level_array(y, t)
+        z = w[..., 0::2] - w[..., 1::2]
+        return (w[..., 0::2] + w[..., 1::2]) + g.eval(t, z), z
     prev = tr.condexp_step(y, t)
     z = tr.condexp_step(y * walk.dW(t), t) / walk.dqv(t)
     return prev + g.eval(t, z) * walk.dqv(t), z

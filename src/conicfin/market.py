@@ -75,8 +75,9 @@ class ConicOperator(PricingOperator):
     that pays nothing after t, skips the roll-back and quotes what a full
     solve would: +0.0 on the ask side and -0.0 on the bid side (drivers are
     normalized, and every builtin family has g(t, +-0) = +0.0). At the
-    horizon there is nothing to roll back: g_expectation returns
-    tail_payment itself, phi times no future payments.
+    horizon there is nothing to roll back, and both sides quote phi times
+    zeros, the solve's value: that product is the ask's payoff, and the bid
+    negates it twice.
     """
 
     def __init__(self, side: str, family: DriverFamily, gamma: float, stream: AdaptedProcess):
@@ -93,7 +94,9 @@ class ConicOperator(PricingOperator):
     def price(self, t: int, phi: np.ndarray) -> np.ndarray:
         stream = self.stream
         phi = stream.tree.check_level_array(phi, t)
-        if t < stream.tree.horizon and (stream.last_paying <= t or not np.any(phi)):
+        if t == stream.tree.horizon:
+            return phi * np.zeros(phi.shape[-1])
+        if stream.last_paying <= t or not np.any(phi):
             return np.zeros(phi.shape) if self.side == "ask" else np.full(phi.shape, -0.0)
         s, payoff = tail_payment(stream, phi, t)
         return self._roll_back(payoff, s, t)

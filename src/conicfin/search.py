@@ -195,10 +195,11 @@ def ascend(
 
     wealth maps a (B, dims) batch to B rows, and each objective maps such
     rows to (B,) scores. Each start sweeps the coordinates over a grid
-    around its current point, keeping a move only when it beats its current
-    score by more than 1e-13, and the grid span halves every refinement
-    round. The starts are drawn once and shared by every objective; the
-    zero vector is always the first. Returns, per objective, each start's
+    around its current point, keeping a move to its earliest best non-NaN
+    candidate only when that beats its current score by more than 1e-13,
+    and the grid span halves every refinement round. The starts are drawn
+    once and shared by every objective; the zero vector is always the
+    first. Returns, per objective, each start's
     final (params, score), in start order, and the number of rows scored.
 
     The starts of every objective run in lockstep through one (round,
@@ -254,7 +255,7 @@ def ascend(
                     evals[o] += n
                     at = 0
                     for i, size in zip(start[k : k + m].tolist(), own.tolist()):
-                        j = at + int(np.argmax(scores[at : at + size]))
+                        j = at + _best(scores[at : at + size])
                         if scores[j] > values[o, i] + 1e-13:
                             points[o, i], values[o, i] = batch[lo + j], scores[j]
                             improved[o, i] = True
@@ -267,6 +268,15 @@ def ascend(
     return [
         ([(p, float(s)) for p, s in zip(points[o], values[o])], evals[o]) for o in range(len(objectives))
     ]
+
+
+def _best(scores: np.ndarray) -> int:
+    """Index of the earliest largest non-NaN score. np.argmax stops at the
+    first NaN, so only then is the argmax retaken with NaNs as -inf."""
+    k = int(np.argmax(scores))
+    if np.isnan(scores[k]):
+        k = int(np.argmax(np.where(np.isnan(scores), -np.inf, scores)))
+    return k
 
 
 def _candidates(points: np.ndarray, d: int, span: float, grid_points: int, bound: float):
@@ -316,8 +326,8 @@ def exhaustive_grid(
     the sum of the wealths of the rows keeping one group's columns. So
     wealth runs once, on every group's sub-grid, and the product grid is
     swept in C order, chunk by chunk; score maps (B, n) outcomes to (B,)
-    scores. The earliest best row wins, and its score is recomputed from
-    wealth of that row alone.
+    scores. The earliest best row wins, a NaN score never, and its score
+    is recomputed from wealth of that row alone.
 
     A chunk is one index of the leading groups times the full product of
     the trailing groups: as many trailing groups as fit in EXHAUSTIVE_CHUNK
@@ -368,7 +378,7 @@ def exhaustive_grid(
     best_flat, best_s = 0, -np.inf
     for c in range(heads.shape[1]):
         scores = np.asarray(score(_partial_sums(heads[:, c : c + 1], terms[lead:]).T), dtype=float)
-        k = int(np.argmax(scores))
+        k = _best(scores)
         if scores[k] > best_s:
             best_flat, best_s = c * chunk + k, float(scores[k])
     best_p = product(best_flat, dims)

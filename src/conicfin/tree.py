@@ -286,11 +286,29 @@ class MartingaleSpec:
     slots. Whether every martingale is a stochastic integral against W is
     not recorded: where it fails, a backward solution carries a nonzero
     orthogonal remainder M (see bsde.diagnose_solution).
+
+    _halving[t] is set, once when the walk is built, where level t is a
+    symmetric-walk level exactly: binary, branch_prob 0.5, increments +1 on
+    the first child and -1 on the second, and qv 1.0 (not None). There
+    E[y | F_{t-1}] and E[y dW_t | F_{t-1}] / dqv_t are the sum and the
+    difference of the halves w = 0.5 * y of each child pair, the floats of
+    the generic expectations: multiplying by +-1 and by 1.0 is exact,
+    (-y) * 0.5 = -(y * 0.5), and a + (-b) is a - b in IEEE 754. Only the
+    sign of a NaN may differ.
     """
 
     tree: FiltrationTree
     increments: tuple
     qv: tuple
+
+    def __post_init__(self):
+        tr, inc, qv = self.tree, self.increments, self.qv
+        halving = [False] + [
+            bool(tr._binary[t] and qv[t] is not None and np.all(tr.branch_prob[t] == 0.5)
+                 and np.all(inc[t][0::2] == 1.0) and np.all(inc[t][1::2] == -1.0) and np.all(qv[t] == 1.0))
+            for t in range(1, tr.horizon + 1)
+        ]
+        object.__setattr__(self, "_halving", tuple(halving))
 
     def dW(self, t: int) -> np.ndarray:
         return self.increments[t]

@@ -1,5 +1,8 @@
 """Backward solver, nonlinear expectations, comparison, linear measures."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from conicfin import scenario
 from conicfin import (
+    MartingaleSpec,
     MeasureNotEquivalent,
     PreconditionViolated,
     builtin_driver,
@@ -24,6 +28,8 @@ from conicfin import (
 )
 
 import oracles
+from test_bench_wiring import SMALL_CASES
+from test_scenario import read_tree_bytes
 
 SOLVER_ATOL = 1e-10
 ORACLE_ATOL = 1e-9
@@ -288,3 +294,42 @@ def test_linear_measure_requires_equivalent_weights():
     with pytest.raises(MeasureNotEquivalent):
         extract_linear_measure(g, walk)
 
+
+def test_scenarios_write_the_same_bytes_with_the_halving_step_forced_off(monkeypatch, tmp_path):
+    """The bundled scenarios and the small benchmark cases, run as they are
+    (every walk level flagged, so each roll-back halves) and again with
+    every flag forced off (the generic expectations): every artifact and
+    summary.json must be the same bytes."""
+    bundled = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+
+    def run_all(root, post_init):
+        walks, configs = [], {}
+
+        def spy(self):
+            post_init(self)
+            walks.append(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(MartingaleSpec, "__post_init__", spy)
+            for name in sorted(os.listdir(bundled)):
+                with open(os.path.join(bundled, name)) as f:
+                    configs[name] = json.load(f)
+            for workload in sorted(SMALL_CASES):
+                for case in SMALL_CASES[workload]():
+                    configs[f"{workload}/{case.label}"] = case.config
+            for name, cfg in configs.items():
+                run_scenario(cfg, str(root / name))
+        assert len(walks) >= len(configs) == 10
+        return read_tree_bytes(root), walks
+
+    def flags_off(self):
+        object.__setattr__(self, "_halving", (False,) * (self.tree.horizon + 1))
+
+    on, on_walks = run_all(tmp_path / "on", MartingaleSpec.__post_init__)
+    off, off_walks = run_all(tmp_path / "off", flags_off)
+    assert any(any(w._halving) for w in on_walks)
+    assert off_walks and not any(any(w._halving) for w in off_walks)
+    assert sorted(on) == sorted(off)
+    assert sum(name.endswith("summary.json") for name in on) == 10
+    for name in on:
+        assert on[name] == off[name], name

@@ -471,6 +471,32 @@ def test_exhaustive_grid_refuses_oversized_instances():
         exhaustive_grid(wealth, [12, 11], SearchConfig(), 1.0, score)
 
 
+def test_a_nan_score_hides_no_better_row_of_the_exhaustive_grid():
+    """The grid is 0, 0.25, ..., 1; the score is NaN at 0.25 and best at
+    0.75, so np.argmax alone would stop at the NaN and keep row 0."""
+    def score(rows):
+        x = rows[:, 0]
+        return np.where(x == 0.25, np.nan, np.where(x == 0.75, 2.0, 0.0))
+
+    out = exhaustive_grid(lambda P: P, [1], SearchConfig(exhaustive_target=5), 1.0, score)
+    assert np.array_equal(out.params, [0.75])
+    assert out.score == 2.0
+    assert out.evaluations == 5
+
+
+def test_a_nan_score_hides_no_better_move_of_the_ascent():
+    """f(x) = x but NaN at 0.25: the first sweep's candidates are 0, 0.25,
+    0.5, 0.75 and 1, so the one start must move to 1, not stay at 0."""
+    def evaluate(params):
+        x = params[:, 0]
+        return np.where(x == 0.25, np.nan, x)
+
+    cfg = SearchConfig(grid_points=9, multi_starts=1, sweeps=1, refine_rounds=1)
+    out = maximize(evaluate, 1, cfg, 1.0)
+    assert np.array_equal(out.params, [1.0])
+    assert out.score == 1.0
+
+
 def _additive_wealth(rng, dims, leaves):
     """Synthetic wealth, additive over columns: each column adds its own
     kinked leaf profile, column by column, so a row's wealth is the same in

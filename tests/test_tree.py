@@ -17,12 +17,15 @@ from conicfin import (
     NotSymmetric,
     TreeError,
     build_tree,
+    builtin_driver,
     martingale_from_increments,
     single_payment,
     symmetric_random_walk,
     uniform_binary_tree,
     zero_process,
 )
+
+from conicfin.bsde import _step
 
 import oracles
 
@@ -161,6 +164,74 @@ def test_condexp_step_is_the_segmented_sum_bit_for_bit(p, data):
         got = tree.condexp_step(x, t)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _same_floats(got, want):
+    """Same shape, NaNs in the same places, every other value the same bits."""
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_halving_step_is_the_generic_step_bit_for_bit(data):
+    """Every level of the symmetric walk is flagged, so _step halves y once;
+    the same walk with its flags forced off takes the two generic
+    expectations. Y_{t-1} and Z_t must be the same floats for every builtin
+    driver, signs of zero included, on flat and batched inputs; NaNs (an
+    inf - inf inside a driver) must sit in the same places."""
+    walk = symmetric_random_walk(uniform_binary_tree(3))
+    assert walk._halving == (False, True, True, True)
+    off = MartingaleSpec(walk.tree, walk.increments, walk.qv)
+    object.__setattr__(off, "_halving", (False,) * 4)
+    level = data.draw(st.floats(min_value=0.05, max_value=20.0))
+    drivers = [
+        builtin_driver("zero", walk),
+        builtin_driver("linear", walk, slope=data.draw(st.floats(min_value=-0.99, max_value=0.99))),
+        builtin_driver("coherent_abs", walk, c=min(level, 0.99)),
+        builtin_driver("logsumexp", walk, K=level),
+        builtin_driver("entropic", walk, gamma=level),
+    ]
+    batch = data.draw(st.sampled_from([(), (3,), (2, 3)]))
+    for t in range(1, 4):
+        y = data.draw(arrays(np.float64, batch + (walk.tree.n_nodes(t),), elements=_LEVEL_VALUES))
+        for g in drivers:
+            with np.errstate(all="ignore"):
+                got, want = _step(g, y, t, walk), _step(g, y, t, off)
+            for a, b in zip(got, want):
+                _same_floats(a, b)
+
+
+def test_the_halving_flag_marks_exact_symmetric_walk_levels_only():
+    """Level 1 is the +-1 walk on a half-half level. Level 2 is binary but
+    asymmetric, level 3 a +-2 walk (dqv = 4), level 4 a -+1 walk, level 5
+    ternary and level 6 ragged, with +-1 on its half-half parents: none of
+    these is flagged. A walk with placeholder qv still builds, unflagged,
+    and so does one whose qv is not 1.0."""
+    p = 0.3
+    ragged = [[0.5, 0.5], [0.2, 0.3, 0.5]] * 24
+    tree = build_tree([[0.5, 0.5], [p, 1.0 - p], [0.5, 0.5], [0.5, 0.5], [0.2, 0.3, 0.5], ragged])
+    n = [tree.n_nodes(t) for t in range(tree.horizon + 1)]
+    inc = [
+        None,
+        np.tile([1.0, -1.0], n[0]),
+        np.tile([1.0 - p, -p], n[1]),
+        np.tile([2.0, -2.0], n[2]),
+        np.tile([-1.0, 1.0], n[3]),
+        np.tile([1.0, 1.0, -1.0], n[4]),
+        np.tile([1.0, -1.0, 1.0, 1.0, -1.0], 24),
+    ]
+    walk = martingale_from_increments(tree, inc)
+    assert walk._halving == (False, True, False, False, False, False, False)
+    assert np.array_equal(walk.dqv(3), np.full(n[2], 4.0))
+    placeholder = MartingaleSpec(tree, tuple(inc), (None,) * (tree.horizon + 1))
+    assert placeholder._halving == (False,) * (tree.horizon + 1)
+    sym = symmetric_random_walk(uniform_binary_tree(2))
+    doubled = MartingaleSpec(sym.tree, sym.increments, (None, 2.0 * sym.qv[1], sym.qv[2]))
+    assert sym._halving == (False, True, True)
+    assert doubled._halving == (False, False, True)
 
 
 def test_conditional_expectation_on_nonuniform_tree():
