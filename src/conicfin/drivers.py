@@ -327,12 +327,17 @@ class DriverFamily:
     """
 
     kind: str = "abstract"
-    positive_homogeneous: bool = False
     driver: type
 
     def __init__(self, walk: MartingaleSpec):
         self.walk = walk
         self.tree = walk.tree
+
+    @property
+    def positive_homogeneous(self) -> bool:
+        """Whether every level's driver is positively homogeneous: the
+        driver class's own flag."""
+        return self.driver.positive_homogeneous
 
     @staticmethod
     def param(x):
@@ -379,7 +384,6 @@ class CoherentFamily(DriverFamily):
     """g_x(z) = x/(x+1) |z|: positively homogeneous at every level."""
 
     kind = "coherent"
-    positive_homogeneous = True
     driver = CoherentAbsDriver
 
     @staticmethod
@@ -394,7 +398,6 @@ class QuasiconcaveLseFamily(DriverFamily):
     """g_x(z) = x/(x+1) log((1 + e^-z + e^z)/3): not positively homogeneous."""
 
     kind = "quasiconcave_lse"
-    positive_homogeneous = False
     driver = LseDriver
 
     @staticmethod
@@ -409,7 +412,6 @@ class EntropicFamily(DriverFamily):
     """g_x(z) = 1/(x dqv_t) log(0.5 e^{-xz} + 0.5 e^{xz}): gamma = 1/x."""
 
     kind = "entropic"
-    positive_homogeneous = False
     driver = EntropicDriver
 
     @staticmethod

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bsde import g_expectation
 from .drivers import DriverFamily
-from .tree import AdaptedProcess, FiltrationTree, LevelMismatch, MartingaleSpec, tail_payment
+from .tree import AdaptedProcess, FiltrationTree, LevelMismatch, MartingaleSpec, tail_payoff
 
 
 class MarketError(ValueError):
@@ -69,15 +69,14 @@ class ConicOperator(PricingOperator):
 
     The ask of phi shares is the nonlinear expectation of phi times the
     stream's strictly-future payments; the bid negates the expectation of
-    the negated payoff. The payoff is tail_payment, placed at the stream's
-    last paying level s, and Y rolls back from s to t only (g_expectation),
-    not from the leaves. Before the horizon, an all-zero phi, or a stream
-    that pays nothing after t, skips the roll-back and quotes what a full
-    solve would: +0.0 on the ask side and -0.0 on the bid side (drivers are
-    normalized, and every builtin family has g(t, +-0) = +0.0). At the
-    horizon there is nothing to roll back, and both sides quote phi times
-    zeros, the solve's value: that product is the ask's payoff, and the bid
-    negates it twice.
+    the negated payoff. The payoff is tail_payoff, on the leaves, and Y
+    rolls back from the horizon T to t (g_expectation), so every quote is
+    the full solve's Y[t], bit for bit, on every walk. Two quotes skip the
+    roll-back and give the solve's value all the same. At the horizon both
+    sides quote phi times zeros: that product is the ask's payoff, and the
+    bid negates it twice. Before it, an all-zero phi quotes +0.0 on the ask
+    side and -0.0 on the bid side (drivers are normalized, and every
+    builtin family has g(t, +-0) = +0.0).
     """
 
     def __init__(self, side: str, family: DriverFamily, gamma: float, stream: AdaptedProcess):
@@ -96,10 +95,9 @@ class ConicOperator(PricingOperator):
         phi = stream.tree.check_level_array(phi, t)
         if t == stream.tree.horizon:
             return phi * np.zeros(phi.shape[-1])
-        if stream.last_paying <= t or not np.any(phi):
+        if not np.any(phi):
             return np.zeros(phi.shape) if self.side == "ask" else np.full(phi.shape, -0.0)
-        s, payoff = tail_payment(stream, phi, t)
-        return self._roll_back(payoff, s, t)
+        return self._roll_back(tail_payoff(stream, phi, t), stream.tree.horizon, t)
 
     def _roll_back(self, payoff: np.ndarray, s: int, t: int) -> np.ndarray:
         """This side's value at level t <= s of the level-s payoff."""
@@ -181,8 +179,8 @@ class OrderBookOperator(PricingOperator):
 
     def price(self, t: int, phi: np.ndarray) -> np.ndarray:
         phi = np.asarray(phi, dtype=float)
-        if np.any(phi < -1e-12):
-            raise NegativeLeg("order sizes must be nonnegative")
+        if not np.all(phi >= -1e-12):
+            raise NegativeLeg("order sizes must be finite and nonnegative")
         if np.any(phi > self.depth + 1e-9):
             raise DepthExceeded(
                 f"order for {float(np.max(phi))} exceeds posted depth {self.depth}"

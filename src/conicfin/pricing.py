@@ -103,24 +103,24 @@ class ConsistencyReport:
 def _unit_quotes(op: ConicOperator) -> list:
     """The operator's one-share quote at every level 0..T, from one roll-back.
 
-    With C_t = D_1 + ... + D_t along each path, s the stream's last paying
-    level and sign +1 for the ask and -1 for the bid, every level t < s of
-    the roll-back Y of sign * C_s gives the quote sign * Y_t - C_t. This is
-    cash additivity: drivers see z only and E[dW | F_t] = 0, so the
-    F_t-measurable C_t passes through the g-expectation unchanged. D_0 is
-    left out of C because no quote includes it. At t >= s the quotes are
-    the operator's own signed zeros. The subtraction adds rounding of a few
-    ulp of max(|C_t|, |Y_t|), so the quotes match op.price to rounding."""
+    With C_t = D_1 + ... + D_t along each path and sign +1 for the ask and
+    -1 for the bid, every level t < T of the roll-back Y of sign * C_T gives
+    the quote sign * Y_t - C_t. This is cash additivity: drivers see z only
+    and E[dW | F_t] = 0, so the F_t-measurable C_t passes through the
+    g-expectation unchanged. D_0 is left out of C because no quote includes
+    it. The level-T quote is the operator's own. The subtraction adds
+    rounding of a few ulp of max(|C_t|, |Y_t|), so the quotes match op.price
+    to rounding."""
     stream, walk = op.stream, op.family.walk
-    tr, s = walk.tree, stream.last_paying
+    tr = walk.tree
+    T = tr.horizon
     sign = 1.0 if op.side == "ask" else -1.0
-    quotes = [None] * s + [op.price(t, np.ones(tr.n_nodes(t))) for t in range(s, tr.horizon + 1)]
-    if s > 0:
-        cum = [np.zeros(1)] + tr.path_sums(stream.values, 1, s)
-        y = sign * cum[s]
-        for t in range(s, 0, -1):
-            y = _step(op._g, y, t, walk)[0]
-            quotes[t - 1] = sign * y - cum[t - 1]
+    cum = [np.zeros(1)] + tr.path_sums(stream.values, 1, T)
+    quotes = [None] * T + [op.price(T, np.ones(tr.n_leaves))]
+    y = sign * cum[T]
+    for t in range(T, 0, -1):
+        y = _step(op._g, y, t, walk)[0]
+        quotes[t - 1] = sign * y - cum[t - 1]
     return quotes
 
 

@@ -379,11 +379,7 @@ def symmetric_random_walk(tree: FiltrationTree) -> MartingaleSpec:
 
 @dataclass(frozen=True)
 class AdaptedProcess:
-    """A process X_0..X_T with X_t measurable at level t.
-
-    last_paying is the highest level t with a nonzero X_t (0 when there is
-    none): the stream pays nothing after it.
-    """
+    """A process X_0..X_T with X_t measurable at level t."""
 
     tree: FiltrationTree
     values: tuple
@@ -400,9 +396,6 @@ class AdaptedProcess:
             if not np.all(np.isfinite(v)):
                 raise TreeError(f"adapted process holds non-finite values at level {t}")
         object.__setattr__(self, "values", vals)
-        object.__setattr__(
-            self, "last_paying", max((t for t, v in enumerate(vals) if np.any(v)), default=0)
-        )
 
     def at(self, t: int) -> np.ndarray:
         return self.values[t]
@@ -443,23 +436,12 @@ class AdaptedProcess:
         return self.scale_from(lam, t).add(other.scale_from(1.0 - lam, t))
 
 
-def tail_payment(stream: AdaptedProcess, phi: np.ndarray, t: int):
-    """phi shares of the stream's payments after t, paid at once at level s,
-    the later of t and the stream's last paying level: returns s and the
-    level-s array of phi at each node's level-t ancestor times
-    D_{t+1} + ... + D_s along its path (phi times zeros when s = t). phi is
-    level-t measurable and may carry leading batch axes."""
-    tr = stream.tree
-    s = max(t, stream.last_paying)
-    if s == t:
-        return s, tr.check_level_array(phi, t) * np.zeros(tr.n_nodes(t))
-    return s, tr.broadcast(phi, t, s) * tr.path_sums(stream.values, t + 1, s)[-1]
-
-
 def tail_payoff(stream: AdaptedProcess, phi: np.ndarray, t: int) -> np.ndarray:
-    """The tail_payment of phi shares after t, lifted to the leaves."""
-    s, payoff = tail_payment(stream, phi, t)
-    return stream.tree.broadcast(payoff, s, stream.tree.horizon)
+    """phi shares of the stream's payments after t, as a leaf payoff: phi
+    at each leaf's level-t ancestor times D_{t+1} + ... + D_T along its path
+    (phi times zeros at t = T). phi is level-t measurable and may carry
+    leading batch axes."""
+    return stream.tree.broadcast(phi, t, stream.tree.horizon) * stream.future_sum(t + 1)
 
 
 def zero_process(tree: FiltrationTree) -> AdaptedProcess:

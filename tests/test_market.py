@@ -47,12 +47,7 @@ from conicfin.search import SearchConfig
 from conicfin.tree import tail_payoff
 
 import oracles
-
-# Largest gap between a conic quote and the full solve on a walk that is not
-# the symmetric one, as a share of the payoff's largest magnitude. There the
-# full solve carries a payoff known at level s up to the leaves and back,
-# and p * a + (1 - p) * a rounds; the roll-back from s does not carry it.
-NONSYMMETRIC_QUOTE_RTOL = 1e-14
+from test_pricing import _nesting_walks
 
 AAPL_ASK = [(116.61, 200), (116.62, 700), (116.63, 543), (116.64, 643), (116.65, 343)]
 AAPL_BID = [(116.59, 400), (116.58, 400), (116.57, 800), (116.56, 500), (116.55, 543)]
@@ -153,8 +148,9 @@ def test_order_book_rejects_bad_orders_and_ladders():
         book.price(0, np.array([book.depth + 1.0]))
     with pytest.raises(DepthExceeded):
         book.exact_price(0, 0, Fraction(book.depth) + 1)
-    with pytest.raises(NegativeLeg):
-        book.price(0, np.array([-1.0]))
+    for bad in (np.array([-1.0]), np.array([np.nan])):
+        with pytest.raises(NegativeLeg, match="finite"):
+            book.price(0, bad)
     with pytest.raises(MarketError):
         OrderBookOperator("ask", [(116.61, 200), (116.60, 100)])
     with pytest.raises(MarketError):
@@ -235,37 +231,40 @@ def test_conic_fast_paths_equal_the_solve_bit_for_bit(kind):
 def test_streams_paying_nothing_after_t_quote_the_solve_zeros(kind):
     """A stream whose last payment is at or before t quotes +0.0 on the ask
     side and -0.0 on the bid side before the horizon, for any batched phi,
-    as the full solve does; quotes at the horizon and the refusal of a
-    level past it are those of the solve too."""
-    walk = make_walk(3)
-    tree = walk.tree
-    T = tree.horizon
-    fam = builtin_family(kind, walk)
-    g = fam.make(1.5)
+    as the full solve does, on a binary, a ternary and a ragged walk; quotes
+    at the horizon and the refusal of a level past it are those of the
+    solve too. The payments after the last one are -0.0."""
     rng = np.random.default_rng(5)
-    assert zero_process(tree).last_paying == 0
-    for last in range(T + 1):
-        vals = [
-            rng.normal(size=tree.n_nodes(s)) if s <= last else np.full(tree.n_nodes(s), -0.0)
-            for s in range(T + 1)
-        ]
-        stream = AdaptedProcess(tree, tuple(vals))
-        assert stream.last_paying == last
-        for t in range(last, T + 1):
-            phi = np.abs(rng.normal(size=(2, tree.n_nodes(t))))
-            payoff = tail_payoff(stream, phi, t)
-            for side, want in (
-                ("ask", solve_bsde(g, payoff, walk).Y[t]),
-                ("bid", -solve_bsde(g, -payoff, walk).Y[t]),
-            ):
-                got = ConicOperator(side, fam, 1.5, stream).price(t, phi)
-                assert got.shape == want.shape == phi.shape
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
-                if t < T:
-                    assert not np.any(got) and np.all(np.signbit(got) == (side == "bid"))
-        with pytest.raises(LevelMismatch):
-            ConicOperator("ask", fam, 1.5, stream).price(T + 1, np.zeros(tree.n_leaves))
+    walks = _nesting_walks()
+    for walk in (make_walk(3), walks["ternary"], walks["ragged"]):
+        tree = walk.tree
+        T = tree.horizon
+        fam = builtin_family(kind, walk)
+        g = fam.make(1.5)
+        streams = [(zero_process(tree), 0)]
+        for last in range(T + 1):
+            vals = [
+                rng.normal(size=tree.n_nodes(s)) if s <= last else np.full(tree.n_nodes(s), -0.0)
+                for s in range(T + 1)
+            ]
+            streams.append((AdaptedProcess(tree, tuple(vals)), last))
+        for stream, last in streams:
+            assert not any(np.any(v) for v in stream.values[last + 1:])
+            for t in range(last, T + 1):
+                phi = np.abs(rng.normal(size=(2, tree.n_nodes(t))))
+                payoff = tail_payoff(stream, phi, t)
+                for side, want in (
+                    ("ask", solve_bsde(g, payoff, walk).Y[t]),
+                    ("bid", -solve_bsde(g, -payoff, walk).Y[t]),
+                ):
+                    got = ConicOperator(side, fam, 1.5, stream).price(t, phi)
+                    assert got.shape == want.shape == phi.shape
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+                    if t < T:
+                        assert not np.any(got) and np.all(np.signbit(got) == (side == "bid"))
+            with pytest.raises(LevelMismatch):
+                ConicOperator("ask", fam, 1.5, stream).price(T + 1, np.zeros(tree.n_leaves))
 
 
 @given(
@@ -275,11 +274,12 @@ def test_streams_paying_nothing_after_t_quote_the_solve_zeros(kind):
     st.data(),
 )
 @settings(max_examples=40, deadline=None)
-def test_quotes_on_asymmetric_walks_stay_near_the_full_solve(horizon, kind, level, data):
+def test_quotes_on_asymmetric_walks_equal_the_full_solve_bit_for_bit(horizon, kind, level, data):
     """On binary trees with random branch probabilities p, 1 - p and the
     mean-zero, unit-variance increments sqrt((1-p)/p), -sqrt(p/(1-p)),
-    quotes of single payments stay within NONSYMMETRIC_QUOTE_RTOL of the
-    full solve, on both sides and at every level."""
+    quotes of single payments, which stop paying before the horizon when
+    u < T, are the full solve's values and zero signs, on both sides and at
+    every level."""
     branching, increments = [], [None]
     for t in range(1, horizon + 1):
         n = 2 ** (t - 1)
@@ -296,13 +296,13 @@ def test_quotes_on_asymmetric_walks_stay_near_the_full_solve(horizon, kind, leve
     for t in range(horizon + 1):
         phi = rng.uniform(0.0, 3.0, size=(2, tree.n_nodes(t)))
         payoff = tail_payoff(stream, phi, t)
-        bound = NONSYMMETRIC_QUOTE_RTOL * float(np.max(np.abs(payoff)))
         for side, want in (
             ("ask", solve_bsde(g, payoff, walk).Y[t]),
             ("bid", -solve_bsde(g, -payoff, walk).Y[t]),
         ):
             got = ConicOperator(side, fam, level, stream).price(t, phi)
-            assert np.max(np.abs(got - want)) <= bound
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_conic_operator_rejects_bad_levels_as_market_errors():
