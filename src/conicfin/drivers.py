@@ -7,10 +7,12 @@ per-slot coefficients broadcast along the last axis.
 
 Each formula lives in one driver class. Its parameters are one value or one
 value per period, and a period's value may itself vary over the level t-1
-slots. A family x -> g_x maps its level onto one of these classes
-(coherent: CoherentAbsDriver with c = x/(x+1); quasiconcave_lse: LseDriver
-with c = x/(x+1); entropic: EntropicDriver with gamma = 1/x): make(x) at one
-level, at_nodes(t, x) at one per level-t node, slot by slot bit-identical.
+slots. A builtin driver kind is its class: builtin_driver takes the
+parameters of the class's constructor. A builtin family x -> g_x is one row
+of _FAMILY_KINDS, a driver class and a level map (coherent: CoherentAbsDriver
+with c = x/(x+1); quasiconcave_lse: LseDriver with c = x/(x+1); entropic:
+EntropicDriver with gamma = 1/x): make(x) at one level, at_nodes(t, x) at
+one per level-t node, slot by slot bit-identical.
 
 "Regular" means the one-step comparison argument applies to the driver. A
 positive strict-Lipschitz margin (max_t sup |c_t dW_t| < 1) is sufficient;
@@ -23,13 +25,14 @@ the comparison_certified flag.
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import MartingaleSpec
+from .tree import LevelMismatch, MartingaleSpec
 
 CERT_TOL = 1e-12
 
@@ -43,10 +46,15 @@ class ParamOutOfRange(DriverError):
 
 
 def _lncosh_half(a: np.ndarray) -> np.ndarray:
-    """log(0.5*exp(-a) + 0.5*exp(a)), stable for large |a|."""
+    """log(0.5*exp(-a) + 0.5*exp(a)) = log cosh(a), as |a| + log1p((exp(-2|a|) - 1)/2).
+
+    Nothing overflows for large |a|. For small |a|, where the value is about
+    a**2/2, expm1 keeps the a**2 term that log(2) - log1p(exp(-2|a|)) loses
+    in rounding, so the relative error is about 1e-16/|a|, not 1e-16/a**2.
+    """
     m = np.abs(a)
-    # 2m overflows for m near the float maximum; past 1e300, exp(-2m) is 0 either way
-    return m - np.log(2.0) + np.log1p(np.exp(-2.0 * np.minimum(m, 1e300)))
+    # 2m overflows for m near the float maximum; past 1e300, expm1(-2m) is -1 either way
+    return m + np.log1p(0.5 * np.expm1(-2.0 * np.minimum(m, 1e300)))
 
 
 def _lse3(z: np.ndarray) -> np.ndarray:
@@ -170,9 +178,9 @@ class LinearDriver(Driver):
     positive_homogeneous = True
     linear = True
 
-    def __init__(self, walk, slopes):
+    def __init__(self, walk, slope):
         super().__init__(walk)
-        self._x = _per_level(self.tree, slopes, "linear driver slope")
+        self._x = _per_level(self.tree, slope, "linear driver slope")
 
     def eval(self, t, z):
         return self._x[t] * np.asarray(z, dtype=float)
@@ -344,13 +352,6 @@ class DriverFamily:
         """The driver parameter at level x, elementwise."""
         raise NotImplementedError
 
-    def _make(self, x) -> Driver:
-        """make(x), the driver at one level x. Each family's make is this, as
-        perfbench/tracing.py wraps make on the classes that define it."""
-        if isinstance(x, (list, tuple)) or np.ndim(x) != 0:
-            raise ParamOutOfRange(f"make takes one family level, got {x!r}; at_nodes takes one per node")
-        return self.driver(self.walk, self._params(_finite("family level", x)))
-
     def _params(self, x):
         """param(x), elementwise, for levels x that are all positive."""
         if not np.all(x > 0.0):
@@ -367,7 +368,10 @@ class DriverFamily:
         slots' parameters by ancestor. The map is elementwise, so the driver
         holds make's floats, bit for bit.
         """
-        p_nodes = self._params(np.asarray(x_nodes, dtype=float))
+        x_nodes = self.tree.check_level_array(x_nodes, t)
+        if x_nodes.ndim != 1:
+            raise LevelMismatch(f"at_nodes takes one level per level-{t} node, got shape {x_nodes.shape}")
+        p_nodes = self._params(x_nodes)
         g = self.driver
         if not np.all(g.admits(p_nodes)):
             raise ParamOutOfRange(f"{g.kind} needs {g.rule}, got {p_nodes}")
@@ -380,84 +384,63 @@ class DriverFamily:
         return g.on_levels(self.walk, [None] + levels)
 
 
-class CoherentFamily(DriverFamily):
-    """g_x(z) = x/(x+1) |z|: positively homogeneous at every level."""
-
-    kind = "coherent"
-    driver = CoherentAbsDriver
-
-    @staticmethod
-    def param(x):
-        return x / (x + 1.0)
-
-    def make(self, x):
-        return self._make(x)
+def _share(x):
+    return x / (x + 1.0)
 
 
-class QuasiconcaveLseFamily(DriverFamily):
-    """g_x(z) = x/(x+1) log((1 + e^-z + e^z)/3): not positively homogeneous."""
-
-    kind = "quasiconcave_lse"
-    driver = LseDriver
-
-    @staticmethod
-    def param(x):
-        return x / (x + 1.0)
-
-    def make(self, x):
-        return self._make(x)
-
-
-class EntropicFamily(DriverFamily):
-    """g_x(z) = 1/(x dqv_t) log(0.5 e^{-xz} + 0.5 e^{xz}): gamma = 1/x."""
-
-    kind = "entropic"
-    driver = EntropicDriver
-
-    @staticmethod
-    def param(x):
-        return 1.0 / x
-
-    def make(self, x):
-        return self._make(x)
-
-
+# family kind -> (driver class, level map x -> driver parameter, elementwise):
+# coherent g_x(z) = x/(x+1) |z|, positively homogeneous at every level;
+# quasiconcave_lse g_x(z) = x/(x+1) log((1 + e^-z + e^z)/3);
+# entropic g_x(z) = 1/(x dqv_t) log(0.5 e^{-xz} + 0.5 e^{xz}), gamma = 1/x.
 _FAMILY_KINDS = {
-    "coherent": CoherentFamily,
-    "quasiconcave_lse": QuasiconcaveLseFamily,
-    "entropic": EntropicFamily,
+    "coherent": (CoherentAbsDriver, _share),
+    "quasiconcave_lse": (LseDriver, _share),
+    "entropic": (EntropicDriver, lambda x: 1.0 / x),
 }
 
 
+class _BuiltinFamily(DriverFamily):
+    """The family of one _FAMILY_KINDS row."""
+
+    def __init__(self, walk: MartingaleSpec, kind: str):
+        if kind not in _FAMILY_KINDS:
+            raise ParamOutOfRange(f"unknown family kind {kind!r}; have {sorted(_FAMILY_KINDS)}")
+        super().__init__(walk)
+        self.kind = kind
+        self.driver, self.param = _FAMILY_KINDS[kind]
+
+    def make(self, x) -> Driver:
+        """The driver at one level x; anything but one positive finite
+        number raises ParamOutOfRange."""
+        if isinstance(x, (list, tuple)) or np.ndim(x) != 0:
+            raise ParamOutOfRange(f"make takes one family level, got {x!r}; at_nodes takes one per node")
+        return self.driver(self.walk, self._params(_finite("family level", x)))
+
+
 def builtin_family(kind: str, walk: MartingaleSpec) -> DriverFamily:
-    if kind not in _FAMILY_KINDS:
-        raise ParamOutOfRange(f"unknown family kind {kind!r}; have {sorted(_FAMILY_KINDS)}")
-    return _FAMILY_KINDS[kind](walk)
+    return _BuiltinFamily(walk, kind)
 
 
-# kind -> (parameter names, constructor from the walk and the parameters)
+# driver kind -> driver class; a kind takes its constructor's parameters after walk
 _DRIVER_KINDS = {
-    "zero": ((), lambda walk, p: ZeroDriver(walk)),
-    "linear": (("slope",), lambda walk, p: LinearDriver(walk, p["slope"])),
-    "coherent_abs": (("c",), lambda walk, p: CoherentAbsDriver(walk, p["c"])),
-    "logsumexp": (("K",), lambda walk, p: LogSumExpDriver(walk, p["K"])),
-    "entropic": (("gamma",), lambda walk, p: EntropicDriver(walk, p["gamma"])),
+    cls.kind: cls for cls in (ZeroDriver, LinearDriver, CoherentAbsDriver, LogSumExpDriver, EntropicDriver)
 }
 
 
 def builtin_driver(kind: str, walk: MartingaleSpec, **params) -> Driver:
     if kind not in _DRIVER_KINDS:
         raise ParamOutOfRange(f"unknown driver kind {kind!r}")
-    names, build = _DRIVER_KINDS[kind]
+    cls = _DRIVER_KINDS[kind]
+    names = [name for name in inspect.signature(cls).parameters if name != "walk"]
     unknown = sorted(set(params) - set(names))
     if unknown:
         raise ParamOutOfRange(
-            f"driver kind {kind!r} takes no parameter {unknown}; it takes {list(names)}"
+            f"driver kind {kind!r} takes no parameter {unknown}; it takes {names}"
         )
     missing = [name for name in names if name not in params]
     if missing:
         raise ParamOutOfRange(f"driver kind {kind!r} needs parameter {missing}")
-    return build(walk, params)
+    return cls(walk, **params)
 
 
 # ---- validation reports -----------------------------------------------------

@@ -45,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .bsde import diagnose_solution, solve_bsde
-from .drivers import _numbers as numbers_only, builtin_driver, builtin_family, is_regular, validate_family
+from .drivers import DriverError, _numbers as numbers_only, builtin_driver, builtin_family, is_regular, validate_family
 from .hedging import ARBITRAGE, HedgeRequest, SharedSearch, check_ngd, hedged_sandwich
 from .market import (
     DirectOperator,
@@ -200,9 +200,12 @@ def _number(key: str, value, positive: bool = False) -> float:
 def _family_level(fam, key: str, value) -> float:
     """A positive finite level that the family itself accepts, so a level
     its driver would refuse (a coherent level whose x/(x+1) rounds to 1) is
-    a config error: load_scenario turns the DriverError into one."""
+    a config error that names key and keeps the driver's reason."""
     x = _number(key, value, positive=True)
-    fam.make(x)
+    try:
+        fam.make(x)
+    except DriverError as exc:
+        raise ScenarioError(f"{key} {value!r} is out of the {fam.kind} family's range: {exc}") from exc
     return x
 
 
@@ -538,8 +541,18 @@ def _job_price_table(scn: Scenario, job: dict):
     return run
 
 
+# axioms target -> the keys its job takes besides "type", "out" and "target"
+_AXIOMS_TARGETS = {
+    "dcrm": ("driver",),
+    "dai": ("family", "expect_scale_invariance"),
+    "family": ("family",),
+    "regularity": ("driver", "expect_regular"),
+}
+
+
 def _job_axioms(scn: Scenario, job: dict):
-    target = _choice("target", job.get("target"), ("dcrm", "dai", "family", "regularity"))
+    target = _choice("target", job.get("target"), tuple(_AXIOMS_TARGETS))
+    _known_keys(f"{target} axioms job", job, ("type", "out", "target", *_AXIOMS_TARGETS[target]))
     if target in ("dcrm", "regularity"):
         g = _resolve_driver(scn, _required(job, "driver", f"{target} job"))
     else:
@@ -589,6 +602,8 @@ def _job_index(scn: Scenario, job: dict):
         want = np.array([math.inf if w in ("inf", math.inf) else _number("expect", w) for w in want])
         finite = np.isfinite(want)
         tol = _number("tol", job.get("tol", 1e-6))
+    elif "tol" in job:
+        raise ScenarioError("index job takes tol only with expect")
     def run(path):
         alpha = acceptability_index(fam, stream, t)
         write_json(path, {"time": t, "alpha": alpha})

@@ -36,3 +36,5 @@ def test_every_active_layer_records_calls(workload, tmp_path):
         tracer.uninstall()
     idle = [layer for layer in tracing.ACTIVE_LAYERS[workload] if tracer.layer_calls(layer) == 0]
     assert not idle, f"{workload}: no calls recorded in layers {idle}"
+    # eval alone keeps the drivers layer active, so make is checked by name
+    assert tracer.calls["drivers.make"] > 0, f"{workload}: no drivers.make calls recorded"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicfin import (
+    LevelMismatch,
     ParamOutOfRange,
     builtin_driver,
     builtin_family,
@@ -185,7 +186,8 @@ def test_linear_driver_with_nonpositive_weight_is_not_regular():
 
 def test_per_slot_levels_match_scalar_levels_exactly():
     """at_nodes(t, x) evaluates, slot by slot, as make at the level of the
-    slot's level-t ancestor after t, and as make(1.0) up to t."""
+    slot's level-t ancestor after t, and as make(1.0) up to t; it refuses a
+    level t outside 0..T and a level array that is not one level per node."""
     walk = make_walk(3)
     tree = walk.tree
     rng = np.random.default_rng(11)
@@ -204,6 +206,9 @@ def test_per_slot_levels_match_scalar_levels_exactly():
                     want = flat[x].eval(u, z)[:, v]
                     assert np.array_equal(got[:, v], want), (kind, t, u, v)
                     assert g_node.lipschitz(u)[v] == flat[x].lipschitz(u)[v], (kind, t, u, v)
+        for t, x_nodes in ((1, [1.0, 2.0, 50.0]), (4, [1.0]), (-1, [1.0]), (1, [1.0]), (1, [[1.0, 2.0]] * 2)):
+            with pytest.raises(LevelMismatch):
+                fam.at_nodes(t, x_nodes)
 
 
 def test_family_batteries_pass_for_builtins():

@@ -98,13 +98,6 @@ def test_quotes_are_finite_and_ask_covers_bid_at_extreme_family_levels(kind, lev
             assert np.min(a - b) > -PRICE_ATOL
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="_lncosh_half computes log cosh(a) for small |a| as a difference of "
-    "terms near log 2, so an entropic quote at level x carries errors near "
-    "2e-16 / x; at x = 2.7e-7 the ask falls by 1.2e-10 as the level rises",
-)
 @given(*_EXTREME_CASES)
 @example("entropic", [2.654856592274946e-07, 2.6943977987150283e-07, 3.6436918511421263e-07], 62829803)
 @settings(max_examples=60, deadline=None)

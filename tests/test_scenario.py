@@ -557,12 +557,25 @@ def test_cli_exit_code_two_for_unusable_input(tmp_path, capsys):
         cds = walk_cfg()
         cds["streams"]["protection"]["cds"]["tau"] = [bad, 3, 1, 1]
         malformed.append(cds)
-    # keys no job takes: the removed search tol and seed and axioms seed, and a typo
+    # keys no job takes: the removed search tol and seed and axioms seed, and a typo;
+    # keys of another axioms target, and an index tol with nothing to compare
     for job in (
         {"type": "arbitrage", "search": {**LIGHT_SEARCH, "tol": 1e-9}},
         {"type": "arbitrage", "search": {**LIGHT_SEARCH, "seed": 1}},
         {"type": "axioms", "target": "dcrm", "driver": "zero", "seed": 1},
         {"type": "hedged", "family": "ent", "gamma": 2.0, "stream": "payout", "phy": 1.0},
+        {
+            "type": "axioms",
+            "target": "dcrm",
+            "driver": "zero",
+            "family": {"kind": "nope"},
+            "expect_regular": "maybe",
+            "expect_scale_invariance": 3,
+        },
+        {"type": "axioms", "target": "family", "family": "ent", "driver": {"kind": "nope"}},
+        {"type": "axioms", "target": "dai", "family": "ent", "expect_regular": True},
+        {"type": "axioms", "target": "regularity", "driver": "zero", "expect_scale_invariance": True},
+        {"type": "index", "family": "ent", "stream": "payout", "tol": "abc"},
     ):
         malformed.append({**conic_cfg(), "jobs": [job]})
     for k, cfg in enumerate(malformed):
@@ -823,21 +836,30 @@ def test_cli_seed_and_parallel_flags(tmp_path, capsys):
 
 def test_coherent_levels_past_the_driver_range_are_config_errors(tmp_path, capsys):
     """At 1e16, x/(x+1) rounds to 1 and the coherent driver refuses the
-    level: every job level goes through the family's check, so the job is
-    a config error and the run exits 2. 9e15 still prices."""
+    level: every job and security level goes through the family's check, so
+    it is a config error that names its key, and the run exits 2. 9e15
+    still prices."""
     def run(jobs, name):
         cfg = {**tables_cfg(), "jobs": jobs}
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         return main(["run", str(path), "--out", str(tmp_path / name)])
 
+    def refused(key):
+        err = capsys.readouterr().err
+        return f"{key} 1e+16 is out of the coherent family's range" in err and "0 <= c < 1" in err
+
     table = lambda level: {"type": "price_table", "family": "coh", "stream": "payout", "gammas": [1.0, level]}
-    assert run([table(1e16)], "table_1e16") == 2
+    assert run([table(1e16)], "table_1e16") == 2 and refused("gammas")
     assert run([table(9e15)], "table_9e15") == 0
-    for jtype in ("ngd", "hedged"):
-        job = {"type": jtype, "family": "coherent", "gamma": 1e16, "stream": "payout", "search": LIGHT_SEARCH}
-        assert run([job], f"{jtype}_1e16") == 2
-    capsys.readouterr()
+    for jtype, extra in (("ngd", {}), ("hedged", {"stream": "payout"})):
+        job = {"type": jtype, "family": "coherent", "gamma": 1e16, "search": LIGHT_SEARCH, **extra}
+        assert run([job], f"{jtype}_1e16") == 2 and refused("gamma")
+    cfg = tables_cfg()
+    cfg["securities"].append({"id": "c", "flavor": "conic", "family": "coh", "stream": "payout", "gamma_ask": 1e16})
+    path = tmp_path / "security_1e16.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "security_1e16")]) == 2 and refused("gamma_ask")
 
 
 def _counted_searches(monkeypatch):
@@ -936,7 +958,7 @@ def test_load_errors_name_their_job():
     book = {"type": "book_quotes", "security": "nope", "phis": [200]}
     solve = tables_cfg()["jobs"][0]
     for jobs, match in (
-        ([solve, table], r"^job 1: ParamOutOfRange: coherent_abs needs"),
+        ([solve, table], r"^job 1: gammas 1e\+16 is out of the coherent family's range: coherent_abs needs"),
         ([solve, solve, book], r"^job 2: MarketError: unknown security 'nope'"),
         ([solve, {**table, "gammas": []}], r"^job 1: gammas must list at least one level"),
         ([{"type": "mystery"}], r"^job 0: unknown job type 'mystery'"),
