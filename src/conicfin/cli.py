@@ -1,10 +1,12 @@
 """Command line runner for scenario files.
 
-conicfin run scenario.json [--seed N] [--out DIR] [--jobs K] [--strict]
+conicfin run scenario.json [--seed N] [--out DIR] [--strict]
 conicfin render out/summary.json
 
+A run loads the scenario, then runs its jobs in order on one thread.
+
 Exit codes: 0 all jobs passed, 1 job failures (or warnings under
---strict), 2 malformed config, unreadable input or a --jobs below 1. A
+--strict), 2 malformed config, unreadable input or an unknown option. A
 config is checked whole before any job runs, so exit 2 writes nothing.
 """
 
@@ -17,12 +19,6 @@ import sys
 from .scenario import ScenarioError, render_summary, run_scenario
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return int(text)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="conicfin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -30,7 +26,6 @@ def main(argv=None) -> int:
     run_p.add_argument("scenario", help="path to the scenario JSON")
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run_p.add_argument("--out", default="out", help="artifact directory (default ./out)")
-    run_p.add_argument("--jobs", type=_positive_int, default=1, help="parallel job workers")
     run_p.add_argument("--strict", action="store_true", help="treat warnings as failures")
     render_p = sub.add_parser("render", help="pretty-print a summary.json")
     render_p.add_argument("summary", help="path to summary.json")
@@ -55,9 +50,7 @@ def main(argv=None) -> int:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 2
     try:
-        summary = run_scenario(
-            cfg, args.out, seed_override=args.seed, jobs_parallel=args.jobs, strict=args.strict
-        )
+        summary = run_scenario(cfg, args.out, seed_override=args.seed, strict=args.strict)
     except ScenarioError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

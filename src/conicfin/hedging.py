@@ -195,9 +195,7 @@ class SharedSearch:
     slot(*requests) adds requests and returns a call that gives their
     results, the list _search_all gives for them. The first call runs every
     request added so far in one _search_all and keeps all their results;
-    later calls read them. The results depend only on the requests, so
-    threads that find nothing kept, and each run the group, keep equal
-    results.
+    later calls read them.
     """
 
     def __init__(self, market: MarketModel, t: int, cfg: SearchConfig):
@@ -209,10 +207,9 @@ class SharedSearch:
         self.requests.extend(requests)
 
         def result():
-            results = self.results
-            if results is None:
-                results = self.results = _search_all(self.requests, *self.where)
-            return results[k : k + len(requests)]
+            if self.results is None:
+                self.results = _search_all(self.requests, *self.where)
+            return self.results[k : k + len(requests)]
 
         return result
 

@@ -177,7 +177,8 @@ class OrderBookOperator(PricingOperator):
         self._cum_cost = np.concatenate([[0.0], np.cumsum(self._prices * np.asarray(sizes))])
         self.depth = float(self._cum_qty[-1])
 
-    def price(self, t: int, phi: np.ndarray) -> np.ndarray:
+    def check_orders(self, phi) -> np.ndarray:
+        """phi as floats; price refuses exactly the orders this refuses."""
         phi = np.asarray(phi, dtype=float)
         if not np.all(phi >= -1e-12):
             raise NegativeLeg("order sizes must be finite and nonnegative")
@@ -185,7 +186,10 @@ class OrderBookOperator(PricingOperator):
             raise DepthExceeded(
                 f"order for {float(np.max(phi))} exceeds posted depth {self.depth}"
             )
-        phi = np.clip(phi, 0.0, self.depth)
+        return phi
+
+    def price(self, t: int, phi: np.ndarray) -> np.ndarray:
+        phi = np.clip(self.check_orders(phi), 0.0, self.depth)
         seg = np.searchsorted(self._cum_qty[1:], phi, side="left")
         seg = np.minimum(seg, len(self._sizes) - 1)
         cost = self._cum_cost[seg] + (phi - self._cum_qty[seg]) * self._prices[seg]

@@ -22,9 +22,7 @@ for all of them in one ascent, with the arbitrage objective once, and
 each writes its report from its own results; an arbitrage job with no
 other search in its group runs find_arbitrage, and an exhaustive search
 block sweeps its grid. The groups live on the one load a run makes and are
-never shared between runs; under jobs_parallel > 1 a job that finds its
-group's results missing searches the group again and gets the same
-deterministic results.
+never shared between runs.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import numbers
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 from dataclasses import dataclass, fields
@@ -233,8 +230,10 @@ def _build_walk(cfg: dict):
     if mart == "symmetric_walk":
         return symmetric_random_walk(tree)
     if isinstance(mart, dict) and set(mart) == {"increments"}:
-        levels = enumerate(_typed("increments", mart["increments"], list), start=1)
-        inc = [None] + [np.asarray(_numbers(f"increments level {t}", v), float) for t, v in levels]
+        levels = _typed("increments", mart["increments"], list)
+        if len(levels) != tree.horizon:
+            raise ScenarioError(f"increments must list one array per level 1..{tree.horizon}, got {len(levels)}")
+        inc = [None] + [np.asarray(_numbers(f"increments level {t}", v), float) for t, v in enumerate(levels, 1)]
         return martingale_from_increments(tree, inc)
     raise ScenarioError("martingale must be 'symmetric_walk' or {'increments': [...]}")
 
@@ -288,7 +287,8 @@ def _ladder(spec: dict, key: str, where: str) -> list:
 
 
 def _build_security(scn: Scenario, spec) -> Security:
-    tree = scn.walk.tree
+    """A security from its spec; an error past the key check names it:
+    "<flavor> security '<id>': ..."."""
     spec = _typed("security", spec, dict)
     sid = spec.get("id", "sec")
     flavor = spec.get("flavor")
@@ -296,28 +296,32 @@ def _build_security(scn: Scenario, spec) -> Security:
         raise ScenarioError(f"unknown security flavor {flavor!r}")
     where = f"{flavor} security {sid!r}"
     _known_keys(where, spec, ("id", "flavor", *_FLAVOR_KEYS[flavor]))
-    if flavor == "conic":
-        fam = _resolve_family(scn, _required(spec, "family", where))
-        stream = _resolve_stream(scn, _required(spec, "stream", where))
-        gamma = _family_level(fam, "gamma_ask", _required(spec, "gamma_ask", where))
-        return conic_security(sid, fam, stream, gamma)
-    if flavor == "direct":
-        sa = _resolve_stream(scn, spec.get("stream_ask", spec.get("stream")))
-        sb = _resolve_stream(scn, spec.get("stream_bid", spec.get("stream")))
-        ops = []
-        for k in ("unit_ask", "unit_bid"):
-            levels = enumerate(_typed(k, _required(spec, k, where), list))
-            ops.append(DirectOperator(tree, [_numbers(f"{k} level {t}", v) for t, v in levels]))
-        return Security(sid=sid, stream_ask=sa, stream_bid=sb, op_ask=ops[0], op_bid=ops[1])
-    stream = _resolve_stream(scn, spec.get("stream", "zero"))
-    scale = spec.get("tick_scale", 100)
-    return Security(
-        sid=sid,
-        stream_ask=stream,
-        stream_bid=stream,
-        op_ask=OrderBookOperator("ask", _ladder(spec, "ask_ladder", where), tick_scale=scale),
-        op_bid=OrderBookOperator("bid", _ladder(spec, "bid_ladder", where), tick_scale=scale),
-    )
+    if flavor == "direct" and "stream" in spec and {"stream_ask", "stream_bid"} <= set(spec):
+        raise ScenarioError(f"{where} takes no key ['stream'] next to stream_ask and stream_bid")
+    with _config_errors(f"{where}: "):
+        if flavor == "conic":
+            fam = _resolve_family(scn, _required(spec, "family", "security"))
+            stream = _resolve_stream(scn, _required(spec, "stream", "security"))
+            gamma = _family_level(fam, "gamma_ask", _required(spec, "gamma_ask", "security"))
+            return conic_security(sid, fam, stream, gamma)
+        if flavor == "direct":
+            # each side reads stream_<side>, or stream where that is missing
+            streams, ops = [], []
+            for k, u in (("stream_ask", "unit_ask"), ("stream_bid", "unit_bid")):
+                name = spec[k] if k in spec else _required(spec, "stream", f"security without {k!r}")
+                streams.append(_resolve_stream(scn, name))
+                levels = enumerate(_typed(u, _required(spec, u, "security"), list))
+                ops.append(DirectOperator(scn.walk.tree, [_numbers(f"{u} level {t}", v) for t, v in levels]))
+            return Security(sid, *streams, *ops)
+        stream = _resolve_stream(scn, spec.get("stream", "zero"))
+        scale = spec.get("tick_scale", 100)
+        return Security(
+            sid=sid,
+            stream_ask=stream,
+            stream_bid=stream,
+            op_ask=OrderBookOperator("ask", _ladder(spec, "ask_ladder", "security"), tick_scale=scale),
+            op_bid=OrderBookOperator("bid", _ladder(spec, "bid_ladder", "security"), tick_scale=scale),
+        )
 
 
 # security flavor -> the keys it takes besides "id" and "flavor"
@@ -476,9 +480,10 @@ def _job_solve(scn: Scenario, job: dict):
     g = _resolve_driver(scn, _required(job, "driver", "solve job"))
     tr = scn.walk.tree
     term = _required(job, "terminal", "solve job")
-    stream = _resolve_stream(scn, _required(term, "stream", "terminal")) if isinstance(term, dict) else None
-    if stream is None:
-        terminal = np.asarray(_numbers("terminal", term), dtype=float)
+    if isinstance(term, dict):
+        stream = _resolve_stream(scn, _required(_known_keys("terminal", term, ("stream",)), "stream", "terminal"))
+    else:
+        stream, terminal = None, np.asarray(_numbers("terminal", term), dtype=float)
         if terminal.shape != (tr.n_leaves,) or not np.all(np.isfinite(terminal)):
             raise ScenarioError(f"terminal must hold {tr.n_leaves} finite numbers, one per leaf")
     def run(path):
@@ -701,6 +706,8 @@ def _job_book_quotes(scn: Scenario, job: dict):
     op = sec.op_ask if side == "ask" else sec.op_bid
     phis = _typed("phis", _required(job, "phis", "book_quotes job"), list)
     phis = [_number("phis", phi) for phi in phis]
+    if isinstance(op, OrderBookOperator):
+        op.check_orders(phis)
     want = [_finite("expect", x) for x in _typed("expect", job.get("expect", []), list)]
     if "expect" in job and len(want) != len(phis):
         raise ScenarioError(f"expect must list {len(phis)} values, got {len(want)}")
@@ -750,12 +757,10 @@ def run_scenario(
     cfg: dict,
     out_dir: str,
     seed_override: Optional[int] = None,
-    jobs_parallel: int = 1,
     strict: bool = False,
 ) -> dict:
-    """Run every job, on jobs_parallel >= 1 worker threads; write artifacts
-    and summary.json; return the summary."""
-    _integer("jobs_parallel", jobs_parallel, 1)
+    """Run every job in order; write artifacts and summary.json; return
+    the summary."""
     scn = load_scenario(cfg, seed_override)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -767,11 +772,7 @@ def run_scenario(
             return {"job": idx, "type": jtype, "status": "error", "error": f"{type(exc).__name__}: {exc}"}
         return {"job": idx, "type": jtype, "status": status, **details, "artifact": name}
 
-    if jobs_parallel > 1:
-        with ThreadPoolExecutor(max_workers=jobs_parallel) as ex:
-            entries = list(ex.map(run_one, range(len(scn.jobs))))
-    else:
-        entries = [run_one(idx) for idx in range(len(scn.jobs))]
+    entries = [run_one(idx) for idx in range(len(scn.jobs))]
     statuses = [e["status"] for e in entries]
     failed = any(s in ("fail", "error") for s in statuses) or (
         strict and any(s == "warn" for s in statuses)

@@ -66,6 +66,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _per_level(tree: "FiltrationTree", values: Sequence, what: str) -> Sequence:
+    """values, which must hold one entry for each level 0..T."""
+    if len(values) != tree.horizon + 1:
+        raise LevelMismatch(f"{what} needs {tree.horizon + 1} levels, got {len(values)}")
+    return values
+
+
 @dataclass(frozen=True)
 class FiltrationTree:
     """Immutable finite tree carrying the filtration and the node measure.
@@ -186,6 +193,7 @@ class FiltrationTree:
         new_branch_prob[t] (t = 1..T, index 0 ignored/None) replaces the
         branch probabilities; node probabilities are recomputed.
         """
+        _per_level(self, new_branch_prob, "new_branch_prob")
         bp = [None]
         np_levels = [self.node_prob[0]]
         for t in range(1, self.horizon + 1):
@@ -333,8 +341,9 @@ def martingale_from_increments(tree: FiltrationTree, increments: Sequence) -> Ma
 
     Rejects non-finite increments, increments whose conditional mean exceeds
     1e-12 in absolute value and increments with conditional variance below
-    1e-14.
+    1e-14. increments[0] is ignored.
     """
+    _per_level(tree, increments, "increments")
     inc = [None]
     qv = [None]
     for t in range(1, tree.horizon + 1):
@@ -385,13 +394,8 @@ class AdaptedProcess:
     values: tuple
 
     def __post_init__(self):
-        if len(self.values) != self.tree.horizon + 1:
-            raise LevelMismatch(
-                f"adapted process needs {self.tree.horizon + 1} levels, got {len(self.values)}"
-            )
-        vals = tuple(
-            _readonly(self.tree.check_level_array(v, t)) for t, v in enumerate(self.values)
-        )
+        levels = enumerate(_per_level(self.tree, self.values, "adapted process"))
+        vals = tuple(_readonly(self.tree.check_level_array(v, t)) for t, v in levels)
         for t, v in enumerate(vals):
             if not np.all(np.isfinite(v)):
                 raise TreeError(f"adapted process holds non-finite values at level {t}")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conicfin import (
+    DepthExceeded,
     ScenarioError,
     SearchConfig,
     load_scenario,
@@ -270,10 +271,10 @@ def test_every_job_type_passes_on_the_tables_scenario(tmp_path):
     assert os.path.exists(tmp_path / "out" / "summary.json")
 
 
-def test_reruns_are_byte_identical_even_in_parallel(tmp_path):
+def test_reruns_are_byte_identical(tmp_path):
     """Every job type, arbitrage both searched and exhaustive, on table,
-    book and conic markets: a rerun and a run with jobs_parallel=3 write
-    the same bytes, summary.json included."""
+    book and conic markets: a rerun writes the same bytes, summary.json
+    included."""
     exhaustive = {"type": "arbitrage", "search": {"exhaustive": True, "exhaustive_target": 4096}}
     hedged = {"type": "hedged", "family": "ent", "gamma": 2.0, "stream": "payout", "search": LIGHT_SEARCH}
     tables, conic = tables_cfg(), conic_cfg()
@@ -281,13 +282,11 @@ def test_reruns_are_byte_identical_even_in_parallel(tmp_path):
     conic["jobs"] += [exhaustive, {"type": "price_table", "family": "ent", "stream": "payout"}]
     run_scenario(tables, str(tmp_path / "a"))
     run_scenario(tables, str(tmp_path / "b"))
-    run_scenario(tables, str(tmp_path / "c"), jobs_parallel=3)
     a = read_tree_bytes(tmp_path / "a")
     assert a == read_tree_bytes(tmp_path / "b")
-    assert a == read_tree_bytes(tmp_path / "c")
     assert len(a) == 13
     summary = run_scenario(conic, str(tmp_path / "d"))
-    run_scenario(conic, str(tmp_path / "e"), jobs_parallel=3)
+    run_scenario(conic, str(tmp_path / "e"))
     d = read_tree_bytes(tmp_path / "d")
     assert d == read_tree_bytes(tmp_path / "e")
     assert len(d) == 6
@@ -329,16 +328,20 @@ def test_exhaustive_sweep_upgrades_no_arbitrage_to_a_pass(tmp_path):
     assert summary["passed"]
 
 
-def test_failing_job_is_reported_without_killing_siblings(tmp_path):
+def test_failing_job_is_reported_without_killing_siblings(tmp_path, monkeypatch):
+    """A job that raises while it runs (here a book that fails on every
+    quote) gets an error entry; the jobs before and after it still run."""
     cfg = tables_cfg()
-    cfg["jobs"] = [
-        {"type": "solve", "driver": "gx", "terminal": {"stream": "payout"}},
-        {"type": "book_quotes", "security": "aapl", "phis": [5000]},
-    ]
+    solve = {"type": "solve", "driver": "gx", "terminal": {"stream": "payout"}}
+    cfg["jobs"] = [solve, {"type": "book_quotes", "security": "aapl", "phis": [500]}, dict(solve, out="again.csv")]
+
+    def no_quote(op, t, phi):
+        raise DepthExceeded("the book is gone")
+
+    monkeypatch.setattr(scenario_module.OrderBookOperator, "price", no_quote)
     summary = run_scenario(cfg, str(tmp_path / "out"))
-    assert summary["jobs"][0]["status"] == "pass"
-    assert summary["jobs"][1]["status"] == "error"
-    assert "DepthExceeded" in summary["jobs"][1]["error"]
+    assert [e["status"] for e in summary["jobs"]] == ["pass", "error", "pass"]
+    assert summary["jobs"][1]["error"] == "DepthExceeded: the book is gone"
     assert not summary["passed"]
 
 
@@ -520,6 +523,9 @@ def test_cli_exit_code_two_for_unusable_input(tmp_path, capsys):
     for key, value in (("streams", {"bad": 5}), ("drivers", []), ("jobs", "solve"), ("jobs", [5])):
         malformed.append({**conic_cfg(), key: value})
     malformed.append({"tree": {"levels": [[float("nan"), 0.5]]}})
+    # one increment level per tree level, neither fewer nor more
+    for inc in ([[1, -1]], [[1, -1], [1, -1, 1, -1], [1, -1] * 4]):
+        malformed.append({"tree": {"horizon": 2}, "martingale": {"increments": inc}})
     for scale in (0, 2.5):
         book = tables_cfg()
         book["securities"][1]["tick_scale"] = scale
@@ -703,8 +709,7 @@ def test_market_jobs_without_securities_are_refused_before_any_artifact(tmp_path
         assert os.listdir(out_dir) == []
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_a_bad_job_after_a_good_one_writes_nothing(jobs, tmp_path, capsys):
+def test_a_bad_job_after_a_good_one_writes_nothing(tmp_path, capsys):
     """Every job is checked when the scenario loads: a bad job of any type
     behind a valid solve job exits 2 and leaves no output directory."""
     solve = {"type": "solve", "driver": "gx", "terminal": {"stream": "payout"}}
@@ -718,7 +723,7 @@ def test_a_bad_job_after_a_good_one_writes_nothing(jobs, tmp_path, capsys):
         path = tmp_path / f"scn{k}.json"
         path.write_text(json.dumps({**tables_cfg(), "jobs": [solve, bad]}))
         out_dir = tmp_path / f"out{k}"
-        assert main(["run", str(path), "--out", str(out_dir), "--jobs", jobs]) == 2
+        assert main(["run", str(path), "--out", str(out_dir)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out_dir.exists()
 
@@ -755,6 +760,7 @@ def _set(cfg, path, value):
         pytest.param(conic_cfg, ("securities", 0, "gamma_bd"), 9.0, "'note' takes no key", id="conic"),
         pytest.param(tables_cfg, ("securities", 0, "tick_scale"), 100, "'stk' takes no key", id="direct"),
         pytest.param(tables_cfg, ("securities", 1, "unit_ask"), [[1]], "'aapl' takes no key", id="book"),
+        pytest.param(tables_cfg, ("jobs", 0, "terminal", "scale"), 3, r"terminal takes no key \['scale'\]", id="terminal"),
     ],
 )
 def test_every_config_object_refuses_a_key_it_does_not_read(cfg, path, value, match):
@@ -764,6 +770,46 @@ def test_every_config_object_refuses_a_key_it_does_not_read(cfg, path, value, ma
     load_scenario(cfg())
     with pytest.raises(ScenarioError, match=match):
         load_scenario(_set(cfg(), path, value))
+
+
+def test_a_direct_security_reads_every_stream_key_it_is_given():
+    """Each side reads stream_<side>, or stream where that is missing: a
+    stream next to both sides' keys is never read and is refused, and a side
+    with neither names the key it lacks."""
+    def load(**streams):
+        cfg = tables_cfg()
+        direct = {k: v for k, v in cfg["securities"][0].items() if k != "stream"}
+        cfg["securities"][0] = {**direct, **streams}
+        return load_scenario(cfg).market.security("stk")
+
+    sec = load(stream_ask="payout", stream="updown")
+    assert (sec.stream_ask.values[1].tolist(), sec.stream_bid.values[1].tolist()) == ([0.3, -0.1], [1.0, -0.9])
+    for streams, match in (
+        ({"stream_ask": "payout", "stream_bid": "payout", "stream": "nope"}, r" takes no key \['stream'\]"),
+        ({}, ": security without 'stream_ask' needs 'stream'"),
+        ({"stream_ask": "payout"}, ": security without 'stream_bid' needs 'stream'"),
+    ):
+        with pytest.raises(ScenarioError, match="^direct security 'stk'" + match):
+            load(**streams)
+
+
+def test_security_errors_name_the_security(tmp_path, capsys):
+    """An error of a security's operator or values names the security the
+    way a job's error names the job."""
+    short, off_grid, missing = tables_cfg(), tables_cfg(), conic_cfg()
+    short["securities"][0]["unit_ask"] = [[10]]
+    off_grid["securities"][1]["tick_scale"] = 0
+    missing["securities"][0]["stream"] = "nope"
+    for cfg, want in (
+        (short, "direct security 'stk': MarketError: need one price table per level 0..2"),
+        (off_grid, "book security 'aapl': MarketError: tick_scale must be an integer >= 1, got 0"),
+        (missing, "conic security 'note': unknown stream 'nope'"),
+    ):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {want}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_the_zero_stream_cannot_be_redefined():
@@ -819,18 +865,19 @@ def test_the_readme_key_table_lists_the_keys_the_loader_takes():
 
 
 def test_cli_seed_and_parallel_flags(tmp_path, capsys):
+    """--seed lands in the summary; jobs run in order on one thread, so
+    --jobs is an unknown option that exits 2 and writes nothing."""
     cfg_path = tmp_path / "scn.json"
     cfg_path.write_text(json.dumps(conic_cfg()))
     out_dir = tmp_path / "out"
-    assert main(["run", str(cfg_path), "--out", str(out_dir), "--seed", "99", "--jobs", "2"]) == 0
+    assert main(["run", str(cfg_path), "--out", str(out_dir), "--seed", "99"]) == 0
     capsys.readouterr()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["seed"] == 99
-    for jobs in ("0", "-3"):
-        with pytest.raises(SystemExit) as exit_:
-            main(["run", str(cfg_path), "--out", str(tmp_path / "none"), "--jobs", jobs])
-        assert exit_.value.code == 2
-        assert "--jobs: must be a positive integer" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", str(cfg_path), "--out", str(tmp_path / "none"), "--jobs", "2"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not (tmp_path / "none").exists()
 
 
@@ -908,49 +955,6 @@ def test_an_arbitrage_job_reuses_the_search_of_its_scenario(tmp_path, monkeypatc
     assert read_tree_bytes(tmp_path / "second") == read_tree_bytes(tmp_path / "ngd_then_arb")
 
 
-def test_cli_jobs_two_writes_the_bytes_of_jobs_one(tmp_path, capsys):
-    """Under --jobs 2 the ngd and arbitrage jobs may run at once and both
-    search; the artifacts are the bytes of the sequential run."""
-    cfg = conic_cfg()
-    cfg["jobs"] = [cfg["jobs"][1], cfg["jobs"][0], *cfg["jobs"][1:]]
-    path = tmp_path / "scn.json"
-    path.write_text(json.dumps(cfg))
-    for jobs in ("1", "2"):
-        assert main(["run", str(path), "--out", str(tmp_path / jobs), "--jobs", jobs]) == 0
-    capsys.readouterr()
-    assert read_tree_bytes(tmp_path / "1") == read_tree_bytes(tmp_path / "2")
-
-
-def test_the_search_memo_under_more_threads_than_cores(tmp_path):
-    """Four job threads, switching every few microseconds, read and fill one
-    load's shared searches at once: every artifact holds the bytes of the
-    sequential run."""
-    ngd = {"type": "ngd", "family": "ent", "gamma": 2.0, "search": LIGHT_SEARCH}
-    arb = {"type": "arbitrage", "search": LIGHT_SEARCH}
-    again = [dict(arb, out="a.json"), dict(arb, entry=1, out="b.json")]
-    jobs = [ngd, arb, dict(arb, entry=1), dict(ngd, entry=1), *again]
-    cfg = {**conic_cfg(), "jobs": jobs}
-    run_scenario(cfg, str(tmp_path / "seq"))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        run_scenario(cfg, str(tmp_path / "par"), jobs_parallel=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert read_tree_bytes(tmp_path / "par") == read_tree_bytes(tmp_path / "seq")
-
-
-def test_run_scenario_refuses_worker_counts_below_one(tmp_path):
-    """The library call refuses the worker counts that --jobs refuses,
-    before it writes anything."""
-    cfg = {**tables_cfg(), "jobs": tables_cfg()["jobs"][:2]}
-    for jobs in (0, -3, 1.5, True):
-        with pytest.raises(ScenarioError, match="jobs_parallel"):
-            run_scenario(cfg, str(tmp_path / "none"), jobs_parallel=jobs)
-    assert not (tmp_path / "none").exists()
-    assert run_scenario(cfg, str(tmp_path / "one"), jobs_parallel=1)["passed"]
-
-
 def test_load_errors_name_their_job():
     """Whatever a job's checks raise, a config error or an error of the
     family or the market, names the job by its index."""
@@ -965,6 +969,23 @@ def test_load_errors_name_their_job():
     ):
         with pytest.raises(ScenarioError, match=match):
             load_scenario({**tables_cfg(), "jobs": jobs})
+
+
+def test_a_book_order_past_the_posted_depth_is_a_config_error(tmp_path, capsys):
+    """The loader refuses a book_quotes order by the order book's own rule:
+    past the posted depth is a config error that names the job, exits 2 and
+    writes nothing; the full depth loads and quotes."""
+    bundled = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+    with open(os.path.join(bundled, "order_book.json")) as f:
+        cfg = json.load(f)
+    job = {k: v for k, v in cfg["jobs"][0].items() if k != "expect"}
+    for k, (phi, code) in enumerate(((1e9, 2), (2429.0 + 1e-6, 2), (2429.0, 0))):
+        path = tmp_path / f"book{k}.json"
+        path.write_text(json.dumps({**cfg, "jobs": [{**job, "phis": [phi]}, cfg["jobs"][1]]}))
+        assert main(["run", str(path), "--out", str(tmp_path / f"out{k}")]) == code
+        assert (tmp_path / f"out{k}").exists() == (code == 0)
+    err = capsys.readouterr().err
+    assert "config error: job 0: DepthExceeded: order for 1000000000.0 exceeds posted depth 2429.0" in err
 
 
 def _search_jobs():
@@ -1028,14 +1049,13 @@ def test_searches_on_one_entry_and_search_block_share_one_ascent(monkeypatch, tm
     assert sum(c for c, _, _ in alone) > 2 * calls
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_each_grouped_job_writes_the_bytes_it_writes_alone(jobs, tmp_path, capsys):
+def test_each_grouped_job_writes_the_bytes_it_writes_alone(tmp_path, capsys):
     """Every job of a shared search writes the artifact bytes of the same
-    job in a scenario of its own, under --jobs 1 and --jobs 2."""
+    job in a scenario of its own."""
     group = _search_jobs()
     path = tmp_path / "group.json"
     path.write_text(json.dumps({**conic_cfg(), "jobs": group}))
-    assert main(["run", str(path), "--out", str(tmp_path / "group"), "--jobs", jobs]) == 0
+    assert main(["run", str(path), "--out", str(tmp_path / "group")]) == 0
     capsys.readouterr()
     together = read_tree_bytes(tmp_path / "group")
     for k, job in enumerate(group):
@@ -1045,9 +1065,8 @@ def test_each_grouped_job_writes_the_bytes_it_writes_alone(jobs, tmp_path, capsy
 
 
 def test_a_job_that_finds_its_group_unsearched_searches_it_again(tmp_path):
-    """Each job whose group has kept no results, as when another worker's
-    search has not landed, searches the group itself and writes the bytes
-    of the sequential run."""
+    """Each job whose group has kept no results searches the group itself
+    and writes the bytes of the full run."""
     cfg = {**conic_cfg(), "jobs": _search_jobs()}
     run_scenario(cfg, str(tmp_path / "seq"))
     scn = load_scenario(cfg)

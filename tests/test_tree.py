@@ -383,3 +383,18 @@ def test_with_probabilities_replaces_measure():
     assert abs(float(tilted.conditional_expectation(x, 1, 0)[0]) - 3.0) < ATOL
     with pytest.raises(NonstochasticProbabilities):
         tree.with_probabilities([None, np.array([np.nan, 0.5])])
+
+
+def test_per_level_lists_must_hold_one_entry_per_level():
+    """Increments and branch probabilities are indexed [None, x_1..x_T]: a
+    short list and a long one both raise LevelMismatch, neither an
+    IndexError nor a list cut to T levels."""
+    tree = uniform_binary_tree(2)
+    inc = [None, np.array([1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0])]
+    bp = [None, np.full(2, 0.5), np.full(4, 0.5)]
+    for make, levels in ((martingale_from_increments, inc), (FiltrationTree.with_probabilities, bp)):
+        for wrong in (levels[:2], levels + [levels[2]]):
+            with pytest.raises(LevelMismatch, match=f"needs 3 levels, got {len(wrong)}"):
+                make(tree, wrong)
+    assert martingale_from_increments(tree, inc).tree is tree
+    assert np.array_equal(tree.with_probabilities(bp).node_prob[2], tree.node_prob[2])
